@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 parse/validation error, 2 empty interior,
 
 import argparse
 import csv
-import os
 import sys
 
 import numpy as np
@@ -34,18 +33,6 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_EMPTY = 2
 EXIT_UNSUPPORTED = 3
-
-
-def _configure_threads():
-    # optional THREADS override for the numba-backed kernels
-    threads = os.environ.get("THREADS")
-    if threads:
-        try:
-            import numba
-
-            numba.set_num_threads(max(1, min(int(threads), os.cpu_count() or 1)))
-        except (ImportError, ValueError):
-            pass
 
 
 def _fail(msg, out):
@@ -265,7 +252,6 @@ def build_parser():
 
 def main(argv=None, out=None):
     out = out if out is not None else sys.stdout
-    _configure_threads()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

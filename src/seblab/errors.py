@@ -13,10 +13,6 @@ class DimensionMismatch(SebLabError):
     """Operands live in different ambient dimensions."""
 
 
-class InconsistentSystem(SebLabError):
-    """An affine solution set was required but the system has no solution."""
-
-
 class NonConvergence(SebLabError):
     """Iterative solver hit its iteration budget above the gap tolerance."""
 

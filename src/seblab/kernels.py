@@ -1,30 +1,23 @@
-"""Hot numerical kernels, numba-jitted with a pure-numpy fallback.
+"""Hot numerical kernels, one numpy implementation each.
 
-Set the environment variable SEBLAB_NUMBA=0 before import to force the
-numpy path (also used automatically when numba is not installed). Both
-variants of every kernel stay importable (`*_py` / `*_nb`) so the benchmark
-in benchmarks/bench_kernels.py can time them side by side.
+`fw_minimize` and `cloud_meb` are the solver's and the cloud oracle's inner
+loops, `grid_min_maxg` the brute-force grid scan, and `hit_and_run` the
+feasible-point sampler. The sampler advances up to `CHAINS` hit-and-run
+chains together as arrays, drawing from its own `np.random.default_rng(seed)`:
+the global `np.random` state is never read or changed, and one seed gives
+one output.
 """
-
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA and os.environ.get("SEBLAB_NUMBA", "1") != "0"
+CHAINS = 256
 
 
 # ---------------------------------------------------------------------------
 # Frank-Wolfe loop for min mu^T M mu - c^T mu over the unit simplex
 # ---------------------------------------------------------------------------
 
-def _fw_minimize(M, c, tol_gap, max_iter):
+def fw_minimize(M, c, tol_gap, max_iter):
     """Conditional-gradient loop with exact line search.
 
     Returns (mu, iterations, gap). Vertex ties break to the lowest index
@@ -62,88 +55,62 @@ def _fw_minimize(M, c, tol_gap, max_iter):
 
 
 # ---------------------------------------------------------------------------
-# Hit-and-run chain inside an intersection of balls
+# Hit-and-run chains inside an intersection of balls
 # ---------------------------------------------------------------------------
 
-def _hit_and_run(centers, radii, start, count, burn_in, thin, seed):
-    """Uniform-ish samples from the ball intersection via exact chords.
+def hit_and_run(centers, radii, start, count, burn_in, thin, seed):
+    """`count` samples of the ball intersection via exact chords.
 
-    Each step intersects the line x + t*u with every ball (roots of a scalar
-    quadratic) and draws t uniformly on the resulting interval, so every
-    sample is exactly feasible.
+    min(count, CHAINS) chains start at `start`, run `burn_in` steps, then
+    each keeps every `thin`-th point; rows come out one round of chains at
+    a time until `count` rows exist. A step moves every chain along a
+    random unit direction u to a uniform point of its chord: the line
+    y + t*u meets ball i where t lies between the roots of a scalar
+    quadratic, so every sample is exactly feasible. Coordinates are taken
+    relative to `start`, which keeps the expanded |y - a_i|^2 free of
+    cancellation however far the balls sit from the origin. Memory per
+    step is O(chains * (m + n)).
     """
-    np.random.seed(seed)
-    m, n = centers.shape
+    rng = np.random.default_rng(seed)
+    n = centers.shape[1]
+    A = centers - start
+    theta = np.einsum("ij,ij->i", A, A) - radii * radii
     out = np.empty((count, n))
-    x = start.copy()
-    total = burn_in + count * thin
+    Y = np.zeros((min(count, CHAINS), n))
+
+    def advance(Y, steps):
+        for _ in range(steps):
+            U = rng.standard_normal(Y.shape)
+            U /= np.sqrt(np.einsum("ij,ij->i", U, U))[:, None]
+            # per chain and ball: |y + t u - a_i|^2 - r_i^2 = t^2 + 2 b t + c0
+            b = np.einsum("ij,ij->i", U, Y)[:, None] - U @ A.T
+            c0 = np.einsum("ij,ij->i", Y, Y)[:, None] - 2.0 * (Y @ A.T) + theta
+            # a negative discriminant means the chord degenerates at the boundary
+            s = np.sqrt(np.maximum(b * b - c0, 0.0))
+            tlo = (-b - s).max(axis=1)
+            thi = (-b + s).min(axis=1)
+            stuck = thi < tlo  # numerical corner: stay put
+            tlo[stuck] = 0.0
+            thi[stuck] = 0.0
+            t = tlo + (thi - tlo) * rng.random(Y.shape[0])
+            Y = Y + t[:, None] * U
+        return Y
+
+    Y = advance(Y, burn_in)
     k = 0
-    for step in range(total):
-        u = np.random.standard_normal(n)
-        u = u / np.sqrt(np.dot(u, u))
-        tlo = -1e300
-        thi = 1e300
-        for i in range(m):
-            diff = x - centers[i]
-            b = np.dot(u, diff)
-            c0 = np.dot(diff, diff) - radii[i] * radii[i]
-            disc = b * b - c0
-            if disc < 0.0:
-                disc = 0.0  # chord degenerates at the boundary
-            s = np.sqrt(disc)
-            lo = -b - s
-            hi = -b + s
-            if lo > tlo:
-                tlo = lo
-            if hi < thi:
-                thi = hi
-        if thi < tlo:  # numerical corner: stay put
-            tlo = 0.0
-            thi = 0.0
-        t = tlo + (thi - tlo) * np.random.random()
-        x = x + t * u
-        if step >= burn_in and (step - burn_in) % thin == thin - 1:
-            out[k] = x
-            k += 1
-    return out
+    while k < count:
+        Y = advance(Y[:count - k], thin)
+        out[k:k + Y.shape[0]] = Y
+        k += Y.shape[0]
+    return out + start
 
 
 # ---------------------------------------------------------------------------
 # Core-set style minimum enclosing ball of a point cloud
 # ---------------------------------------------------------------------------
 
-def _cloud_meb(points, iterations):
+def cloud_meb(points, iterations):
     """Badoiu-Clarkson iteration: walk toward the farthest point with step 1/(t+2)."""
-    N, n = points.shape
-    c = np.zeros(n)
-    for j in range(N):
-        c += points[j]
-    c /= N
-    for t in range(iterations):
-        best = -1.0
-        jbest = 0
-        for j in range(N):
-            d2 = 0.0
-            for d in range(n):
-                diff = points[j, d] - c[d]
-                d2 += diff * diff
-            if d2 > best:
-                best = d2
-                jbest = j
-        c = c + (points[jbest] - c) / (t + 2.0)
-    best = 0.0
-    for j in range(N):
-        d2 = 0.0
-        for d in range(n):
-            diff = points[j, d] - c[d]
-            d2 += diff * diff
-        if d2 > best:
-            best = d2
-    return c, np.sqrt(best)
-
-
-def _cloud_meb_py(points, iterations):
-    """Vectorized numpy variant of the core-set iteration."""
     c = points.mean(axis=0)
     for t in range(iterations):
         j = int(np.argmax(np.einsum("ij,ij->i", points - c, points - c)))
@@ -156,33 +123,11 @@ def _cloud_meb_py(points, iterations):
 # Exhaustive grid minimization of max_i g_i(x) over a box
 # ---------------------------------------------------------------------------
 
-def _grid_min_maxg(centers, theta, lo, hi, resolution):
-    """Minimum over a regular (resolution+1)^n grid of max_i g_i(x)."""
-    n = lo.shape[0]
-    m = centers.shape[0]
-    steps = resolution + 1
-    total = steps**n
-    best = 1e300
-    x = np.empty(n)
-    for flat in range(total):
-        rem = flat
-        for d in range(n):
-            idx = rem % steps
-            rem //= steps
-            x[d] = lo[d] + (hi[d] - lo[d]) * idx / resolution
-        xx = np.dot(x, x)
-        gmax = -1e300
-        for i in range(m):
-            gi = xx - 2.0 * np.dot(centers[i], x) + theta[i]
-            if gi > gmax:
-                gmax = gi
-        if gmax < best:
-            best = gmax
-    return best
+def grid_min_maxg(centers, theta, lo, hi, resolution):
+    """Minimum over a regular (resolution+1)^n grid of max_i g_i(x).
 
-
-def _grid_min_maxg_py(centers, theta, lo, hi, resolution):
-    """Vectorized numpy variant: evaluates whole grid slabs at once."""
+    Evaluates whole grid slabs at once.
+    """
     n = lo.shape[0]
     axes = [np.linspace(lo[d], hi[d], resolution + 1) for d in range(n)]
     grids = np.meshgrid(*axes, indexing="ij")
@@ -193,30 +138,3 @@ def _grid_min_maxg_py(centers, theta, lo, hi, resolution):
         g = xx[:, None] - 2.0 * chunk @ centers.T + theta[None, :]
         best = min(best, float(g.max(axis=1).min()))
     return best
-
-
-# ---------------------------------------------------------------------------
-# Dispatch
-# ---------------------------------------------------------------------------
-
-fw_minimize_py = _fw_minimize
-hit_and_run_py = _hit_and_run
-cloud_meb_py = _cloud_meb_py
-grid_min_maxg_py = _grid_min_maxg_py
-
-if HAVE_NUMBA:
-    fw_minimize_nb = njit(cache=True)(_fw_minimize)
-    hit_and_run_nb = njit(cache=True)(_hit_and_run)
-    cloud_meb_nb = njit(cache=True)(_cloud_meb)
-    grid_min_maxg_nb = njit(cache=True)(_grid_min_maxg)
-
-if USE_NUMBA:
-    fw_minimize = fw_minimize_nb
-    hit_and_run = hit_and_run_nb
-    cloud_meb = cloud_meb_nb
-    grid_min_maxg = grid_min_maxg_nb
-else:
-    fw_minimize = fw_minimize_py
-    hit_and_run = hit_and_run_py
-    cloud_meb = cloud_meb_py
-    grid_min_maxg = grid_min_maxg_py

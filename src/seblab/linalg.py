@@ -1,84 +1,27 @@
 """Small self-contained numerical linear algebra helpers.
 
-Numerical rank, least-squares affine solution sets, quadratic minimization on
-affine sets, and the closed-form PSD test for arrowhead matrices
+Numerical rank and the closed-form PSD test for arrowhead matrices
 [[alpha*I, b], [b^T, beta]].
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import InconsistentSystem
-from .geometry import UnitQuadratic
-
 DEFAULT_RANK_TOL = 1e-10
+
+
+def rank_from_singular_values(s, shape, tol=DEFAULT_RANK_TOL):
+    """Count of the (descending) singular values s of a matrix of the given
+    shape above tol*s_max*max(shape); the one rank rule of the package."""
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(s > tol * s[0] * max(shape)))
 
 
 def numerical_rank(vectors, tol=DEFAULT_RANK_TOL):
     """Rank of a list of vectors: singular values above tol*s_max*max(n,m)."""
     V = np.atleast_2d(np.asarray(vectors, dtype=float))
-    s = np.linalg.svd(V, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol * s[0] * max(V.shape)))
-
-
-@dataclass(frozen=True)
-class AffineSolutionSet:
-    """Least-squares solution set of A x = b: {particular + nullspace_basis @ t}.
-
-    particular is the minimum-norm least-squares solution; nullspace_basis has
-    orthonormal columns spanning ker(A) (shape (n, k), possibly k = 0).
-    """
-
-    particular: np.ndarray
-    nullspace_basis: np.ndarray
-    residual: float
-    consistent: bool
-
-    @property
-    def is_point(self):
-        return self.nullspace_basis.shape[1] == 0
-
-    def point(self, t):
-        return self.particular + self.nullspace_basis @ np.atleast_1d(t)
-
-
-def solve_affine(A, b, tol=1e-9, rank_tol=DEFAULT_RANK_TOL):
-    """Minimum-norm least squares solve with an orthonormal kernel basis."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    U, s, Vt = np.linalg.svd(A, full_matrices=True)
-    if s.size and s[0] > 0.0:
-        r = int(np.count_nonzero(s > rank_tol * s[0] * max(A.shape)))
-    else:
-        r = 0
-    x0 = Vt[:r].T @ ((U[:, :r].T @ b) / s[:r]) if r > 0 else np.zeros(A.shape[1])
-    N = Vt[r:].T  # (n, n - r), orthonormal columns
-    residual = float(np.linalg.norm(A @ x0 - b))
-    consistent = residual <= tol * (1.0 + float(np.linalg.norm(b)))
-    return AffineSolutionSet(
-        particular=x0, nullspace_basis=N, residual=residual, consistent=consistent
-    )
-
-
-def min_quadratic_on_affine(q: UnitQuadratic, s: AffineSolutionSet):
-    """Minimize x.x - 2 a.x + theta over {x0 + N t}; closed form t* = N^T(a - x0).
-
-    Returns (min_value, argmin). The restriction of the identity leading form
-    to any affine set is strictly convex, so the minimum is attained and
-    unique.
-    """
-    if not s.consistent:
-        raise InconsistentSystem("affine solution set is inconsistent")
-    x0 = s.particular
-    N = s.nullspace_basis
-    if N.shape[1] == 0:
-        return q(x0), x0
-    t_star = N.T @ (q.a - x0)
-    x_star = x0 + N @ t_star
-    return q(x_star), x_star
+    return rank_from_singular_values(np.linalg.svd(V, compute_uv=False),
+                                     V.shape, tol)
 
 
 def arrowhead_psd(alpha, b, beta, tol=1e-9):
@@ -96,14 +39,3 @@ def arrowhead_psd(alpha, b, beta, tol=1e-9):
     psd = alpha >= -tol and beta >= -tol and bb <= (alpha + tol) * (beta + tol) + tol
     return psd, residual
 
-
-def arrowhead_matrix(alpha, b, beta):
-    """Dense symmetric realization; used by the eigensolve oracle in tests."""
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    n = b.size
-    M = np.zeros((n + 1, n + 1))
-    M[:n, :n] = alpha * np.eye(n)
-    M[:n, n] = b
-    M[n, :n] = b
-    M[n, n] = beta
-    return M

@@ -17,7 +17,7 @@ from .errors import (
     ValidationError,
 )
 from .geometry import Instance, UnitQuadratic, _freeze, ball_to_quadratic
-from .linalg import numerical_rank
+from .linalg import numerical_rank, rank_from_singular_values
 from .solver import Regime, _regime_of
 
 MEMBER_TOL = 1e-8
@@ -87,12 +87,6 @@ def eval_map_batch(qmap: QuadraticMap, X):
     return np.concatenate([-tgt[:, None], comp], axis=1)
 
 
-def in_negative_orthant(z) -> bool:
-    """z_0 < 0 strictly, z_i <= 0 for the rest; exact comparisons."""
-    z = np.asarray(z, dtype=float)
-    return bool(z[0] < 0.0 and np.all(z[1:] <= 0.0))
-
-
 def graph_transform(z):
     """(z_0, ..., z_m) -> (z_1 + z_0, ..., z_m + z_0, -z_0).
 
@@ -101,12 +95,6 @@ def graph_transform(z):
     """
     z = np.asarray(z, dtype=float)
     return np.concatenate([z[1:] + z[0], [-z[0]]])
-
-
-def graph_transform_inv(y):
-    y = np.asarray(y, dtype=float)
-    z0 = -y[-1]
-    return np.concatenate([[z0], y[:-1] - z0])
 
 
 @dataclass(frozen=True)
@@ -183,10 +171,7 @@ class _RangeGeometry:
         self.offsets = (np.array([c.theta for c in qmap.components])
                         - qmap.target.theta)
         U, s, Vt = np.linalg.svd(self.A, full_matrices=True)
-        if s.size and s[0] > 0.0:
-            r = int(np.count_nonzero(s > 1e-10 * s[0] * max(self.A.shape)))
-        else:
-            r = 0
+        r = rank_from_singular_values(s, self.A.shape)
         self.rank = r
         self.pinv = Vt[:r].T @ (U[:, :r] / s[:r]).T if r > 0 else np.zeros(
             (self.A.shape[1], self.A.shape[0]))
@@ -380,22 +365,3 @@ def separation_probe(qmap: QuadraticMap, samples: int, seed=0, radius=None,
     return SeparationReport(samples=int(N), range_hits=range_hits,
                             hull_hits=hull_hits)
 
-
-def affine_invariance_check(points, linear, offset, combos, tol=1e-9):
-    """Verify T(lam*p + (1-lam)*q) = lam*T(p) + (1-lam)*T(q) pointwise.
-
-    T(x) = linear @ x + offset must be invertible; this is the identity that
-    makes segment hulls commute with invertible affine maps.
-    """
-    linear = np.atleast_2d(np.asarray(linear, dtype=float))
-    offset = np.asarray(offset, dtype=float)
-    if numerical_rank(linear) < linear.shape[0]:
-        raise SingularTransform("affine map must be invertible")
-    points = [np.asarray(p, dtype=float) for p in points]
-    T = lambda x: linear @ x + offset
-    for i, j, lam in combos:
-        lhs = T(pair_hull_combine(points[i], points[j], lam))
-        rhs = pair_hull_combine(T(points[i]), T(points[j]), lam)
-        if np.linalg.norm(lhs - rhs) > tol * (1.0 + np.linalg.norm(rhs)):
-            return False
-    return True

@@ -93,13 +93,20 @@ def sample_intersection(instance: Instance, count: int, seed: int = 0,
     """Draw `count` points of the ball intersection.
 
     Hit-and-run walks exact chords from a Slater point (computed from the
-    solver when `start` is omitted); rejection samples the bounding box of
-    the smallest ball and falls back to hit-and-run if acceptance collapses.
+    solver when `start` is omitted): up to `kernels.CHAINS` chains start
+    there together, each runs `burn_in` steps and then keeps every
+    `thin`-th point, and rows come out one round of chains at a time.
+    Rejection samples the bounding box of the smallest ball and falls back
+    to hit-and-run if acceptance collapses. Both draw only from
+    `np.random.default_rng(seed)`: the global `np.random` state is left
+    alone, and the same arguments give the same cloud.
     """
     if count < 0:
         raise ValidationError("count must be >= 0")
     method = SampleMethod(method)
-    tol = base_tol * instance.scale()
+    # relative to the balls, not to |center|^2: far from the origin a
+    # scale() tolerance would accept points well outside the balls
+    tol = base_tol * float((instance.radii() ** 2).max())
     if count == 0:
         return SampleCloud(points=np.empty((0, instance.dimension)),
                            seed=seed, method=method)
@@ -112,9 +119,8 @@ def sample_intersection(instance: Instance, count: int, seed: int = 0,
     if start is None:
         start = _slater_point(instance)
     pts = kernels.hit_and_run(
-        np.ascontiguousarray(instance.centers_matrix()),
-        np.ascontiguousarray(instance.radii()),
-        np.ascontiguousarray(np.asarray(start, dtype=float)),
+        instance.centers_matrix(), instance.radii(),
+        np.asarray(start, dtype=float),
         int(count), int(burn_in), int(thin), int(seed) % 2**31,
     )
     return SampleCloud(points=pts, seed=seed, method=SampleMethod.HIT_AND_RUN)
@@ -136,8 +142,7 @@ def cloud_meb(cloud: SampleCloud, iterations: int = 1000):
     """
     if len(cloud) == 0:
         raise ValidationError("empty cloud")
-    c, r = kernels.cloud_meb(np.ascontiguousarray(cloud.points),
-                             int(iterations))
+    c, r = kernels.cloud_meb(cloud.points, int(iterations))
     return c, float(r)
 
 
@@ -163,7 +168,7 @@ def grid_min_maxg(instance: Instance, resolution: int, box=None) -> float:
     lo, hi = box if box is not None else default_box(instance)
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    centers = np.ascontiguousarray(instance.centers_matrix())
+    centers = instance.centers_matrix()
     theta = np.einsum("ij,ij->i", centers, centers) - instance.radii() ** 2
     return float(kernels.grid_min_maxg(centers, theta, lo, hi, int(resolution)))
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import CombinatorialBlowup, NonConvergence
+from .errors import CombinatorialBlowup
 from .geometry import Instance, _freeze
 
 GRID_ORACLE_GUARD = 10**7
@@ -74,18 +74,6 @@ def build_qp(instance: Instance) -> SimplexQP:
     return SimplexQP(gram=gram, linear=linear)
 
 
-def project_simplex(v):
-    """Euclidean projection onto the unit simplex (sort-and-threshold rule)."""
-    v = np.asarray(v, dtype=float)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    ks = np.arange(1, v.size + 1)
-    valid = u - css / ks > 0
-    k = int(ks[valid][-1])
-    tau = css[k - 1] / k
-    return np.maximum(v - tau, 0.0)
-
-
 def _refine_active_set(qp: SimplexQP, mu, max_rounds=50):
     """Equality-constrained QP refinement on the (evolving) support of mu.
 
@@ -142,7 +130,7 @@ def solve(qp: SimplexQP, tol_gap=None, max_iter=None, refine=True):
 
     The returned gap upper-bounds value - q* by convexity. If the iteration
     budget is exhausted above tol_gap the result is still returned with
-    converged=False (callers may raise NonConvergence via `check`).
+    converged=False.
     """
     m = qp.m
     mu0 = np.full(m, 1.0 / m)
@@ -150,10 +138,8 @@ def solve(qp: SimplexQP, tol_gap=None, max_iter=None, refine=True):
         tol_gap = 1e-10 * (1.0 + abs(qp.value(mu0)))
     if max_iter is None:
         max_iter = 200 * m + 10**4
-    mu, iters, gap = kernels.fw_minimize(
-        np.ascontiguousarray(qp.gram), np.ascontiguousarray(qp.linear),
-        float(tol_gap), int(max_iter),
-    )
+    mu, iters, gap = kernels.fw_minimize(qp.gram, qp.linear,
+                                         float(tol_gap), int(max_iter))
     value = qp.value(mu)
     if refine:
         mu_r, val_r = _refine_active_set(qp, mu)
@@ -164,13 +150,6 @@ def solve(qp: SimplexQP, tol_gap=None, max_iter=None, refine=True):
     converged = gap <= tol_gap
     return QPResult(minimizer=mu, value=value, gap=max(gap, 0.0),
                     iterations=int(iters), converged=converged)
-
-
-def check_converged(result: QPResult):
-    if not result.converged:
-        raise NonConvergence("Frank-Wolfe hit max_iter above the gap tolerance",
-                             result=result)
-    return result
 
 
 def _compositions(k, m):

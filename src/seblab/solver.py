@@ -17,7 +17,6 @@ from .geometry import (
     Instance,
     Solution,
     SolveStatus,
-    UnitQuadratic,
     eval_quadratic,
 )
 from .linalg import arrowhead_psd, numerical_rank
@@ -148,9 +147,3 @@ def identity_residual(instance: Instance, solution: Solution, x) -> float:
     )
     return weighted - eval_quadratic(solution.target_quadratic(), x)
 
-
-def target_from(instance: Instance, solution: Solution = None) -> UnitQuadratic:
-    """Quadratic of the solved (or provided) enclosing ball."""
-    if solution is None:
-        solution = solve_seb(instance)
-    return solution.target_quadratic()

@@ -1,18 +1,18 @@
-import math
-
 import numpy as np
-import pytest
 
-from seblab.errors import InconsistentSystem
-from seblab.geometry import UnitQuadratic
-from seblab.linalg import (
-    AffineSolutionSet,
-    arrowhead_matrix,
-    arrowhead_psd,
-    min_quadratic_on_affine,
-    numerical_rank,
-    solve_affine,
-)
+from seblab.linalg import arrowhead_psd, numerical_rank
+
+
+def arrowhead_matrix(alpha, b, beta):
+    """Dense symmetric [[alpha*I, b], [b^T, beta]], the eigensolver oracle's input."""
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    n = b.size
+    M = np.zeros((n + 1, n + 1))
+    M[:n, :n] = alpha * np.eye(n)
+    M[:n, n] = b
+    M[n, :n] = b
+    M[n, n] = beta
+    return M
 
 
 class TestNumericalRank:
@@ -29,84 +29,6 @@ class TestNumericalRank:
             perm = rng.permutation(m)
             scales = rng.choice([-3.0, 0.5, 7.0, -0.01], size=m)
             assert numerical_rank(V[perm] * scales[:, None]) == base
-
-
-class TestSolveAffine:
-    def test_invertible(self):
-        s = solve_affine(np.eye(2), [3.0, 4.0])
-        assert s.consistent and s.nullspace_basis.shape[1] == 0
-        assert np.allclose(s.particular, [3.0, 4.0])
-
-    def test_one_free_direction(self):
-        s = solve_affine([[1.0, 0.0]], [1.0])
-        assert s.consistent
-        assert np.allclose(s.particular, [1.0, 0.0])
-        assert s.nullspace_basis.shape == (2, 1)
-        assert abs(abs(s.nullspace_basis[1, 0]) - 1.0) < 1e-12
-
-    def test_inconsistent_residual(self):
-        # normal equations: x = 1/2, residual sqrt(1/4 + 1/4) = sqrt(2)/2
-        s = solve_affine([[1.0, 0.0], [1.0, 0.0]], [0.0, 1.0])
-        assert not s.consistent
-        assert s.residual == pytest.approx(math.sqrt(2.0) / 2.0, rel=1e-12)
-
-    def test_min_norm_property(self, rng):
-        for _ in range(20):
-            p, n = rng.integers(1, 5), rng.integers(1, 6)
-            A = rng.standard_normal((p, n))
-            x_true = rng.standard_normal(n)
-            s = solve_affine(A, A @ x_true)
-            assert s.consistent
-            assert np.linalg.norm(A @ s.particular - A @ x_true) <= s.residual + 1e-9
-            # particular solution orthogonal to ker(A)
-            if s.nullspace_basis.shape[1]:
-                assert np.linalg.norm(
-                    s.nullspace_basis.T @ s.particular) < 1e-9
-                assert np.linalg.norm(A @ s.nullspace_basis) < 1e-9
-                NtN = s.nullspace_basis.T @ s.nullspace_basis
-                assert np.allclose(NtN, np.eye(NtN.shape[0]), atol=1e-12)
-
-
-class TestMinQuadraticOnAffine:
-    def test_global_minimum(self):
-        q = UnitQuadratic(a=np.zeros(3), theta=0.0)
-        s = AffineSolutionSet(particular=np.zeros(3),
-                              nullspace_basis=np.eye(3),
-                              residual=0.0, consistent=True)
-        val, arg = min_quadratic_on_affine(q, s)
-        assert val == 0.0 and np.allclose(arg, 0.0)
-
-    def test_on_line(self):
-        q = UnitQuadratic(a=[1.0, 1.0], theta=0.0)
-        s = solve_affine([[0.0, 1.0]], [0.0])  # the line x2 = 0
-        val, arg = min_quadratic_on_affine(q, s)
-        assert val == pytest.approx(-1.0, abs=1e-12)
-        assert np.allclose(arg, [1.0, 0.0])
-
-    def test_single_point(self):
-        q = UnitQuadratic(a=[1.0, 1.0], theta=0.0)
-        s = AffineSolutionSet(particular=np.array([1.0, 0.0]),
-                              nullspace_basis=np.zeros((2, 0)),
-                              residual=0.0, consistent=True)
-        val, arg = min_quadratic_on_affine(q, s)
-        assert val == -1.0 and np.allclose(arg, [1.0, 0.0])
-
-    def test_rejects_inconsistent(self):
-        q = UnitQuadratic(a=[0.0], theta=0.0)
-        s = AffineSolutionSet(particular=np.zeros(1),
-                              nullspace_basis=np.zeros((1, 0)),
-                              residual=1.0, consistent=False)
-        with pytest.raises(InconsistentSystem):
-            min_quadratic_on_affine(q, s)
-
-    def test_value_is_minimum(self, rng):
-        q = UnitQuadratic(a=rng.standard_normal(4), theta=rng.standard_normal())
-        A = rng.standard_normal((2, 4))
-        s = solve_affine(A, rng.standard_normal(2) * 0)
-        val, _ = min_quadratic_on_affine(q, s)
-        for _ in range(100):
-            t = rng.standard_normal(s.nullspace_basis.shape[1]) * 3
-            assert val <= q(s.point(t)) + 1e-10
 
 
 class TestArrowheadPsd:

@@ -17,20 +17,25 @@ from seblab.errors import (
 from seblab.geometry import Instance, UnitQuadratic
 from seblab.numrange import (
     QuadraticMap,
-    affine_invariance_check,
+    _RangeGeometry,
     build_graph_form,
     convexity_probe,
     eval_map,
     eval_map_batch,
     graph_transform,
-    graph_transform_inv,
-    in_negative_orthant,
     in_pair_hull,
     in_range,
     pair_hull_combine,
     separation_probe,
 )
 from seblab.solver import Regime, solve_seb
+
+
+def graph_transform_inv(y):
+    """Inverse of graph_transform: (y_1..y_m, t) -> (-t, y_1 + t, ..., y_m + t)."""
+    y = np.asarray(y, dtype=float)
+    z0 = -y[-1]
+    return np.concatenate([[z0], y[:-1] - z0])
 
 
 class TestEvalMap:
@@ -48,13 +53,6 @@ class TestEvalMap:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             eval_map(example_map(), [1.0, 0.0, 0.0])
-
-
-class TestNegativeOrthant:
-    def test_examples(self):
-        assert in_negative_orthant([-1.0, 0.0, 0.0])
-        assert not in_negative_orthant([0.0, -1.0, -1.0])
-        assert not in_negative_orthant([-0.5, -0.1, 0.2])
 
 
 class TestGraphTransform:
@@ -99,6 +97,25 @@ class TestGraphForm:
             build_graph_form(qm)
 
 
+def test_range_geometry_rank_is_shifted_rank():
+    # the membership system -2(a_i - a) and the regime gate share one rank rule
+    rng = np.random.default_rng(20261018)
+    for trial in range(60):
+        n, m = (int(v) for v in rng.integers(2, 7, size=2))
+        if trial % 2:
+            qm = random_rank_deficient_map(rng, n=n, m=m)
+            assert qm.shifted_rank() < n
+        else:
+            scale = 10.0 ** rng.uniform(-6, 6)
+            centers = rng.standard_normal((m, n)) * scale
+            qm = QuadraticMap(
+                target=UnitQuadratic(a=rng.standard_normal(n) * scale, theta=0.0),
+                components=tuple(UnitQuadratic(a=c, theta=0.0) for c in centers),
+                dimension=n)
+            assert qm.shifted_rank() == min(n, m)
+        assert _RangeGeometry(qm).rank == qm.shifted_rank()
+
+
 class TestRangeMembership:
     def test_gap_point_not_in_range(self):
         verdict = in_range(example_map(), [1.0, 0.0, 0.0])
@@ -136,8 +153,12 @@ class TestRangeMembership:
         gx, gy = np.meshgrid(axis, axis)
         X = np.stack([gx.ravel(), gy.ravel()], axis=1)
         G = eval_map_batch(qm, X)
+        # about half the draws land 0.02..0.3 from the grid and decide
+        # nothing, so draw until 90 have been checked
         checked = 0
-        for _ in range(200):
+        for _ in range(1000):
+            if checked >= 90:
+                break
             x, y = rng.uniform(-2, 2, size=(2, 2))
             lam = rng.uniform()
             z = pair_hull_combine(eval_map(qm, x), eval_map(qm, y), lam)
@@ -267,19 +288,6 @@ class TestSeparationProbe:
 
 
 class TestAffineInvariance:
-    def test_identity_map(self, rng):
-        pts = [rng.standard_normal(3) for _ in range(5)]
-        combos = [(0, 1, 0.3), (2, 4, 0.9), (1, 3, 0.0)]
-        assert affine_invariance_check(pts, np.eye(3), np.zeros(3), combos)
-
-    def test_random_invertible(self, rng):
-        pts = [rng.standard_normal(4) * 10 for _ in range(10)]
-        L = rng.standard_normal((4, 4)) + 4 * np.eye(4)
-        offset = rng.standard_normal(4)
-        combos = [(int(rng.integers(10)), int(rng.integers(10)),
-                   float(rng.uniform())) for _ in range(100)]
-        assert affine_invariance_check(pts, L, offset, combos)
-
     def test_graph_transform_matrix(self, rng):
         # the flattening map as a matrix: linear, invertible
         m = 3
@@ -287,14 +295,5 @@ class TestAffineInvariance:
         L[:m, 0] = 1.0
         L[:m, 1:] = np.eye(m)
         L[m, 0] = -1.0
-        pts = [rng.standard_normal(m + 1) for _ in range(6)]
-        combos = [(0, 5, 0.25), (1, 2, 0.75)]
-        assert affine_invariance_check(pts, L, np.zeros(m + 1), combos)
         z = rng.standard_normal(m + 1)
         assert np.allclose(L @ z, graph_transform(z))
-
-    def test_singular_rejected(self, rng):
-        pts = [rng.standard_normal(2) for _ in range(2)]
-        with pytest.raises(SingularTransform):
-            affine_invariance_check(pts, np.ones((2, 2)), np.zeros(2),
-                                    [(0, 1, 0.5)])

@@ -26,6 +26,15 @@ from seblab.sampling import (
 from seblab.solver import solve_seb
 
 
+SHIFT = np.array([1e6, 0.0])
+
+
+def moved_lens():
+    """The lens translated by SHIFT; its optimal ball is B(SHIFT, 1)."""
+    lens = lens_instance()
+    return Instance.from_data(lens.centers_matrix() + SHIFT, lens.radii())
+
+
 def max_violation(instance, points):
     centers = instance.centers_matrix()
     radii2 = instance.radii() ** 2
@@ -36,11 +45,18 @@ def max_violation(instance, points):
 class TestSampleIntersection:
     @pytest.mark.parametrize("method", list(SampleMethod))
     def test_points_are_feasible(self, method):
-        inst = lens_instance()
-        cloud = sample_intersection(inst, 500, seed=3, method=method)
-        assert len(cloud) == 500
-        assert cloud.points.shape == (500, 2)
-        assert max_violation(inst, cloud.points) <= 1e-9 * inst.scale()
+        lens, far = lens_instance(), moved_lens()
+        # the solver's Slater point is not usable for the moved lens, so its
+        # chains start at the known center; its tolerance is relative to the
+        # balls, since |center|^2 ~ 1e12 would hide misses
+        for inst, start, tol in (
+                (lens, None, 1e-9 * lens.scale()),
+                (far, SHIFT, 1e-9 * float((far.radii() ** 2).max()))):
+            cloud = sample_intersection(inst, 500, seed=3, method=method,
+                                        start=start)
+            assert len(cloud) == 500
+            assert cloud.points.shape == (500, 2)
+            assert max_violation(inst, cloud.points) <= tol
 
     def test_rejection_single_ball_is_uniform_box_restriction(self):
         inst = Instance.from_data([[1.0, -2.0]], [0.5])
@@ -64,6 +80,35 @@ class TestSampleIntersection:
         c3 = sample_intersection(inst, 100, seed=43)
         assert np.array_equal(c1.points, c2.points)
         assert not np.array_equal(c1.points, c3.points)
+
+    def test_hit_and_run_translation_equivariant(self):
+        # chords are computed relative to the start point, so moving the
+        # balls and the start by 1e6 moves the cloud and nothing else
+        near = sample_intersection(lens_instance(), 500, seed=3,
+                                   start=np.zeros(2))
+        moved = sample_intersection(moved_lens(), 500, seed=3, start=SHIFT)
+        assert np.allclose(moved.points - SHIFT, near.points, rtol=0,
+                           atol=1e-9)
+
+    def test_global_rng_untouched(self):
+        np.random.seed(7)
+        expected = np.random.random(3)
+        np.random.seed(7)
+        sample_intersection(lens_instance(), 5, seed=1)
+        assert np.array_equal(np.random.random(3), expected)
+
+    @pytest.mark.parametrize("count", [1, 5, 300, 1000])
+    def test_count_around_chain_rounds(self, count):
+        # below, between and above multiples of the chain count
+        inst = critical_instance()
+        start = solve_seb(inst).center
+        c1 = sample_intersection(inst, count, seed=4, start=start,
+                                 burn_in=0, thin=1)
+        c2 = sample_intersection(inst, count, seed=4, start=start,
+                                 burn_in=0, thin=1)
+        assert c1.points.shape == (count, 2)
+        assert max_violation(inst, c1.points) <= 1e-9 * inst.scale()
+        assert np.array_equal(c1.points, c2.points)
 
     def test_disjoint_raises(self):
         with pytest.raises(EmptyInteriorError):

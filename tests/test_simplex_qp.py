@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import critical_instance, lens_instance
-from seblab.errors import CombinatorialBlowup, NonConvergence
+from seblab.errors import CombinatorialBlowup
 from seblab.geometry import Instance
 from seblab.simplex_qp import (
     SimplexQP,
     build_qp,
-    check_converged,
     grid_oracle,
-    project_simplex,
     solve,
 )
 
@@ -82,32 +80,6 @@ class TestSolve:
         qp = SimplexQP(gram=np.diag([1.0, 2.0, 3.0]), linear=np.zeros(3))
         res = solve(qp, tol_gap=1e-16, max_iter=2, refine=False)
         assert not res.converged
-        with pytest.raises(NonConvergence):
-            check_converged(res)
-
-
-class TestProjectSimplex:
-    def test_examples(self):
-        assert np.allclose(project_simplex([0.3, 0.7]), [0.3, 0.7])
-        assert np.allclose(project_simplex([2.0, 0.0]), [1.0, 0.0])
-        assert np.allclose(project_simplex([0.5, 0.5, 0.5]),
-                           [1 / 3, 1 / 3, 1 / 3])
-
-    def test_matches_grid_search(self, rng):
-        from seblab.simplex_qp import _compositions
-
-        k = 100
-        for _ in range(100):
-            m = int(rng.integers(1, 4))
-            v = rng.standard_normal(m) * 2
-            p = project_simplex(v)
-            assert p.min() >= 0.0 and p.sum() == pytest.approx(1.0, abs=1e-12)
-            best = min(
-                np.linalg.norm(np.array(c) / k - v) for c in _compositions(k, m)
-            )
-            # projection can beat the lattice only within its resolution
-            assert np.linalg.norm(p - v) <= best + 1e-12
-            assert best <= np.linalg.norm(p - v) + 2 * np.sqrt(m) / k
 
 
 class TestGridOracle:
