@@ -13,14 +13,6 @@ class DimensionMismatch(SebLabError):
     """Operands live in different ambient dimensions."""
 
 
-class NonConvergence(SebLabError):
-    """Iterative solver hit its iteration budget above the gap tolerance."""
-
-    def __init__(self, message, result=None):
-        super().__init__(message)
-        self.result = result
-
-
 class CombinatorialBlowup(SebLabError):
     """Enumeration oracle would exceed its size guard."""
 

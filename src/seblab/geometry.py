@@ -173,7 +173,8 @@ class Solution:
 
     center/radius define the returned ball, multipliers the simplex weights
     recovering it, qp_value the simplex-QP optimum (= radius^2 for nonempty
-    interior).
+    interior); fw_gap bounds qp_value - q*, and converged says whether it
+    met the solve's tolerance.
     """
 
     center: np.ndarray
@@ -183,6 +184,7 @@ class Solution:
     status: SolveStatus
     fw_gap: float = 0.0
     fw_iterations: int = 0
+    converged: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "center", _freeze(self.center))

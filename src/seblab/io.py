@@ -117,6 +117,7 @@ def solution_report(instance, solution, regime, certificate=None,
     report["diagnostics"] = {
         "fw_gap": float(solution.fw_gap),
         "iterations": int(solution.fw_iterations),
+        "converged": bool(solution.converged),
     }
     if diagnostics:
         report["diagnostics"].update(diagnostics)

@@ -1,7 +1,8 @@
 """Hot numerical kernels, one numpy implementation each.
 
-`fw_minimize` and `cloud_meb` are the solver's and the cloud oracle's inner
-loops, `grid_min_maxg` the brute-force grid scan, and `hit_and_run` the
+`fw_minimize` (Frank-Wolfe on the centers, no Gram matrix) and
+`cloud_meb` are the solver's and the cloud oracle's inner loops,
+`grid_min_maxg` the brute-force grid scan, and `hit_and_run` the
 feasible-point sampler. The sampler advances up to `CHAINS` hit-and-run
 chains together as arrays, drawing from its own `np.random.default_rng(seed)`:
 the global `np.random` state is never read or changed, and one seed gives
@@ -14,44 +15,88 @@ CHAINS = 256
 
 
 # ---------------------------------------------------------------------------
-# Frank-Wolfe loop for min mu^T M mu - c^T mu over the unit simplex
+# Frank-Wolfe with corrective steps for min |A^T mu|^2 - c^T mu on the simplex
 # ---------------------------------------------------------------------------
 
-def fw_minimize(M, c, tol_gap, max_iter):
-    """Conditional-gradient loop with exact line search.
+def fw_minimize(A, c, tol_gap, max_iter):
+    """Pairwise Frank-Wolfe with Wolfe-style corrective steps.
 
-    Returns (mu, iterations, gap). Vertex ties break to the lowest index
-    (np.argmin). Each iterate is a convex combination of vertices, so mu
-    stays exactly on the simplex.
+    Minimizes q(mu) = |A^T mu|^2 - c^T mu over the unit simplex, A holding
+    one point per row (m x n). The loop keeps x = A^T mu, so a gradient
+    2 A x - c costs O(mn) and no m x m matrix is formed. From the best
+    vertex, argmin |a_i|^2 - c_i, a pairwise step moves weight from the away
+    vertex (largest gradient on the support) to the Frank-Wolfe vertex
+    (smallest gradient) by exact line search (Lacoste-Julien and Jaggi,
+    NeurIPS 2015); after a step that changed the support, the next
+    iteration moves to the minimum of q over its hull (`_corrective`, Wolfe
+    1976), so the iterations follow the support size, not the conditioning.
+
+    Returns (mu, iterations, gap), gap being the Frank-Wolfe gap
+    grad^T mu - min_i grad_i over all m vertices (ties: lowest index).
     """
-    m = M.shape[0]
-    mu = np.full(m, 1.0 / m)
-    Mmu = M @ mu
-    for it in range(max_iter):
-        grad = 2.0 * Mmu - c
-        j = int(np.argmin(grad))
-        gap = float(np.dot(grad, mu)) - grad[j]
-        if gap <= tol_gap:
+    mu = np.zeros(A.shape[0])
+    i = int(np.argmin(np.einsum("ij,ij->i", A, A) - c))
+    mu[i] = 1.0
+    x = A[i].copy()
+    changed = False
+    for it in range(max_iter + 1):
+        grad = 2.0 * (A @ x) - c
+        s = int(np.argmin(grad))
+        gap = float(grad @ mu) - grad[s]
+        if gap <= tol_gap or it == max_iter:
             return mu, it, gap
-        # direction d = e_j - mu; M @ d = M[:, j] - Mmu
-        Md = M[:, j] - Mmu
-        a2 = float(np.dot(Md, -mu)) + Md[j]  # d^T M d
-        a1 = -gap  # grad^T d
-        if a2 <= 0.0:
-            gamma = 1.0 if a1 < 0.0 else 0.0
-        else:
-            gamma = -a1 / (2.0 * a2)
-            if gamma > 1.0:
-                gamma = 1.0
-            elif gamma < 0.0:
-                gamma = 0.0
-        mu = (1.0 - gamma) * mu
-        mu[j] += gamma
-        Mmu = (1.0 - gamma) * Mmu + gamma * M[:, j]
-    grad = 2.0 * Mmu - c
-    j = int(np.argmin(grad))
-    gap = float(np.dot(grad, mu)) - grad[j]
-    return mu, max_iter, gap
+        if changed:
+            new = _corrective(A, c, mu, float(x @ x - c @ mu))
+            if new is not None:
+                mu, x, changed = new, A.T @ new, False
+                continue
+        v = int(np.argmax(np.where(mu > 0.0, grad, -np.inf)))
+        d = A[s] - A[v]
+        curv = float(d @ d)
+        # q(mu + gamma (e_s - e_v)) - q(mu) = -gamma slope + gamma^2 curv
+        slope = grad[v] - grad[s]
+        gamma = mu[v] if curv <= 0.0 else min(slope / (2.0 * curv), mu[v])
+        changed = mu[s] == 0.0 or gamma == mu[v]
+        mu[v] -= gamma  # exactly 0.0 when gamma is all of mu[v]
+        mu[s] += gamma
+        x += gamma * d
+
+
+def _corrective(A, c, mu, value):
+    """Minimum of q over the convex hull of the support of mu, or None.
+
+    Wolfe's minor cycle: with T the support and w its weights, the minimum
+    of q on the affine hull b_0 + D^T z of T (rows D = b_j - b_0) solves
+    (D D^T) z = (c_j - c_0)/2 - D b_0. Move from w toward it until a weight
+    reaches zero, drop that point, and repeat until the minimum lies inside
+    the hull. None when T is (nearly) affinely dependent, judged by the
+    Cholesky factor, or the end point does not lower q below `value`.
+    """
+    T = np.flatnonzero(mu)
+    w = mu[T]
+    while T.size > 1:  # each pass but the last drops a point
+        D = A[T[1:]] - A[T[0]]
+        G = D @ D.T
+        try:
+            L = np.linalg.cholesky(G)
+        except np.linalg.LinAlgError:
+            return None
+        if L.diagonal().min() <= 1e-6 * np.sqrt(G.diagonal().max()):
+            return None
+        z = np.linalg.solve(G, 0.5 * (c[T[1:]] - c[T[0]]) - D @ A[T[0]])
+        step = np.append(1.0 - z.sum(), z) - w
+        neg = step < 0.0
+        ratios = w[neg] / -step[neg]
+        t = min(1.0, float(ratios.min())) if ratios.size else 1.0
+        w = np.maximum(w + t * step, 0.0)
+        if t == 1.0:
+            break
+        w[np.flatnonzero(neg)[np.argmin(ratios)]] = 0.0
+        T, w = T[w > 0.0], w[w > 0.0]
+    out = np.zeros_like(mu)
+    out[T] = w / w.sum()
+    y = A.T @ out
+    return out if float(y @ y - c @ out) < value else None
 
 
 # ---------------------------------------------------------------------------

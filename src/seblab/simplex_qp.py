@@ -1,9 +1,12 @@
 """Convex quadratic minimization over the unit simplex.
 
-Minimizes q(mu) = mu^T M mu - c^T mu with M the Gram matrix of the ball
-centers and c_i = |a_i|^2 - r_i^2. Solved by Frank-Wolfe with exact line
-search (gap certificate built in) plus an active-set finishing step that
-recovers near-machine accuracy.
+Minimizes q(mu) = |A^T mu|^2 - c^T mu with A the (m, n) matrix of ball
+centers and c_i = |a_i|^2 - r_i^2. No m x m Gram matrix is formed: memory
+is O(mn). Pairwise Frank-Wolfe from the smallest ball, with a corrective
+step to the minimum over the hull of the support whenever the support
+changes, finds the support (at most n + 1 balls at an optimum of a ball
+instance) with a gap certificate built in, and one equality-constrained
+solve on that support closes the remaining gap to rounding.
 """
 
 import itertools
@@ -21,19 +24,17 @@ GRID_ORACLE_GUARD = 10**7
 
 @dataclass(frozen=True)
 class SimplexQP:
-    """Gram matrix and linear term of the simplex program."""
+    """Points (one row per vertex) and linear term of the simplex program."""
 
-    gram: np.ndarray
+    centers: np.ndarray
     linear: np.ndarray
 
     def __post_init__(self):
-        G = np.asarray(self.gram, dtype=float)
+        A = np.asarray(self.centers, dtype=float)
         c = np.asarray(self.linear, dtype=float)
-        if G.shape != (c.size, c.size):
-            raise ValueError("gram/linear shape mismatch")
-        if not np.allclose(G, G.T, atol=1e-12 * (1.0 + np.abs(G).max())):
-            raise ValueError("gram matrix must be symmetric")
-        object.__setattr__(self, "gram", _freeze(0.5 * (G + G.T)))
+        if A.ndim != 2 or A.shape[0] != c.size:
+            raise ValueError("centers/linear shape mismatch")
+        object.__setattr__(self, "centers", _freeze(A))
         object.__setattr__(self, "linear", _freeze(c))
 
     @property
@@ -41,11 +42,12 @@ class SimplexQP:
         return self.linear.size
 
     def value(self, mu):
-        mu = np.asarray(mu, dtype=float)
-        return float(mu @ self.gram @ mu - self.linear @ mu)
+        x = self.centers.T @ np.asarray(mu, dtype=float)
+        return float(x @ x - self.linear @ mu)
 
     def gradient(self, mu):
-        return 2.0 * self.gram @ np.asarray(mu, dtype=float) - self.linear
+        x = self.centers.T @ np.asarray(mu, dtype=float)
+        return 2.0 * (self.centers @ x) - self.linear
 
     def gap(self, mu):
         """Frank-Wolfe gap grad(mu)^T (mu - e_j) at the best vertex e_j."""
@@ -66,90 +68,59 @@ class QPResult:
 
 
 def build_qp(instance: Instance) -> SimplexQP:
-    """Gram matrix M_ij = a_i . a_j and linear term c_i = |a_i|^2 - r_i^2."""
+    """Centers A and linear term c_i = |a_i|^2 - r_i^2."""
     A = instance.centers_matrix()
-    radii = instance.radii()
-    gram = A @ A.T
-    linear = np.einsum("ij,ij->i", A, A) - radii**2
-    return SimplexQP(gram=gram, linear=linear)
+    linear = np.einsum("ij,ij->i", A, A) - instance.radii() ** 2
+    return SimplexQP(centers=A, linear=linear)
 
 
-def _refine_active_set(qp: SimplexQP, mu, max_rounds=50):
-    """Equality-constrained QP refinement on the (evolving) support of mu.
+def _polish(qp: SimplexQP, mu):
+    """Minimum of q on the affine hull of the support S of mu, or None.
 
-    Solves [[2 M_SS, 1], [1^T, 0]] [mu_S; lam] = [c_S; 1], dropping negative
-    coordinates and re-adding vertices whose gradient undercuts the
-    multiplier. Returns the incumbent if no improving feasible point is
-    found.
+    Solves the KKT system [[2 A_S A_S^T, 1], [1^T, 0]] [mu_S; -lam] =
+    [c_S; 1] (Wolfe 1970) in the least-squares sense, which also covers
+    affinely dependent support points; None when the solution leaves the
+    simplex.
     """
-    m = qp.m
-    support = mu > 1e-12
-    if not support.any():
-        support = np.ones(m, dtype=bool)
-    best_mu, best_val = mu, qp.value(mu)
-    for _ in range(max_rounds):
-        idx = np.flatnonzero(support)
-        k = idx.size
-        KKT = np.zeros((k + 1, k + 1))
-        KKT[:k, :k] = 2.0 * qp.gram[np.ix_(idx, idx)]
-        KKT[:k, k] = 1.0
-        KKT[k, :k] = 1.0
-        rhs = np.concatenate([qp.linear[idx], [1.0]])
-        sol, *_ = np.linalg.lstsq(KKT, rhs, rcond=None)
-        mu_s = sol[:k]
-        if mu_s.min() < -1e-12:
-            support[idx[int(np.argmin(mu_s))]] = False
-            if not support.any():
-                break
-            continue
-        cand = np.zeros(m)
-        cand[idx] = np.maximum(mu_s, 0.0)
-        s = cand.sum()
-        if s <= 0:
-            break
-        cand /= s
-        val = qp.value(cand)
-        if val <= best_val + 1e-15 * (1.0 + abs(best_val)):
-            best_mu, best_val = cand, val
-        # optimality over dropped vertices: grad_i >= lam for i off support
-        grad = qp.gradient(cand)
-        lam = float(grad[idx].mean())
-        off = ~support
-        viol = lam - grad
-        viol[~off] = -np.inf
-        j = int(np.argmax(viol))
-        if viol[j] > 1e-12 * (1.0 + abs(lam)):
-            support[j] = True
-            continue
-        break
-    return best_mu, best_val
+    idx = np.flatnonzero(mu)
+    k = idx.size
+    A = qp.centers[idx]
+    KKT = np.ones((k + 1, k + 1))
+    KKT[:k, :k] = 2.0 * (A @ A.T)
+    KKT[k, k] = 0.0
+    sol = np.linalg.lstsq(KKT, np.append(qp.linear[idx], 1.0), rcond=None)[0]
+    if sol[:k].min() < 0.0:
+        return None
+    cand = np.zeros(qp.m)
+    cand[idx] = sol[:k] / sol[:k].sum()
+    return cand
 
 
 def solve(qp: SimplexQP, tol_gap=None, max_iter=None, refine=True):
-    """Frank-Wolfe with exact line search and active-set finishing.
+    """Frank-Wolfe (pairwise and corrective), then one polish on the support.
 
-    The returned gap upper-bounds value - q* by convexity. If the iteration
-    budget is exhausted above tol_gap the result is still returned with
+    The polished point (skipped with refine=False) is kept only if its
+    gap, recomputed over all m vertices, is no larger. The returned gap
+    upper-bounds value - q* by convexity. If the iteration budget is
+    exhausted above tol_gap the result is still returned with
     converged=False.
     """
     m = qp.m
-    mu0 = np.full(m, 1.0 / m)
     if tol_gap is None:
-        tol_gap = 1e-10 * (1.0 + abs(qp.value(mu0)))
+        tol_gap = 1e-10 * (1.0 + abs(qp.value(np.full(m, 1.0 / m))))
     if max_iter is None:
         max_iter = 200 * m + 10**4
-    mu, iters, gap = kernels.fw_minimize(qp.gram, qp.linear,
-                                         float(tol_gap), int(max_iter))
-    value = qp.value(mu)
-    if refine:
-        mu_r, val_r = _refine_active_set(qp, mu)
-        if val_r <= value:
-            gap_r = max(qp.gap(mu_r), 0.0)
-            if gap_r <= max(gap, tol_gap):
-                mu, value, gap = mu_r, val_r, gap_r
-    converged = gap <= tol_gap
+    mu, iters, _ = kernels.fw_minimize(qp.centers, qp.linear,
+                                       float(tol_gap), int(max_iter))
+    # the kernel's gap uses its running x = A^T mu; recompute it from mu
+    value, gap = qp.value(mu), qp.gap(mu)
+    cand = _polish(qp, mu) if refine else None
+    if cand is not None:
+        gap_c = qp.gap(cand)
+        if gap_c <= gap:
+            mu, value, gap = cand, qp.value(cand), gap_c
     return QPResult(minimizer=mu, value=value, gap=max(gap, 0.0),
-                    iterations=int(iters), converged=converged)
+                    iterations=int(iters), converged=gap <= tol_gap)
 
 
 def _compositions(k, m):
@@ -186,7 +157,8 @@ def grid_oracle(qp: SimplexQP, k: int):
         if not batch:
             return
         MU = np.array(batch, dtype=float) / k
-        vals = np.einsum("ij,jl,il->i", MU, qp.gram, MU) - MU @ qp.linear
+        X = MU @ qp.centers
+        vals = np.einsum("ij,ij->i", X, X) - MU @ qp.linear
         j = int(np.argmin(vals))
         if vals[j] < best_val or (
             vals[j] == best_val and tuple(MU[j]) < tuple(best_mu)

@@ -2,7 +2,7 @@
 
 The center is recovered as the multiplier combination of the input centers
 and the radius as the square root of the QP optimum; the rank of the centers
-decides whether minimality is certified.
+and the convergence of the solve decide whether minimality is certified.
 """
 
 from dataclasses import dataclass
@@ -56,9 +56,10 @@ def classify(instance: Instance) -> RankRegime:
 def solve_seb(instance: Instance, tol_gap=None, max_iter=None, base_tol=BASE_TOL):
     """Solve the simplex QP and recover the enclosing ball.
 
-    q* > 0: ball of radius sqrt(q*), certified when the post-solve shifted
-    rank satisfies the gating condition. |q*| ~ 0: the intersection is a
-    single touching point (radius 0). q* < 0: empty interior.
+    q* > 0: ball of radius sqrt(q*), certified when the solve converged and
+    the post-solve shifted rank satisfies the gating condition. |q*| ~ 0:
+    the intersection is a single touching point (radius 0). q* < 0: empty
+    interior.
     """
     qp = build_qp(instance)
     res = solve(qp, tol_gap=tol_gap, max_iter=max_iter)
@@ -77,13 +78,14 @@ def solve_seb(instance: Instance, tol_gap=None, max_iter=None, base_tol=BASE_TOL
     else:
         rank_shifted = numerical_rank(centers - a)
         post = _regime_of(rank_shifted, instance.dimension, instance.m)
-        if post in (Regime.CONVEX, Regime.CRITICAL):
+        if res.converged and post in (Regime.CONVEX, Regime.CRITICAL):
             status = SolveStatus.CERTIFIED_OPTIMAL
         else:
             status = SolveStatus.UPPER_BOUND_ONLY
         radius = float(np.sqrt(q_star))
     return Solution(center=a, radius=radius, multipliers=mu, qp_value=q_star,
-                    status=status, fw_gap=res.gap, fw_iterations=res.iterations)
+                    status=status, fw_gap=res.gap,
+                    fw_iterations=res.iterations, converged=res.converged)
 
 
 def regime_report(instance: Instance, solution: Solution) -> RankRegime:

@@ -52,6 +52,7 @@ class TestSolveCommand:
         assert report["certificate"]["psd_ok"] is True
         assert report["diagnostics"]["max_containment_violation"] == 0.0
         assert report["diagnostics"]["identity_residual_max"] < 1e-9
+        assert report["diagnostics"]["converged"] is True
 
     def test_disjoint_exit_code(self, tmp_path):
         path = write_doc(tmp_path, "disjoint.json", DISJOINT)

@@ -174,6 +174,25 @@ class TestRangeMembership:
                 checked += 1
         assert checked >= 90
 
+    def test_uniform_image_draws_and_shifts(self):
+        # z = G(x) lies in the range by construction; on the example map,
+        # whose fibres are single points, z moved along e_0 does not
+        rng = np.random.default_rng(7)
+        for qm in (example_map(), random_rank_deficient_map(rng)):
+            for _ in range(100):
+                z = eval_map(qm, rng.uniform(-2.0, 2.0, qm.dimension))
+                verdict = in_range(qm, z)
+                assert verdict.member
+                error = np.linalg.norm(eval_map(qm, verdict.witness) - z)
+                assert error <= 1e-9
+        qm = example_map()
+        for _ in range(100):
+            z = eval_map(qm, rng.uniform(-2.0, 2.0, 2))
+            for sign in (1.0, -1.0):
+                shifted = z.copy()
+                shifted[0] += sign * rng.uniform(0.05, 1.0)
+                assert not in_range(qm, shifted).member
+
 
 class TestPairHullMembership:
     def test_gap_point_in_hull(self):

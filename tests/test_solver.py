@@ -12,6 +12,7 @@ from conftest import (
 )
 from seblab.errors import ValidationFailure
 from seblab.geometry import Instance, Solution, SolveStatus
+from seblab.sampling import sample_intersection
 from seblab.solver import (
     Regime,
     build_certificate,
@@ -199,6 +200,69 @@ class TestEquivariance:
         assert np.allclose(sol_q.center, Q @ sol.center, atol=1e-8)
         assert sol_q.radius == pytest.approx(sol.radius, abs=1e-8)
         assert np.allclose(sol_q.multipliers, sol.multipliers, atol=1e-8)
+
+
+def certified_gap(inst, mu):
+    """(q(mu), q(mu) + max_i g_i(a)) from mu and the balls alone."""
+    A = inst.centers_matrix()
+    r2 = inst.radii() ** 2
+    a = A.T @ mu
+    q = float(a @ a - mu @ (np.einsum("ij,ij->i", A, A) - r2))
+    g = np.einsum("ij,ij->i", A - a, A - a) - r2
+    return q, q + float(g.max())
+
+
+def padded_instance():
+    """n = 3, m = 8: four balls of radius sqrt(5) at (+-2, 0, 0), (0, +-2, 0)
+    whose intersection has optimal ball B(0, 1), and four inactive balls of
+    radius 2 at 0.5 (cos(j pi/2), sin(j pi/2), 0)."""
+    centers = [[2.0, 0.0, 0.0], [-2.0, 0.0, 0.0], [0.0, 2.0, 0.0],
+               [0.0, -2.0, 0.0]]
+    centers += [[0.5 * math.cos(j * math.pi / 2),
+                 0.5 * math.sin(j * math.pi / 2), 0.0] for j in range(4)]
+    return Instance.from_data(centers, [math.sqrt(5.0)] * 4 + [2.0] * 4)
+
+
+class TestConvergence:
+    def test_padded_instance_certified(self):
+        inst = padded_instance()
+        sol = solve_seb(inst)
+        assert sol.radius == pytest.approx(1.0, abs=1e-9)
+        assert sol.status is SolveStatus.CERTIFIED_OPTIMAL and sol.converged
+        nonempty, _ = check_interior(inst, sol)
+        assert nonempty
+        assert len(sample_intersection(inst, 10, seed=1)) == 10
+
+    @pytest.mark.parametrize("seed, n", [(0, 96), (5001, 64), (5019, 64)])
+    def test_large_square_gap_closes(self, seed, n):
+        inst = random_supported_instance(np.random.default_rng(seed), n)
+        sol = solve_seb(inst)
+        assert sol.converged
+        q, gap = certified_gap(inst, sol.multipliers)
+        assert gap <= 1e-9 * q
+
+    def test_tall_support_at_most_n_plus_one(self):
+        rng = np.random.default_rng(1)
+        centers = rng.standard_normal((60, 5))
+        p = rng.standard_normal(5)
+        radii = np.linalg.norm(centers - p, axis=1) + 0.5
+        sol = solve_seb(Instance.from_data(centers, radii))
+        assert np.count_nonzero(sol.multipliers) <= 6
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_iterations_follow_support_size(self, seed):
+        # corrective steps: the iteration count tracks the support, not the
+        # conditioning (pairwise steps alone took 200-700 iterations here)
+        inst = random_supported_instance(np.random.default_rng(seed), 48)
+        sol = solve_seb(inst)
+        assert sol.converged
+        assert sol.fw_iterations <= 3 * np.count_nonzero(sol.multipliers)
+
+    def test_unconverged_is_not_certified(self):
+        inst = random_supported_instance(np.random.default_rng(1), 12)
+        sol = solve_seb(inst, max_iter=2)
+        assert not sol.converged
+        assert sol.status is not SolveStatus.CERTIFIED_OPTIMAL
 
 
 def test_shrinking_radii_never_grows_ball(rng):
