@@ -66,8 +66,8 @@ def cmd_solve(args, out):
         diagnostics["verify_points"] = args.verify
         diagnostics["max_containment_violation"] = max(
             0.0, worst - solution.radius)
-        diagnostics["identity_residual_max"] = max(
-            abs(identity_residual(instance, solution, x)) for x in xs)
+        diagnostics["identity_residual_max"] = float(
+            np.abs(identity_residual(instance, solution, xs)).max())
     report = io.solution_report(instance, solution, regime, certificate,
                                 diagnostics)
     print(io.emit(report, compact=args.compact), file=out)

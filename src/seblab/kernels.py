@@ -1,12 +1,12 @@
 """Hot numerical kernels, one numpy implementation each.
 
-`fw_minimize` (Frank-Wolfe on the centers, no Gram matrix) and
-`cloud_meb` are the solver's and the cloud oracle's inner loops,
-`grid_min_maxg` the brute-force grid scan, and `hit_and_run` the
-feasible-point sampler. The sampler advances up to `CHAINS` hit-and-run
-chains together as arrays, drawing from its own `np.random.default_rng(seed)`:
-the global `np.random` state is never read or changed, and one seed gives
-one output.
+`fw_minimize` (Wolfe's finite method on the centers, no Gram matrix) is
+the one simplex-QP solver: the ball solver calls it, and `cloud_meb` calls
+it for the exact minimum enclosing ball of a point cloud. `grid_min_maxg`
+is the brute-force grid scan and `hit_and_run` the feasible-point sampler,
+which advances up to `CHAINS` hit-and-run chains together as arrays,
+drawing from its own `np.random.default_rng(seed)`: the global `np.random`
+state is never read or changed, and one seed gives one output.
 """
 
 import numpy as np
@@ -15,88 +15,82 @@ CHAINS = 256
 
 
 # ---------------------------------------------------------------------------
-# Frank-Wolfe with corrective steps for min |A^T mu|^2 - c^T mu on the simplex
+# Wolfe's finite method for min |A^T mu|^2 - c^T mu on the simplex
 # ---------------------------------------------------------------------------
 
 def fw_minimize(A, c, tol_gap, max_iter):
-    """Pairwise Frank-Wolfe with Wolfe-style corrective steps.
+    """Wolfe's finite method (Math. Programming 11, 1976) on the simplex.
 
     Minimizes q(mu) = |A^T mu|^2 - c^T mu over the unit simplex, A holding
-    one point per row (m x n). The loop keeps x = A^T mu, so a gradient
-    2 A x - c costs O(mn) and no m x m matrix is formed. From the best
-    vertex, argmin |a_i|^2 - c_i, a pairwise step moves weight from the away
-    vertex (largest gradient on the support) to the Frank-Wolfe vertex
-    (smallest gradient) by exact line search (Lacoste-Julien and Jaggi,
-    NeurIPS 2015); after a step that changed the support, the next
-    iteration moves to the minimum of q over its hull (`_corrective`, Wolfe
-    1976), so the iterations follow the support size, not the conditioning.
+    one point per row (m x n). Only the support T and its weights are
+    kept, x = A_T^T w is rebuilt from them, so a gradient 2 A x - c costs
+    O(mn) and no m x m matrix is formed. From the best vertex,
+    argmin |a_i|^2 - c_i, each major cycle adds the Frank-Wolfe vertex
+    (smallest gradient) to T, and `_minor_cycles` moves to the minimum of
+    q over the convex hull of T. The loop stops at gap <= tol_gap, after
+    max_iter major cycles, or when a cycle fails to lower q (rounding).
 
-    Returns (mu, iterations, gap), gap being the Frank-Wolfe gap
-    grad^T mu - min_i grad_i over all m vertices (ties: lowest index).
+    Returns (mu, major cycles, gap), gap being the Frank-Wolfe gap
+    grad^T mu - min_i grad_i over all m vertices at the returned mu.
     """
-    mu = np.zeros(A.shape[0])
-    i = int(np.argmin(np.einsum("ij,ij->i", A, A) - c))
-    mu[i] = 1.0
-    x = A[i].copy()
-    changed = False
+    T = np.array([int(np.argmin(np.einsum("ij,ij->i", A, A) - c))])
+    w = np.ones(1)
+    last = np.inf
     for it in range(max_iter + 1):
+        x = A[T].T @ w
         grad = 2.0 * (A @ x) - c
         s = int(np.argmin(grad))
-        gap = float(grad @ mu) - grad[s]
-        if gap <= tol_gap or it == max_iter:
+        gap = float(grad[T] @ w) - grad[s]
+        value = float(x @ x - c[T] @ w)
+        if gap <= tol_gap or it == max_iter or value >= last:
+            mu = np.zeros(A.shape[0])
+            mu[T] = w
             return mu, it, gap
-        if changed:
-            new = _corrective(A, c, mu, float(x @ x - c @ mu))
-            if new is not None:
-                mu, x, changed = new, A.T @ new, False
-                continue
-        v = int(np.argmax(np.where(mu > 0.0, grad, -np.inf)))
-        d = A[s] - A[v]
-        curv = float(d @ d)
-        # q(mu + gamma (e_s - e_v)) - q(mu) = -gamma slope + gamma^2 curv
-        slope = grad[v] - grad[s]
-        gamma = mu[v] if curv <= 0.0 else min(slope / (2.0 * curv), mu[v])
-        changed = mu[s] == 0.0 or gamma == mu[v]
-        mu[v] -= gamma  # exactly 0.0 when gamma is all of mu[v]
-        mu[s] += gamma
-        x += gamma * d
+        last = value
+        T, w = _minor_cycles(A, c, np.append(T, s), np.append(w, 0.0))
 
 
-def _corrective(A, c, mu, value):
-    """Minimum of q over the convex hull of the support of mu, or None.
+def _minor_cycles(A, c, T, w):
+    """Minimum of q over the convex hull of the points T: (support, weights).
 
-    Wolfe's minor cycle: with T the support and w its weights, the minimum
-    of q on the affine hull b_0 + D^T z of T (rows D = b_j - b_0) solves
-    (D D^T) z = (c_j - c_0)/2 - D b_0. Move from w toward it until a weight
-    reaches zero, drop that point, and repeat until the minimum lies inside
-    the hull. None when T is (nearly) affinely dependent, judged by the
-    Cholesky factor, or the end point does not lower q below `value`.
+    The minimum of q on the affine hull b_0 + D^T z of T (rows
+    D = b_j - b_0) solves (D D^T) z = (c_j - c_0)/2 - D b_0. Move from w
+    toward it until a weight reaches zero, drop that point, and repeat
+    until the minimum lies inside the hull. When the Cholesky factor of
+    D D^T shows T (nearly) affinely dependent, move instead along a null
+    vector v of [A_T^T; 1^T], oriented so that c_T . v >= 0: x stays put
+    and q does not rise, and the point whose weight reaches zero is
+    dropped (a Caratheodory reduction).
     """
-    T = np.flatnonzero(mu)
-    w = mu[T]
-    while T.size > 1:  # each pass but the last drops a point
+    while T.size > 1:
         D = A[T[1:]] - A[T[0]]
         G = D @ D.T
         try:
             L = np.linalg.cholesky(G)
+            independent = (L.diagonal().min()
+                           > 1e-6 * np.sqrt(G.diagonal().max()))
         except np.linalg.LinAlgError:
-            return None
-        if L.diagonal().min() <= 1e-6 * np.sqrt(G.diagonal().max()):
-            return None
-        z = np.linalg.solve(G, 0.5 * (c[T[1:]] - c[T[0]]) - D @ A[T[0]])
-        step = np.append(1.0 - z.sum(), z) - w
-        neg = step < 0.0
+            independent = False
+        if independent:
+            z = np.linalg.solve(G, 0.5 * (c[T[1:]] - c[T[0]]) - D @ A[T[0]])
+            y = np.append(1.0 - z.sum(), z)
+            if y.min() >= 0.0:
+                w = y
+                break
+            step = y - w
+        else:
+            u = np.linalg.svd(D.T)[2][-1]  # D^T u = 0
+            step = np.append(-u.sum(), u)
+            if c[T] @ step < 0.0:
+                step = -step
+        neg = np.flatnonzero(step < 0.0)
         ratios = w[neg] / -step[neg]
-        t = min(1.0, float(ratios.min())) if ratios.size else 1.0
-        w = np.maximum(w + t * step, 0.0)
-        if t == 1.0:
-            break
-        w[np.flatnonzero(neg)[np.argmin(ratios)]] = 0.0
+        j = int(np.argmin(ratios))
+        w = np.maximum(w + ratios[j] * step, 0.0)
+        w[neg[j]] = 0.0
         T, w = T[w > 0.0], w[w > 0.0]
-    out = np.zeros_like(mu)
-    out[T] = w / w.sum()
-    y = A.T @ out
-    return out if float(y @ y - c @ out) < value else None
+    keep = w > 0.0
+    return T[keep], w[keep] / w[keep].sum()
 
 
 # ---------------------------------------------------------------------------
@@ -151,17 +145,24 @@ def hit_and_run(centers, radii, start, count, burn_in, thin, seed):
 
 
 # ---------------------------------------------------------------------------
-# Core-set style minimum enclosing ball of a point cloud
+# Minimum enclosing ball of a point cloud
 # ---------------------------------------------------------------------------
 
 def cloud_meb(points, iterations):
-    """Badoiu-Clarkson iteration: walk toward the farthest point with step 1/(t+2)."""
-    c = points.mean(axis=0)
-    for t in range(iterations):
-        j = int(np.argmax(np.einsum("ij,ij->i", points - c, points - c)))
-        c = c + (points[j] - c) / (t + 2.0)
-    d2 = np.einsum("ij,ij->i", points - c, points - c)
-    return c, float(np.sqrt(d2.max()))
+    """Exact minimum enclosing ball of the rows of `points`: (center, radius).
+
+    The point MEB is the simplex program with r_i = 0, solved by
+    `fw_minimize` on the points centred on the first one (c_i = |p_i|^2
+    there). Its gap tolerance is zero, so it runs until a major cycle no
+    longer lowers q, or for `iterations` major cycles; the radius is the
+    largest distance from the center to a point.
+    """
+    o = points[0]
+    P = points - o
+    mu, _, _ = fw_minimize(P, np.einsum("ij,ij->i", P, P), 0.0, iterations)
+    center = o + P.T @ mu
+    d2 = np.einsum("ij,ij->i", points - center, points - center)
+    return center, float(np.sqrt(d2.max()))
 
 
 # ---------------------------------------------------------------------------

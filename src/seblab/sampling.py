@@ -48,6 +48,9 @@ def _slater_point(instance: Instance):
     nonempty, point = check_interior(instance, solution)
     if not nonempty:
         raise EmptyInteriorError("ball intersection has empty interior")
+    if point is None:
+        raise EmptyInteriorError(
+            "the unconverged solve found no point inside every ball")
     return point
 
 
@@ -135,10 +138,12 @@ def farthest_distance(cloud: SampleCloud, center) -> float:
 
 
 def cloud_meb(cloud: SampleCloud, iterations: int = 1000):
-    """Core-set minimum enclosing ball of the cloud: (center, radius).
+    """Exact minimum enclosing ball of the cloud: (center, radius).
 
-    The cloud lies inside the intersection, so this radius lower-bounds the
-    optimal enclosing radius up to the (1 + eps(iterations)) core-set factor.
+    `iterations` bounds the major cycles of the simplex-QP kernel, which
+    ends at the exact ball after about as many cycles as the ball has
+    support points (at most n + 1). The cloud lies inside the intersection,
+    so this radius lower-bounds the optimal enclosing radius up to rounding.
     """
     if len(cloud) == 0:
         raise ValidationError("empty cloud")

@@ -2,11 +2,11 @@
 
 Minimizes q(mu) = |A^T mu|^2 - c^T mu with A the (m, n) matrix of ball
 centers and c_i = |a_i|^2 - r_i^2. No m x m Gram matrix is formed: memory
-is O(mn). Pairwise Frank-Wolfe from the smallest ball, with a corrective
-step to the minimum over the hull of the support whenever the support
-changes, finds the support (at most n + 1 balls at an optimum of a ball
-instance) with a gap certificate built in, and one equality-constrained
-solve on that support closes the remaining gap to rounding.
+is O(mn). Wolfe's finite method, in coordinates centred on the smallest
+ball, adds one ball per major cycle and moves to the exact minimum over
+the hull of the support (at most n + 1 balls at an optimum of a ball
+instance), so it ends at a rounding-level gap after about as many cycles
+as the support has balls, with a gap certificate built in.
 """
 
 import itertools
@@ -45,15 +45,6 @@ class SimplexQP:
         x = self.centers.T @ np.asarray(mu, dtype=float)
         return float(x @ x - self.linear @ mu)
 
-    def gradient(self, mu):
-        x = self.centers.T @ np.asarray(mu, dtype=float)
-        return 2.0 * (self.centers @ x) - self.linear
-
-    def gap(self, mu):
-        """Frank-Wolfe gap grad(mu)^T (mu - e_j) at the best vertex e_j."""
-        g = self.gradient(mu)
-        return float(g @ mu - g.min())
-
 
 @dataclass(frozen=True)
 class QPResult:
@@ -74,53 +65,32 @@ def build_qp(instance: Instance) -> SimplexQP:
     return SimplexQP(centers=A, linear=linear)
 
 
-def _polish(qp: SimplexQP, mu):
-    """Minimum of q on the affine hull of the support S of mu, or None.
+def solve(qp: SimplexQP, tol_gap=None, max_iter=None):
+    """Wolfe's finite method on the program re-centred on the smallest ball.
 
-    Solves the KKT system [[2 A_S A_S^T, 1], [1^T, 0]] [mu_S; -lam] =
-    [c_S; 1] (Wolfe 1970) in the least-squares sense, which also covers
-    affinely dependent support points; None when the solution leaves the
-    simplex.
-    """
-    idx = np.flatnonzero(mu)
-    k = idx.size
-    A = qp.centers[idx]
-    KKT = np.ones((k + 1, k + 1))
-    KKT[:k, :k] = 2.0 * (A @ A.T)
-    KKT[k, k] = 0.0
-    sol = np.linalg.lstsq(KKT, np.append(qp.linear[idx], 1.0), rcond=None)[0]
-    if sol[:k].min() < 0.0:
-        return None
-    cand = np.zeros(qp.m)
-    cand[idx] = sol[:k] / sol[:k].sum()
-    return cand
-
-
-def solve(qp: SimplexQP, tol_gap=None, max_iter=None, refine=True):
-    """Frank-Wolfe (pairwise and corrective), then one polish on the support.
-
-    The polished point (skipped with refine=False) is kept only if its
-    gap, recomputed over all m vertices, is no larger. The returned gap
-    upper-bounds value - q* by convexity. If the iteration budget is
-    exhausted above tol_gap the result is still returned with
-    converged=False.
+    With o the center of the smallest ball, the points a_i - o and the
+    linear term c_i - 2 a_i.o + |o|^2 give the same q on the simplex, but
+    the gradient is no longer rounded at the scale of |a_i|^2 however far
+    the balls sit from the origin; value and gap are computed there. The
+    returned gap upper-bounds value - q* by convexity. If the major-cycle
+    budget runs out, or rounding stops progress, above tol_gap the result
+    is still returned with converged=False.
     """
     m = qp.m
     if tol_gap is None:
         tol_gap = 1e-10 * (1.0 + abs(qp.value(np.full(m, 1.0 / m))))
     if max_iter is None:
         max_iter = 200 * m + 10**4
-    mu, iters, _ = kernels.fw_minimize(qp.centers, qp.linear,
-                                       float(tol_gap), int(max_iter))
-    # the kernel's gap uses its running x = A^T mu; recompute it from mu
-    value, gap = qp.value(mu), qp.gap(mu)
-    cand = _polish(qp, mu) if refine else None
-    if cand is not None:
-        gap_c = qp.gap(cand)
-        if gap_c <= gap:
-            mu, value, gap = cand, qp.value(cand), gap_c
-    return QPResult(minimizer=mu, value=value, gap=max(gap, 0.0),
-                    iterations=int(iters), converged=gap <= tol_gap)
+    A = qp.centers
+    o = A[int(np.argmin(np.einsum("ij,ij->i", A, A) - qp.linear))]
+    centred = A - o
+    linear = qp.linear - 2.0 * (A @ o) + o @ o
+    mu, iters, gap = kernels.fw_minimize(centred, linear,
+                                         float(tol_gap), int(max_iter))
+    x = centred.T @ mu
+    return QPResult(minimizer=mu, value=float(x @ x - linear @ mu),
+                    gap=max(gap, 0.0), iterations=int(iters),
+                    converged=gap <= tol_gap)
 
 
 def _compositions(k, m):

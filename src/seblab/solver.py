@@ -17,7 +17,6 @@ from .geometry import (
     Instance,
     Solution,
     SolveStatus,
-    eval_quadratic,
 )
 from .linalg import arrowhead_psd, numerical_rank
 from .simplex_qp import build_qp, solve
@@ -89,29 +88,37 @@ def solve_seb(instance: Instance, tol_gap=None, max_iter=None, base_tol=BASE_TOL
 
 
 def regime_report(instance: Instance, solution: Solution) -> RankRegime:
-    """Pre-solve regime enriched with the post-solve shifted rank."""
+    """Pre-solve rank of the centers, and the regime read from the
+    post-solve shifted rank rank{a_i - a}."""
     pre = classify(instance)
     rank_shifted = numerical_rank(instance.centers_matrix() - solution.center)
-    return RankRegime(rank_centers=pre.rank_centers, regime=pre.regime,
+    return RankRegime(rank_centers=pre.rank_centers,
+                      regime=_regime_of(rank_shifted, instance.dimension,
+                                        instance.m),
                       rank_shifted=rank_shifted)
 
 
 def check_interior(instance: Instance, solution: Solution, base_tol=BASE_TOL):
     """Slater check via the minimax identity min_x max_i g_i(x) = -q*.
 
-    The intersection has nonempty interior iff q* > 0, and the computed
-    center is then itself a Slater point with max_i g_i(center) = -q*.
-    Returns (nonempty, slater_point_or_None) and validates the identity.
+    The intersection has nonempty interior iff q* > 0. For any simplex mu
+    with center a, max_i g_i(a) = fw_gap - q(mu), so a larger value means
+    the reported gap is understated; that raises ValidationFailure.
+    Returns (nonempty, slater_point_or_None), the point being the center
+    when it lies strictly inside every ball.
     """
     tol = base_tol * instance.scale()
     a = solution.center
-    worst = max(eval_quadratic(q, a) for q in instance.quadratics())
-    if worst > -solution.qp_value + tol:
+    A = instance.centers_matrix()
+    worst = float((np.einsum("ij,ij->i", A - a, A - a)
+                   - instance.radii() ** 2).max())
+    if worst > -solution.qp_value + solution.fw_gap + tol:
         raise ValidationFailure(
-            f"max_i g_i(center) = {worst} exceeds -q* = {-solution.qp_value}"
+            f"max_i g_i(center) = {worst} exceeds -q(mu) + gap = "
+            f"{-solution.qp_value + solution.fw_gap}"
         )
     nonempty = solution.qp_value > tol
-    return nonempty, (a if nonempty else None)
+    return nonempty, (a if nonempty and worst < 0.0 else None)
 
 
 def build_certificate(instance: Instance, solution: Solution,
@@ -135,17 +142,21 @@ def build_certificate(instance: Instance, solution: Solution,
                        psd_ok=psd_ok, residual=residual)
 
 
-def identity_residual(instance: Instance, solution: Solution, x) -> float:
-    """sum_i mu_i g_i(x) - g_solution(x); identically 0 at a QP optimum.
+def identity_residual(instance: Instance, solution: Solution, x):
+    """sum_i mu_i g_i(x) - g_solution(x) at the point x (a float) or at each
+    row of an (N, n) array x (an array); identically 0 at a QP optimum.
 
     The identity needs only sum(mu) = 1, a = sum(mu_i a_i) and
     theta = sum(mu_i theta_i); it does not depend on the rank condition.
+    Every g_i is evaluated from the centers and radii in one array pass.
     """
     x = np.asarray(x, dtype=float)
-    mu = solution.multipliers
-    weighted = sum(
-        float(w) * eval_quadratic(q, x)
-        for w, q in zip(mu, instance.quadratics())
-    )
-    return weighted - eval_quadratic(solution.target_quadratic(), x)
-
+    X = np.atleast_2d(x)
+    A = instance.centers_matrix()
+    theta = np.einsum("ij,ij->i", A, A) - instance.radii() ** 2
+    xx = np.einsum("ij,ij->i", X, X)
+    g = xx[:, None] - 2.0 * (X @ A.T) + theta
+    target = solution.target_quadratic()
+    residual = g @ solution.multipliers - (xx - 2.0 * (X @ target.a)
+                                           + target.theta)
+    return float(residual[0]) if x.ndim == 1 else residual

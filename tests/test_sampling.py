@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -150,33 +152,80 @@ class TestFarthestDistance:
         assert farthest_distance(cloud, sol.center) <= sol.radius + 1e-9
 
 
+def brute_force_circle(points):
+    """Smallest circle through one point (radius 0), a pair (diametral) or a
+    triple (circumscribed) of the 2-D points that encloses them all:
+    (center, r)."""
+    centers = list(points) + [
+        (points[i] + points[j]) / 2.0
+        for i, j in itertools.combinations(range(len(points)), 2)]
+    for i, j, k in itertools.combinations(range(len(points)), 3):
+        M = 2.0 * np.array([points[j] - points[i], points[k] - points[i]])
+        if abs(np.linalg.det(M)) <= 1e-12 * np.abs(M).max() ** 2:
+            continue  # collinear or repeated: no circumscribed circle
+        rhs = [points[j] @ points[j] - points[i] @ points[i],
+               points[k] @ points[k] - points[i] @ points[i]]
+        centers.append(np.linalg.solve(M, rhs))
+    radii = [np.linalg.norm(points - c, axis=1).max() for c in centers]
+    best = int(np.argmin(radii))
+    return centers[best], radii[best]
+
+
+def as_cloud(points):
+    return SampleCloud(points=points, seed=0, method=SampleMethod.REJECTION)
+
+
 class TestCloudMeb:
     def test_two_points(self):
-        cloud = SampleCloud(points=[[0.0, 0.0], [2.0, 0.0]], seed=0,
-                            method=SampleMethod.REJECTION)
-        c, r = cloud_meb(cloud, iterations=5000)
-        assert np.allclose(c, [1.0, 0.0], atol=1e-2)
-        assert r == pytest.approx(1.0, abs=1e-2)
+        c, r = cloud_meb(as_cloud([[0.0, 0.0], [2.0, 0.0]]))
+        assert np.allclose(c, [1.0, 0.0], rtol=0.0, atol=1e-12)
+        assert r == pytest.approx(1.0, rel=1e-12)
 
     def test_singleton(self):
-        cloud = SampleCloud(points=[[5.0, -1.0]], seed=0,
-                            method=SampleMethod.REJECTION)
-        c, r = cloud_meb(cloud)
+        c, r = cloud_meb(as_cloud([[5.0, -1.0]]))
         assert np.allclose(c, [5.0, -1.0]) and r == 0.0
 
     def test_encloses_all_points(self, rng):
         pts = rng.standard_normal((200, 3)) * 2
-        cloud = SampleCloud(points=pts, seed=0, method=SampleMethod.REJECTION)
-        c, r = cloud_meb(cloud, iterations=2000)
+        c, r = cloud_meb(as_cloud(pts))
         dists = np.linalg.norm(pts - c, axis=1)
-        assert dists.max() <= r * (1 + 2e-3) + 1e-12
+        assert dists.max() <= r * (1 + 1e-12)
+        # the covering radius is convex in the center: no nearby center
+        # does better than the returned one
+        for d in np.random.default_rng(5).standard_normal((50, 3)) * 1e-3:
+            nearby = np.linalg.norm(pts - c - d, axis=1).max()
+            assert nearby >= r * (1 - 1e-12)
+
+    def test_matches_brute_force_circle(self):
+        rng = np.random.default_rng(2025)
+        clouds = [rng.standard_normal((int(rng.integers(1, 13)), 2))
+                  * rng.uniform(0.1, 10.0) for _ in range(20)]
+        angles = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False) + 0.3
+        circle = np.column_stack([np.cos(angles), np.sin(angles)])
+        clouds.append(3.0 * circle + [1.0, -2.0])       # co-circular
+        clouds.append(np.vstack([circle[:3]] * 3))      # triplicated points
+        clouds.append(np.vstack([clouds[0], clouds[0][:2]]))  # duplicates
+        for pts in clouds:
+            c, r = cloud_meb(as_cloud(pts))
+            c0, r0 = brute_force_circle(pts)
+            assert r == pytest.approx(r0, rel=1e-12, abs=1e-15)
+            assert np.linalg.norm(c - c0) <= 1e-12 * r0
+
+    def test_translation_equivariant(self):
+        pts = np.random.default_rng(4).standard_normal((500, 3))
+        shift = np.array([1e6, -1e6, 1e6])
+        c, r = cloud_meb(as_cloud(pts))
+        c_far, r_far = cloud_meb(as_cloud(pts + shift))
+        # moving the points rounds them to about 1e-10
+        assert np.allclose(c_far, c + shift, rtol=0.0, atol=1e-9)
+        assert r_far == pytest.approx(r, abs=1e-9)
 
     def test_lower_bounds_solver_radius(self):
         inst = lens_instance()
         sol = solve_seb(inst)
         cloud = sample_intersection(inst, 5000, seed=9)
         _, r = cloud_meb(cloud)
-        assert r <= sol.radius * (1 + 1e-3)
+        assert r <= sol.radius * (1 + 1e-9)
 
 
 class TestGridMinMaxG:

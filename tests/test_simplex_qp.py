@@ -83,9 +83,10 @@ class TestSolve:
             assert res.value - res.gap <= grid_val + 1e-12
 
     def test_nonconvergence_flagged(self):
-        qp = SimplexQP(centers=np.diag(np.sqrt([1.0, 2.0, 3.0])),
-                       linear=np.zeros(3))
-        res = solve(qp, tol_gap=1e-16, max_iter=2, refine=False)
+        # the optimum is uniform on all 12 vertices; two major cycles reach
+        # a support of at most 3
+        qp = SimplexQP(centers=np.eye(12), linear=np.zeros(12))
+        res = solve(qp, tol_gap=1e-16, max_iter=2)
         assert not res.converged
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from conftest import (
     unsupported_instance,
 )
 from seblab.errors import ValidationFailure
-from seblab.geometry import Instance, Solution, SolveStatus
+from seblab.geometry import Instance, Solution, SolveStatus, eval_quadratic
 from seblab.sampling import sample_intersection
 from seblab.solver import (
     Regime,
@@ -76,6 +77,16 @@ class TestSolveSeb:
         assert report.regime is Regime.UNSUPPORTED
         assert report.rank_shifted == 2
 
+    def test_regime_follows_shifted_rank(self):
+        # moved off the axis the centers have rank 2 = n = m, but the
+        # shifted centers a_i - a still have rank 1: the convex case
+        lens = lens_instance()
+        moved = Instance.from_data(lens.centers_matrix() + [0.0, 1e-3],
+                                   lens.radii())
+        report = regime_report(moved, solve_seb(moved))
+        assert report.rank_centers == 2 and report.rank_shifted == 1
+        assert report.regime is Regime.CONVEX
+
     def test_radius_squares_to_qp_value(self, rng):
         for n in (2, 3, 4):
             inst = random_supported_instance(rng, n)
@@ -121,6 +132,18 @@ class TestCheckInterior:
                        status=sol.status)
         with pytest.raises(ValidationFailure):
             check_interior(inst, bad)
+
+    def test_unconverged_solve(self):
+        inst = random_supported_instance(np.random.default_rng(1), 12)
+        sol = solve_seb(inst, max_iter=2)
+        assert not sol.converged
+        nonempty, point = check_interior(inst, sol)
+        assert nonempty
+        if point is not None:
+            assert max(q(point) for q in inst.quadratics()) < 0.0
+        understated = dataclasses.replace(sol, fw_gap=0.5 * sol.fw_gap)
+        with pytest.raises(ValidationFailure):
+            check_interior(inst, understated)
 
 
 class TestCertificate:
@@ -170,6 +193,20 @@ class TestIdentityResidual:
             x = rng.standard_normal(2) * 10
             assert abs(identity_residual(inst, sol, x)) <= 1e-9 * (
                 1.0 + float(x @ x))
+
+    def test_batch_matches_per_point(self):
+        rng = np.random.default_rng(7)
+        inst = random_supported_instance(rng, 4)
+        sol = solve_seb(inst)
+        X = rng.standard_normal((50, 4)) * 5
+        target = sol.target_quadratic()
+        loop = [sum(w * eval_quadratic(q, x)
+                    for w, q in zip(sol.multipliers, inst.quadratics()))
+                - eval_quadratic(target, x) for x in X]
+        batch = identity_residual(inst, sol, X)
+        assert batch.shape == (50,)
+        assert np.all(np.abs(batch - loop)
+                      <= 1e-12 * (1.0 + np.einsum("ij,ij->i", X, X)))
 
     def test_unsupported_regime_identity_still_holds(self, rng):
         inst = unsupported_instance()
