@@ -3,15 +3,18 @@
 `fw_minimize` (Wolfe's finite method on the centers, no Gram matrix) is
 the one simplex-QP solver: the ball solver calls it, and `cloud_meb` calls
 it for the exact minimum enclosing ball of a point cloud. `grid_min_maxg`
-is the brute-force grid scan and `hit_and_run` the feasible-point sampler,
-which advances up to `CHAINS` hit-and-run chains together as arrays,
-drawing from its own `np.random.default_rng(seed)`: the global `np.random`
-state is never read or changed, and one seed gives one output.
+is the brute-force grid scan, which adds per-axis tables into the grid by
+broadcasting, one ball at a time. `hit_and_run` is the feasible-point
+sampler: it advances up to `CHAINS` hit-and-run chains together as the
+columns of one array, drawing from its own `np.random.default_rng(seed)`,
+so the global `np.random` state is never read or changed and one seed
+gives one output.
 """
 
 import numpy as np
 
 CHAINS = 256
+BLOCK = 64  # hit-and-run steps whose random draws are made at once
 
 
 # ---------------------------------------------------------------------------
@@ -107,40 +110,47 @@ def hit_and_run(centers, radii, start, count, burn_in, thin, seed):
     y + t*u meets ball i where t lies between the roots of a scalar
     quadratic, so every sample is exactly feasible. Coordinates are taken
     relative to `start`, which keeps the expanded |y - a_i|^2 free of
-    cancellation however far the balls sit from the origin. Memory per
-    step is O(chains * (m + n)).
+    cancellation however far the balls sit from the origin.
+
+    The chains are the columns of the (n, chains) state, so the chord
+    bounds reduce over the balls (axis 0) elementwise across rows. The
+    directions and uniforms of up to `BLOCK` steps are drawn at once;
+    memory is O(chains * (m + BLOCK * n)).
     """
     rng = np.random.default_rng(seed)
     n = centers.shape[1]
     A = centers - start
-    theta = np.einsum("ij,ij->i", A, A) - radii * radii
+    theta = (np.einsum("ij,ij->i", A, A) - radii * radii)[:, None]
     out = np.empty((count, n))
-    Y = np.zeros((min(count, CHAINS), n))
+    Y = np.zeros((n, min(count, CHAINS)))
 
     def advance(Y, steps):
-        for _ in range(steps):
-            U = rng.standard_normal(Y.shape)
-            U /= np.sqrt(np.einsum("ij,ij->i", U, U))[:, None]
-            # per chain and ball: |y + t u - a_i|^2 - r_i^2 = t^2 + 2 b t + c0
-            b = np.einsum("ij,ij->i", U, Y)[:, None] - U @ A.T
-            c0 = np.einsum("ij,ij->i", Y, Y)[:, None] - 2.0 * (Y @ A.T) + theta
-            # a negative discriminant means the chord degenerates at the boundary
-            s = np.sqrt(np.maximum(b * b - c0, 0.0))
-            tlo = (-b - s).max(axis=1)
-            thi = (-b + s).min(axis=1)
-            stuck = thi < tlo  # numerical corner: stay put
-            tlo[stuck] = 0.0
-            thi[stuck] = 0.0
-            t = tlo + (thi - tlo) * rng.random(Y.shape[0])
-            Y = Y + t[:, None] * U
+        k = Y.shape[1]
+        for done in range(0, steps, BLOCK):
+            size = min(BLOCK, steps - done)
+            Us = rng.standard_normal((size, n, k))
+            Us /= np.sqrt(np.einsum("sij,sij->sj", Us, Us))[:, None, :]
+            for U, tau in zip(Us, rng.random((size, k))):
+                # per ball and chain: |y + t u - a_i|^2 - r_i^2
+                # = t^2 + 2 b t + c0
+                b = np.einsum("ij,ij->j", U, Y) - A @ U
+                c0 = np.einsum("ij,ij->j", Y, Y) - 2.0 * (A @ Y) + theta
+                # a negative discriminant means the chord degenerates at
+                # the boundary
+                s = np.sqrt(np.maximum(b * b - c0, 0.0))
+                tlo = -(b + s).min(axis=0)
+                thi = (s - b).min(axis=0)
+                t = tlo + (thi - tlo) * tau
+                t[thi < tlo] = 0.0  # numerical corner: stay put
+                Y = Y + t * U
         return Y
 
     Y = advance(Y, burn_in)
     k = 0
     while k < count:
-        Y = advance(Y[:count - k], thin)
-        out[k:k + Y.shape[0]] = Y
-        k += Y.shape[0]
+        Y = advance(Y[:, :count - k], thin)
+        out[k:k + Y.shape[1]] = Y.T
+        k += Y.shape[1]
     return out + start
 
 
@@ -169,18 +179,21 @@ def cloud_meb(points, iterations):
 # Exhaustive grid minimization of max_i g_i(x) over a box
 # ---------------------------------------------------------------------------
 
-def grid_min_maxg(centers, theta, lo, hi, resolution):
+def grid_min_maxg(centers, radii, lo, hi, resolution):
     """Minimum over a regular (resolution+1)^n grid of max_i g_i(x).
 
-    Evaluates whole grid slabs at once.
+    g_i(x) = sum_d (x_d - a_{i,d})^2 - r_i^2 separates over the axes: per
+    ball, n tables of length resolution+1 are added into the whole grid by
+    broadcasting, and `best` keeps the running maximum over the balls.
+    Differences x_d - a_{i,d} are taken per axis, so no |x|^2 cancels.
+    Memory is two (resolution+1)^n arrays.
     """
-    n = lo.shape[0]
-    axes = [np.linspace(lo[d], hi[d], resolution + 1) for d in range(n)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    X = np.stack([g.ravel() for g in grids], axis=1)
-    best = np.inf
-    for chunk in np.array_split(X, max(1, X.shape[0] // 200000)):
-        xx = np.einsum("ij,ij->i", chunk, chunk)
-        g = xx[:, None] - 2.0 * chunk @ centers.T + theta[None, :]
-        best = min(best, float(g.max(axis=1).min()))
-    return best
+    axes = np.linspace(lo, hi, resolution + 1, axis=1)
+    best = np.full((resolution + 1,) * lo.size, -np.inf)
+    for a, r in zip(centers, radii):
+        tables = (axes - a[:, None]) ** 2
+        g = tables[0] - r * r
+        for table in tables[1:]:
+            g = g[..., None] + table
+        np.maximum(best, g, out=best)
+    return float(best.min())

@@ -54,11 +54,13 @@ def _slater_point(instance: Instance):
     return point
 
 
-def _feasible_mask(instance: Instance, X, tol):
-    centers = instance.centers_matrix()
-    radii2 = instance.radii() ** 2
-    d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    return np.all(d2 <= radii2[None, :] + tol, axis=1)
+def _feasible_rows(instance: Instance, X, tol):
+    """Indices of the rows of X inside every ball, filtered ball by ball."""
+    keep = np.arange(X.shape[0])
+    for a, r in zip(instance.centers_matrix(), instance.radii()):
+        D = X[keep] - a
+        keep = keep[np.einsum("ij,ij->i", D, D) <= r * r + tol]
+    return keep
 
 
 def _rejection(instance: Instance, count, seed, tol):
@@ -79,10 +81,10 @@ def _rejection(instance: Instance, count, seed, tol):
                     f"acceptance rate below {MIN_ACCEPT_RATE} after {drawn} draws"
                 )
         X = rng.uniform(lo, hi, size=(batch, instance.dimension))
-        mask = _feasible_mask(instance, X, tol)
+        rows = _feasible_rows(instance, X, tol)
         drawn += batch
-        accepted += int(mask.sum())
-        kept.append(X[mask])
+        accepted += rows.size
+        kept.append(X[rows])
         if drawn >= 1_000_000 and accepted / drawn < MIN_ACCEPT_RATE:
             raise RejectionStall(
                 f"acceptance rate {accepted / drawn:.2e} below {MIN_ACCEPT_RATE}"
@@ -173,23 +175,23 @@ def grid_min_maxg(instance: Instance, resolution: int, box=None) -> float:
     lo, hi = box if box is not None else default_box(instance)
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    centers = instance.centers_matrix()
-    theta = np.einsum("ij,ij->i", centers, centers) - instance.radii() ** 2
-    return float(kernels.grid_min_maxg(centers, theta, lo, hi, int(resolution)))
+    return kernels.grid_min_maxg(instance.centers_matrix(), instance.radii(),
+                                 lo, hi, int(resolution))
 
 
 def grid_resolution_bound(instance: Instance, resolution: int, box=None) -> float:
     """Lipschitz error bound for grid_min_maxg at the given resolution.
 
-    |grad g_i| <= 2(|x| + |a_i|) over the box; the grid minimum overshoots
-    the true minimum by at most L * h * sqrt(n) / 2.
+    |grad g_i(x)| = 2|x - a_i| <= L = 2 max_i max_{x in box} |x - a_i|,
+    the farther box face per coordinate, so L does not grow when the balls
+    and the box move together. The grid minimum overshoots the true
+    minimum by at most L * h * sqrt(n) / 2.
     """
     lo, hi = box if box is not None else default_box(instance)
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    corner = np.maximum(np.abs(lo), np.abs(hi))
-    xmax = float(np.linalg.norm(corner))
-    amax = float(np.linalg.norm(instance.centers_matrix(), axis=1).max())
-    L = 2.0 * (xmax + amax)
+    centers = instance.centers_matrix()
+    far = np.maximum(np.abs(lo - centers), np.abs(hi - centers))
+    L = 2.0 * float(np.linalg.norm(far, axis=1).max())
     h = float((hi - lo).max()) / resolution
     return L * h * np.sqrt(lo.size) / 2.0

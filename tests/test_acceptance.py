@@ -2,12 +2,10 @@
 
 Each test covers one numbered acceptance criterion and prints a single
 ``ACCEPT nn PASS`` / ``ACCEPT nn FAIL`` line (visible with ``pytest -s`` or in
-captured output on failure).  Criterion 8 is a soft diagnostic: a miss emits a
-warning instead of failing the run.
+captured output on failure).
 """
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -156,18 +154,14 @@ def test_07_containment_sampling(batch, clouds):
     report(7, ok)
 
 
-def test_08_lower_bound_sandwich_soft():
+def test_08_lower_bound_sandwich():
+    # the exact ball of a cloud inside the intersection is at most the
+    # solver's ball, and a mixing sampler brings it close
     inst = lens_instance()
     sol = solve_seb(inst)
     cloud = sample_intersection(inst, CLOUD_SIZE, seed=8, start=sol.center)
     _, r = cloud_meb(cloud)
-    ok = r >= 0.9 * sol.radius
-    print(f"ACCEPT 08 {'PASS' if ok else 'FAIL (soft)'}")
-    if not ok:
-        warnings.warn(
-            f"soft criterion 8: sampled enclosing radius {r:.6f} below "
-            f"0.9 x solver radius {sol.radius:.6f}; investigate sampler "
-            "mixing on this instance", stacklevel=1)
+    report(8, 0.9 * sol.radius <= r <= sol.radius * (1 + 1e-9))
 
 
 def test_09_convexity_probe():

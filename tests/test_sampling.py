@@ -236,6 +236,16 @@ class TestGridMinMaxG:
         assert val >= -1.0 - 1e-12
         assert val <= -1.0 + bound
 
+    def test_moved_lens(self):
+        # the bound depends on distances inside the box, not on its
+        # distance from the origin, so moving the lens by 1e6 keeps it; the
+        # grid of even resolution has a node at the optimum, value -1
+        bound = grid_resolution_bound(lens_instance(), 200)
+        far_bound = grid_resolution_bound(moved_lens(), 200)
+        assert far_bound == pytest.approx(bound, rel=1e-9)
+        val = grid_min_maxg(moved_lens(), 200)
+        assert -1.0 - 1e-9 <= val <= -1.0 + far_bound
+
     def test_disjoint_value(self):
         # two unit balls centered (+-5, 0): min of max g_i is at the origin,
         # value 25 - 1 = 24
