@@ -1,10 +1,12 @@
 """Core domain model: balls, instances, unit-leading quadratics, solutions.
 
 All types are immutable after construction (arrays are frozen), so they are
-safe to share between threads.
+safe to share between threads. An `Instance` holds its balls as read-only
+arrays (centers, radii, theta and the scale), built once; its `balls` and
+`quadratics()` are views built from those arrays on demand.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -107,18 +109,22 @@ def eval_quadratic(q: UnitQuadratic, x) -> float:
     return float(np.dot(x, x) - 2.0 * np.dot(q.a, x) + q.theta)
 
 
-@dataclass(frozen=True)
 class Instance:
-    """A collection of m >= 1 balls in a common ambient dimension n."""
+    """A collection of m >= 1 balls in a common ambient dimension n.
 
-    dimension: int
-    balls: tuple
+    The balls are held as read-only arrays built once at construction:
+    the (m, n) centers, the radii, theta_i = |a_i|^2 - r_i^2 and the
+    scale. The accessors return these arrays without copying, and writing
+    to one raises. `balls` and `quadratics()` are views built from the
+    arrays on each call; `from_data` validates the arrays and builds no
+    Ball.
+    """
 
-    def __post_init__(self):
-        balls = tuple(self.balls)
+    def __init__(self, dimension, balls):
+        balls = tuple(balls)
         if len(balls) == 0:
             raise ValidationError("instance needs at least one ball")
-        n = int(self.dimension)
+        n = int(dimension)
         if n < 1:
             raise ValidationError("dimension must be >= 1")
         for b in balls:
@@ -128,36 +134,68 @@ class Instance:
                 raise DimensionMismatch(
                     f"ball dimension {b.dimension} != instance dimension {n}"
                 )
-        object.__setattr__(self, "dimension", n)
-        object.__setattr__(self, "balls", balls)
+        self._store(np.array([b.center for b in balls]),
+                    np.array([b.radius for b in balls]))
 
     @classmethod
     def from_data(cls, centers, radii):
-        centers = np.asarray(centers, dtype=float)
-        radii = np.asarray(radii, dtype=float)
-        balls = tuple(Ball(c, r) for c, r in zip(centers, radii))
-        return cls(dimension=centers.shape[1], balls=balls)
+        """Instance from an (m, n) array of centers and m radii (copied)."""
+        centers = np.array(centers, dtype=float)
+        radii = np.array(radii, dtype=float)
+        if centers.ndim != 2 or centers.size == 0:
+            raise ValidationError("centers must be a nonempty (m, n) array")
+        if radii.shape != centers.shape[:1]:
+            raise DimensionMismatch(
+                f"{radii.size} radii for {centers.shape[0]} centers")
+        _require_finite(centers, "ball center")
+        if not np.all(np.isfinite(radii) & (radii > 0.0)):
+            raise ValidationError("ball radii must be finite and > 0")
+        instance = object.__new__(cls)
+        instance._store(centers, radii)
+        return instance
+
+    def _store(self, centers, radii):
+        # measured from the smallest ball, the scale ignores translation
+        D = centers - centers[np.argmin(radii)]
+        scale = max(1.0, float((np.einsum("ij,ij->i", D, D)
+                                + radii * radii).max()))
+        theta = np.einsum("ij,ij->i", centers, centers) - radii * radii
+        for arr in (centers, radii, theta):
+            arr.setflags(write=False)
+        self.__dict__.update(dimension=centers.shape[1], _centers=centers,
+                             _radii=radii, _theta=theta, _scale=scale)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Instance is immutable")
 
     @property
     def m(self):
-        return len(self.balls)
+        return self._radii.size
+
+    @property
+    def balls(self):
+        return tuple(Ball(c, r) for c, r in zip(self._centers, self._radii))
 
     def centers_matrix(self):
-        """Stack the m centers as rows of an (m, n) array."""
-        return np.array([b.center for b in self.balls])
+        """The m centers as rows of an (m, n) array."""
+        return self._centers
 
     def radii(self):
-        return np.array([b.radius for b in self.balls])
+        return self._radii
+
+    def theta(self):
+        """theta_i = |a_i|^2 - r_i^2, the constant of each ball's quadratic."""
+        return self._theta
 
     def quadratics(self):
-        return tuple(ball_to_quadratic(b) for b in self.balls)
+        return tuple(UnitQuadratic(a=c, theta=t)
+                     for c, t in zip(self._centers, self._theta))
 
     def scale(self):
-        """Magnitude proxy used for relative tolerances."""
-        return max(
-            1.0,
-            max(float(np.dot(b.center, b.center)) + b.radius**2 for b in self.balls),
-        )
+        """Magnitude proxy used for relative tolerances:
+        max(1, max_i |a_i - o|^2 + r_i^2), o the center of the smallest
+        ball."""
+        return self._scale
 
 
 class SolveStatus(Enum):
@@ -174,7 +212,8 @@ class Solution:
     center/radius define the returned ball, multipliers the simplex weights
     recovering it, qp_value the simplex-QP optimum (= radius^2 for nonempty
     interior); fw_gap bounds qp_value - q*, and converged says whether it
-    met the solve's tolerance.
+    met the solve's tolerance. rank_shifted is rank{a_i - center} when the
+    solve took it (q* > 0), else None.
     """
 
     center: np.ndarray
@@ -185,6 +224,7 @@ class Solution:
     fw_gap: float = 0.0
     fw_iterations: int = 0
     converged: bool = True
+    rank_shifted: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "center", _freeze(self.center))

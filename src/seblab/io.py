@@ -15,14 +15,14 @@ import json
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import DimensionMismatch, ValidationError
 from .geometry import Ball, Instance
 
 _TOP_KEYS = {"dimension", "balls", "target"}
 _BALL_KEYS = {"center", "radius"}
 
 
-def _parse_ball(obj, where):
+def _ball_fields(obj, where):
     if not isinstance(obj, dict):
         raise ValidationError(f"{where} must be an object")
     unknown = set(obj) - _BALL_KEYS
@@ -30,15 +30,23 @@ def _parse_ball(obj, where):
         raise ValidationError(f"{where} has unknown fields {sorted(unknown)}")
     if "center" not in obj or "radius" not in obj:
         raise ValidationError(f"{where} needs 'center' and 'radius'")
+    return obj["center"], obj["radius"]
+
+
+def _parse_ball(obj, where):
+    center, radius = _ball_fields(obj, where)
     try:
-        return Ball(center=np.asarray(obj["center"], dtype=float),
-                    radius=float(obj["radius"]))
+        return Ball(center=np.asarray(center, dtype=float),
+                    radius=float(radius))
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{where}: {exc}") from exc
 
 
 def parse_instance(doc):
-    """Validate a parsed JSON document into (Instance, optional target Ball)."""
+    """Validate a parsed JSON document into (Instance, optional target Ball).
+
+    The balls go straight into the instance's arrays; no Ball is built.
+    """
     if not isinstance(doc, dict):
         raise ValidationError("instance file must be a JSON object")
     unknown = set(doc) - _TOP_KEYS
@@ -47,13 +55,21 @@ def parse_instance(doc):
     if "dimension" not in doc or "balls" not in doc:
         raise ValidationError("instance file needs 'dimension' and 'balls'")
     dimension = doc["dimension"]
-    if not isinstance(dimension, int) or isinstance(dimension, bool):
-        raise ValidationError("'dimension' must be an integer")
+    if (not isinstance(dimension, int) or isinstance(dimension, bool)
+            or dimension < 1):
+        raise ValidationError("'dimension' must be a positive integer")
     if not isinstance(doc["balls"], list) or not doc["balls"]:
         raise ValidationError("'balls' must be a nonempty array")
-    balls = tuple(_parse_ball(b, f"balls[{i}]")
-                  for i, b in enumerate(doc["balls"]))
-    instance = Instance(dimension=dimension, balls=balls)
+    fields = [_ball_fields(b, f"balls[{i}]")
+              for i, b in enumerate(doc["balls"])]
+    if any(isinstance(c, list) and len(c) != dimension for c, _ in fields):
+        raise DimensionMismatch(f"every ball center needs {dimension} entries")
+    try:
+        instance = Instance.from_data(
+            np.array([c for c, _ in fields], dtype=float),
+            np.array([r for _, r in fields], dtype=float))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"'balls': {exc}") from exc
     target = None
     if "target" in doc:
         target = _parse_ball(doc["target"], "target")
@@ -75,8 +91,9 @@ def instance_to_doc(instance: Instance, target: Ball = None):
     doc = {
         "dimension": instance.dimension,
         "balls": [
-            {"center": [float(v) for v in b.center], "radius": b.radius}
-            for b in instance.balls
+            {"center": center, "radius": radius}
+            for center, radius in zip(instance.centers_matrix().tolist(),
+                                      instance.radii().tolist())
         ],
     }
     if target is not None:

@@ -66,9 +66,9 @@ def _feasible_rows(instance: Instance, X, tol):
 def _rejection(instance: Instance, count, seed, tol):
     """Uniform rejection from the bounding box of the smallest input ball."""
     rng = np.random.default_rng(seed)
-    smallest = min(instance.balls, key=lambda b: b.radius)
-    lo = smallest.center - smallest.radius
-    hi = smallest.center + smallest.radius
+    i = int(np.argmin(instance.radii()))
+    lo = instance.centers_matrix()[i] - instance.radii()[i]
+    hi = instance.centers_matrix()[i] + instance.radii()[i]
     kept = []
     drawn = 0
     accepted = 0

@@ -1,12 +1,14 @@
 """Convex quadratic minimization over the unit simplex.
 
 Minimizes q(mu) = |A^T mu|^2 - c^T mu with A the (m, n) matrix of ball
-centers and c_i = |a_i|^2 - r_i^2. No m x m Gram matrix is formed: memory
-is O(mn). Wolfe's finite method, in coordinates centred on the smallest
-ball, adds one ball per major cycle and moves to the exact minimum over
-the hull of the support (at most n + 1 balls at an optimum of a ball
-instance), so it ends at a rounding-level gap after about as many cycles
-as the support has balls, with a gap certificate built in.
+centers and c_i = |a_i|^2 - r_i^2, built about the center o of the
+smallest ball: the program's points are b_i = a_i - o and its linear term
+|b_i|^2 - r_i^2, which give the same q on the simplex. No m x m Gram matrix
+is formed: memory is O(mn). Wolfe's finite method adds one ball per major
+cycle and moves to the exact minimum over the hull of the support (at most
+n + 1 balls at an optimum of a ball instance), so it ends at a
+rounding-level gap after about as many cycles as the support has balls,
+with a gap certificate built in.
 """
 
 import itertools
@@ -24,18 +26,22 @@ GRID_ORACLE_GUARD = 10**7
 
 @dataclass(frozen=True)
 class SimplexQP:
-    """Points (one row per vertex) and linear term of the simplex program."""
+    """Points (one row per vertex) and linear term of the simplex program,
+    and the origin the points are measured from (zero unless given)."""
 
     centers: np.ndarray
     linear: np.ndarray
+    origin: np.ndarray | None = None
 
     def __post_init__(self):
         A = np.asarray(self.centers, dtype=float)
         c = np.asarray(self.linear, dtype=float)
         if A.ndim != 2 or A.shape[0] != c.size:
             raise ValueError("centers/linear shape mismatch")
+        origin = np.zeros(A.shape[1]) if self.origin is None else self.origin
         object.__setattr__(self, "centers", _freeze(A))
         object.__setattr__(self, "linear", _freeze(c))
+        object.__setattr__(self, "origin", _freeze(origin))
 
     @property
     def m(self):
@@ -59,36 +65,36 @@ class QPResult:
 
 
 def build_qp(instance: Instance) -> SimplexQP:
-    """Centers A and linear term c_i = |a_i|^2 - r_i^2."""
+    """The program about the center o of the smallest ball: points
+    b_i = a_i - o and linear term c_i = |b_i|^2 - r_i^2.
+
+    Taking differences before squaring keeps the gradient from being
+    rounded at the scale of |a_i|^2, however far the balls sit from the
+    origin; the center is recovered as o + B^T mu.
+    """
     A = instance.centers_matrix()
-    linear = np.einsum("ij,ij->i", A, A) - instance.radii() ** 2
-    return SimplexQP(centers=A, linear=linear)
+    radii = instance.radii()
+    o = A[int(np.argmin(radii))]
+    B = A - o
+    linear = np.einsum("ij,ij->i", B, B) - radii * radii
+    return SimplexQP(centers=B, linear=linear, origin=o)
 
 
 def solve(qp: SimplexQP, tol_gap=None, max_iter=None):
-    """Wolfe's finite method on the program re-centred on the smallest ball.
+    """Wolfe's finite method on the program.
 
-    With o the center of the smallest ball, the points a_i - o and the
-    linear term c_i - 2 a_i.o + |o|^2 give the same q on the simplex, but
-    the gradient is no longer rounded at the scale of |a_i|^2 however far
-    the balls sit from the origin; value and gap are computed there. The
-    returned gap upper-bounds value - q* by convexity. If the major-cycle
-    budget runs out, or rounding stops progress, above tol_gap the result
-    is still returned with converged=False.
+    The returned gap upper-bounds value - q* by convexity. If the
+    major-cycle budget runs out, or rounding stops progress, above tol_gap
+    the result is still returned with converged=False.
     """
     m = qp.m
     if tol_gap is None:
         tol_gap = 1e-10 * (1.0 + abs(qp.value(np.full(m, 1.0 / m))))
     if max_iter is None:
         max_iter = 200 * m + 10**4
-    A = qp.centers
-    o = A[int(np.argmin(np.einsum("ij,ij->i", A, A) - qp.linear))]
-    centred = A - o
-    linear = qp.linear - 2.0 * (A @ o) + o @ o
-    mu, iters, gap = kernels.fw_minimize(centred, linear,
+    mu, iters, gap = kernels.fw_minimize(qp.centers, qp.linear,
                                          float(tol_gap), int(max_iter))
-    x = centred.T @ mu
-    return QPResult(minimizer=mu, value=float(x @ x - linear @ mu),
+    return QPResult(minimizer=mu, value=qp.value(mu),
                     gap=max(gap, 0.0), iterations=int(iters),
                     converged=gap <= tol_gap)
 

@@ -55,18 +55,19 @@ def classify(instance: Instance) -> RankRegime:
 def solve_seb(instance: Instance, tol_gap=None, max_iter=None, base_tol=BASE_TOL):
     """Solve the simplex QP and recover the enclosing ball.
 
-    q* > 0: ball of radius sqrt(q*), certified when the solve converged and
-    the post-solve shifted rank satisfies the gating condition. |q*| ~ 0:
-    the intersection is a single touching point (radius 0). q* < 0: empty
-    interior.
+    The center is o + B^T mu in the program's frame about the smallest
+    ball o. q* > 0: ball of radius sqrt(q*), certified when the solve
+    converged and the post-solve shifted rank, kept on the solution,
+    satisfies the gating condition. |q*| ~ 0: the intersection is a single
+    touching point (radius 0). q* < 0: empty interior.
     """
     qp = build_qp(instance)
     res = solve(qp, tol_gap=tol_gap, max_iter=max_iter)
     mu = res.minimizer
     q_star = res.value
-    centers = instance.centers_matrix()
-    a = centers.T @ mu
+    x = qp.centers.T @ mu
     tol = base_tol * instance.scale()
+    rank_shifted = None
 
     if q_star < -tol:
         status = SolveStatus.EMPTY_INTERIOR
@@ -75,23 +76,28 @@ def solve_seb(instance: Instance, tol_gap=None, max_iter=None, base_tol=BASE_TOL
         status = SolveStatus.DEGENERATE_POINT
         radius = 0.0  # sqrt of noise-level q* clamps to 0
     else:
-        rank_shifted = numerical_rank(centers - a)
+        rank_shifted = numerical_rank(qp.centers - x)
         post = _regime_of(rank_shifted, instance.dimension, instance.m)
         if res.converged and post in (Regime.CONVEX, Regime.CRITICAL):
             status = SolveStatus.CERTIFIED_OPTIMAL
         else:
             status = SolveStatus.UPPER_BOUND_ONLY
         radius = float(np.sqrt(q_star))
-    return Solution(center=a, radius=radius, multipliers=mu, qp_value=q_star,
-                    status=status, fw_gap=res.gap,
-                    fw_iterations=res.iterations, converged=res.converged)
+    return Solution(center=qp.origin + x, radius=radius, multipliers=mu,
+                    qp_value=q_star, status=status, fw_gap=res.gap,
+                    fw_iterations=res.iterations, converged=res.converged,
+                    rank_shifted=rank_shifted)
 
 
 def regime_report(instance: Instance, solution: Solution) -> RankRegime:
     """Pre-solve rank of the centers, and the regime read from the
-    post-solve shifted rank rank{a_i - a}."""
+    post-solve shifted rank rank{a_i - a}: the solution's own when the
+    solve took it, else computed here."""
     pre = classify(instance)
-    rank_shifted = numerical_rank(instance.centers_matrix() - solution.center)
+    rank_shifted = solution.rank_shifted
+    if rank_shifted is None:
+        rank_shifted = numerical_rank(instance.centers_matrix()
+                                      - solution.center)
     return RankRegime(rank_centers=pre.rank_centers,
                       regime=_regime_of(rank_shifted, instance.dimension,
                                         instance.m),
@@ -125,17 +131,17 @@ def build_certificate(instance: Instance, solution: Solution,
                       base_tol=BASE_TOL) -> Certificate:
     """Multiplier certificate blocks for the containment LMI.
 
-    alpha = sum(mu) - 1, offdiag = a - sum(mu_i a_i),
-    beta = r^2 - |a|^2 + sum(mu_i (|a_i|^2 - r_i^2)); all three vanish at an
-    exact QP optimum.
+    In the program's frame about the smallest ball o (b_i = a_i - o):
+    alpha = sum(mu) - 1, offdiag = (a - o) - sum(mu_i b_i),
+    beta = r^2 - |a - o|^2 + sum(mu_i (|b_i|^2 - r_i^2)); all three vanish
+    at an exact QP optimum.
     """
+    qp = build_qp(instance)
     mu = solution.multipliers
-    centers = instance.centers_matrix()
-    a = solution.center
+    d = solution.center - qp.origin
     alpha = float(mu.sum() - 1.0)
-    offdiag = a - centers.T @ mu
-    theta = np.einsum("ij,ij->i", centers, centers) - instance.radii() ** 2
-    beta = float(solution.radius**2 - np.dot(a, a) + mu @ theta)
+    offdiag = d - qp.centers.T @ mu
+    beta = float(solution.radius**2 - d @ d + mu @ qp.linear)
     tol = base_tol * instance.scale()
     psd_ok, residual = arrowhead_psd(alpha, offdiag, beta, tol=tol)
     return Certificate(multipliers=mu, alpha=alpha, offdiag=offdiag, beta=beta,
@@ -148,14 +154,13 @@ def identity_residual(instance: Instance, solution: Solution, x):
 
     The identity needs only sum(mu) = 1, a = sum(mu_i a_i) and
     theta = sum(mu_i theta_i); it does not depend on the rank condition.
-    Every g_i is evaluated from the centers and radii in one array pass.
+    Every g_i is evaluated from the centers and theta in one array pass.
     """
     x = np.asarray(x, dtype=float)
     X = np.atleast_2d(x)
-    A = instance.centers_matrix()
-    theta = np.einsum("ij,ij->i", A, A) - instance.radii() ** 2
     xx = np.einsum("ij,ij->i", X, X)
-    g = xx[:, None] - 2.0 * (X @ A.T) + theta
+    g = (xx[:, None] - 2.0 * (X @ instance.centers_matrix().T)
+         + instance.theta())
     target = solution.target_quadratic()
     residual = g @ solution.multipliers - (xx - 2.0 * (X @ target.a)
                                            + target.theta)

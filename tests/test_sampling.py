@@ -48,9 +48,9 @@ class TestSampleIntersection:
     @pytest.mark.parametrize("method", list(SampleMethod))
     def test_points_are_feasible(self, method):
         lens, far = lens_instance(), moved_lens()
-        # the solver's Slater point is not usable for the moved lens, so its
-        # chains start at the known center; its tolerance is relative to the
-        # balls, since |center|^2 ~ 1e12 would hide misses
+        # the moved lens's chains start at its known center, which keeps
+        # this a check of the sampler alone; its tolerance is relative to
+        # the balls, since |center|^2 ~ 1e12 would hide misses
         for inst, start, tol in (
                 (lens, None, 1e-9 * lens.scale()),
                 (far, SHIFT, 1e-9 * float((far.radii() ** 2).max()))):
@@ -59,6 +59,14 @@ class TestSampleIntersection:
             assert len(cloud) == 500
             assert cloud.points.shape == (500, 2)
             assert max_violation(inst, cloud.points) <= tol
+
+    def test_moved_lens_slater_point(self):
+        # without `start` the chains begin at the solver's Slater point
+        far = moved_lens()
+        cloud = sample_intersection(far, 5, seed=3)
+        assert len(cloud) == 5
+        assert max_violation(far, cloud.points) <= 1e-9 * float(
+            (far.radii() ** 2).max())
 
     def test_rejection_single_ball_is_uniform_box_restriction(self):
         inst = Instance.from_data([[1.0, -2.0]], [0.5])

@@ -14,11 +14,21 @@ from seblab.simplex_qp import (
 )
 
 
+def absolute_value(instance, mu):
+    """q(mu) = |A^T mu|^2 - sum mu_i (|a_i|^2 - r_i^2) on the raw centers."""
+    A = instance.centers_matrix()
+    x = A.T @ mu
+    return float(x @ x - mu @ (np.einsum("ij,ij->i", A, A)
+                               - instance.radii() ** 2))
+
+
 class TestBuildQP:
     def test_critical(self):
+        # built about the smallest ball (the first of two equal radii)
         qp = build_qp(critical_instance())
-        assert np.allclose(qp.centers @ qp.centers.T, np.eye(2))
-        assert np.allclose(qp.linear, [-3.0, -3.0])
+        assert np.array_equal(qp.origin, [1.0, 0.0])
+        assert np.allclose(qp.centers, [[0.0, 0.0], [-1.0, 1.0]])
+        assert np.allclose(qp.linear, [-4.0, -2.0])
 
     def test_single_ball(self):
         qp = build_qp(Instance.from_data([[0.0, 0.0]], [1.0]))
@@ -28,9 +38,22 @@ class TestBuildQP:
 
     def test_lens(self):
         qp = build_qp(lens_instance())
-        assert np.allclose(qp.centers @ qp.centers.T,
-                           [[1.0, -1.0], [-1.0, 1.0]])
-        assert np.allclose(qp.linear, [-1.0, -1.0])
+        assert np.array_equal(qp.origin, [-1.0, 0.0])
+        assert np.allclose(qp.centers, [[0.0, 0.0], [2.0, 0.0]])
+        assert np.allclose(qp.linear, [-2.0, 2.0])
+
+    def test_value_matches_absolute_form(self, rng):
+        for _ in range(20):
+            n = int(rng.integers(1, 6))
+            m = int(rng.integers(1, 8))
+            centers = rng.standard_normal((m, n)) * 3.0
+            inst = Instance.from_data(centers, rng.uniform(0.5, 4.0, m))
+            qp = build_qp(inst)
+            mu = rng.dirichlet(np.ones(m))
+            assert qp.value(mu) == pytest.approx(absolute_value(inst, mu),
+                                                 rel=1e-12, abs=1e-12)
+            assert np.allclose(qp.origin + qp.centers.T @ mu,
+                               centers.T @ mu, rtol=0, atol=1e-12)
 
 
 class TestSolve:

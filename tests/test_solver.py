@@ -13,6 +13,7 @@ from conftest import (
 )
 from seblab.errors import ValidationFailure
 from seblab.geometry import Instance, Solution, SolveStatus, eval_quadratic
+from seblab.linalg import numerical_rank
 from seblab.sampling import sample_intersection
 from seblab.solver import (
     Regime,
@@ -237,6 +238,75 @@ class TestEquivariance:
         assert np.allclose(sol_q.center, Q @ sol.center, atol=1e-8)
         assert sol_q.radius == pytest.approx(sol.radius, abs=1e-8)
         assert np.allclose(sol_q.multipliers, sol.multipliers, atol=1e-8)
+
+
+class TestTranslation:
+    """Far from the origin the program is built about the smallest ball, so
+    rounding stays at the scale of the balls, not of |a_i|^2."""
+
+    def test_random_moved_by_1e4(self):
+        rng = np.random.default_rng(7)
+        worst = 0.0
+        for _ in range(200):
+            n = int(rng.integers(2, 9))
+            m = int(rng.integers(n, 6 * n + 1))
+            centers = rng.standard_normal((m, n))
+            p = 0.3 * rng.standard_normal(n)
+            radii = (np.linalg.norm(centers - p, axis=1) + 0.5
+                     + rng.uniform(0.0, 0.5, m))
+            moved = centers + 1e4
+            sol = solve_seb(Instance.from_data(moved, radii))
+            # the gap of mu does not change under translation: evaluate it
+            # on the moved centers less the first one, an exact subtraction
+            q, gap = certified_gap(Instance.from_data(moved - moved[0], radii),
+                                   sol.multipliers)
+            worst = max(worst, abs(gap) / q)
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("shift", [1e5, 1e6, 1e8])
+    def test_moved_lens_certified(self, shift):
+        lens = lens_instance()
+        moved = Instance.from_data(lens.centers_matrix() + shift,
+                                   lens.radii())
+        sol = solve_seb(moved)
+        assert sol.status is SolveStatus.CERTIFIED_OPTIMAL
+        assert sol.radius == pytest.approx(1.0, rel=1e-12)
+        assert np.allclose(sol.center, [shift, shift], rtol=0,
+                           atol=1e-12 * shift)
+
+
+class TestRegimeReport:
+    def test_one_shifted_rank_per_solve(self, monkeypatch):
+        from seblab import solver
+
+        calls = []
+
+        def counting(vectors, *args, **kwargs):
+            calls.append(1)
+            return numerical_rank(vectors, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "numerical_rank", counting)
+        inst = critical_instance()
+        sol = solve_seb(inst)
+        report = regime_report(inst, sol)
+        # classify's unshifted rank and the solve's shifted rank
+        assert len(calls) == 2
+        assert report.rank_shifted == sol.rank_shifted == 1
+
+    @pytest.mark.parametrize("make, expected", [
+        (lens_instance, (1, 1, Regime.CONVEX)),
+        (critical_instance, (2, 1, Regime.CONVEX)),
+        (disjoint_instance, (1, 1, Regime.CONVEX)),
+        (unsupported_instance, (2, 2, Regime.UNSUPPORTED)),
+        (lambda: Instance.from_data(lens_instance().centers_matrix()
+                                    + [0.0, 1e-3], lens_instance().radii()),
+         (2, 1, Regime.CONVEX)),
+    ])
+    def test_known_regimes(self, make, expected):
+        inst = make()
+        report = regime_report(inst, solve_seb(inst))
+        assert (report.rank_centers, report.rank_shifted,
+                report.regime) == expected
 
 
 def certified_gap(inst, mu):
