@@ -11,7 +11,6 @@ from .geometry import (
     UnitQuadratic,
     ball_to_quadratic,
     eval_quadratic,
-    quadratic_to_ball,
 )
 from .numrange import MembershipVerdict, QuadraticMap
 from .solver import (
@@ -41,7 +40,6 @@ __all__ = [
     "classify",
     "eval_quadratic",
     "identity_residual",
-    "quadratic_to_ball",
     "solve_seb",
 ]
 

@@ -94,8 +94,7 @@ def cmd_jnr(args, out):
         rng = np.random.default_rng(args.seed)
         sigma = numrange._sampling_scale(qmap)
         X = rng.standard_normal((args.count, qmap.dimension)) * sigma
-        G = numrange.eval_map_batch(qmap, X) if args.count else np.empty(
-            (0, qmap.m + 1))
+        G = numrange.eval_map(qmap, X)
         dest = open(args.out, "w", newline="") if args.out else out
         try:
             writer = csv.writer(dest)
@@ -220,7 +219,8 @@ def build_parser():
     p = sub.add_parser("solve", help="solve an instance file")
     p.add_argument("file")
     p.add_argument("--tol", type=float, default=None,
-                   help="Frank-Wolfe gap tolerance")
+                   help="gap tolerance of Wolfe's finite method on the "
+                        "simplex QP")
     p.add_argument("--max-iter", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--verify", type=int, default=0, metavar="N",

@@ -17,10 +17,6 @@ class CombinatorialBlowup(SebLabError):
     """Enumeration oracle would exceed its size guard."""
 
 
-class SingularTransform(SebLabError):
-    """A transformation required to be invertible is numerically singular."""
-
-
 class UnsupportedRegime(SebLabError):
     """Operation is only defined when the center ranks satisfy the gating condition."""
 

@@ -2,8 +2,8 @@
 
 All types are immutable after construction (arrays are frozen), so they are
 safe to share between threads. An `Instance` holds its balls as read-only
-arrays (centers, radii, theta and the scale), built once; its `balls` and
-`quadratics()` are views built from those arrays on demand.
+arrays (centers, radii, theta and the scale), built once; its `balls` are
+views built from those arrays on demand.
 """
 
 from dataclasses import dataclass
@@ -13,7 +13,9 @@ import numpy as np
 
 from .errors import DimensionMismatch, ValidationError
 
-#: Base relative tolerance used throughout; scaled by (1 + operand magnitude).
+#: Base relative tolerance; every use scales it by a magnitude of the balls
+#: (Instance.scale(), or the largest squared radius in the sampler), with no
+#: absolute floor, so each threshold follows a uniform scaling of the input.
 BASE_TOL = 1e-9
 
 
@@ -50,12 +52,6 @@ class Ball:
     def dimension(self):
         return self.center.size
 
-    def contains(self, x, tol=BASE_TOL):
-        x = np.asarray(x, dtype=float)
-        return float(np.dot(x - self.center, x - self.center)) <= self.radius**2 + tol * (
-            1.0 + float(np.dot(x, x))
-        )
-
 
 @dataclass(frozen=True)
 class UnitQuadratic:
@@ -91,14 +87,6 @@ def ball_to_quadratic(b: Ball) -> UnitQuadratic:
     return UnitQuadratic(a=c, theta=float(np.dot(c, c)) - b.radius**2)
 
 
-def quadratic_to_ball(q: UnitQuadratic) -> Ball:
-    """Inverse of ball_to_quadratic; requires |a|^2 - theta > 0."""
-    r2 = float(np.dot(q.a, q.a)) - q.theta
-    if r2 <= 0.0:
-        raise ValidationError("quadratic has empty or degenerate sublevel set")
-    return Ball(center=q.a, radius=float(np.sqrt(r2)))
-
-
 def eval_quadratic(q: UnitQuadratic, x) -> float:
     """Evaluate x.x - 2 a.x + theta."""
     x = np.asarray(x, dtype=float)
@@ -115,9 +103,8 @@ class Instance:
     The balls are held as read-only arrays built once at construction:
     the (m, n) centers, the radii, theta_i = |a_i|^2 - r_i^2 and the
     scale. The accessors return these arrays without copying, and writing
-    to one raises. `balls` and `quadratics()` are views built from the
-    arrays on each call; `from_data` validates the arrays and builds no
-    Ball.
+    to one raises. `balls` is a view built from the arrays on each call;
+    `from_data` validates the arrays and builds no Ball.
     """
 
     def __init__(self, dimension, balls):
@@ -155,10 +142,10 @@ class Instance:
         return instance
 
     def _store(self, centers, radii):
-        # measured from the smallest ball, the scale ignores translation
+        # measured from the smallest ball, the scale ignores translation;
+        # with no floor it follows a uniform scaling of the balls exactly
         D = centers - centers[np.argmin(radii)]
-        scale = max(1.0, float((np.einsum("ij,ij->i", D, D)
-                                + radii * radii).max()))
+        scale = float((np.einsum("ij,ij->i", D, D) + radii * radii).max())
         theta = np.einsum("ij,ij->i", centers, centers) - radii * radii
         for arr in (centers, radii, theta):
             arr.setflags(write=False)
@@ -187,14 +174,11 @@ class Instance:
         """theta_i = |a_i|^2 - r_i^2, the constant of each ball's quadratic."""
         return self._theta
 
-    def quadratics(self):
-        return tuple(UnitQuadratic(a=c, theta=t)
-                     for c, t in zip(self._centers, self._theta))
-
     def scale(self):
-        """Magnitude proxy used for relative tolerances:
-        max(1, max_i |a_i - o|^2 + r_i^2), o the center of the smallest
-        ball."""
+        """Magnitude used for relative tolerances:
+        max_i |a_i - o|^2 + r_i^2, o the center of the smallest ball. It is
+        positive (every radius is), moves with no translation and scales
+        with the square of a uniform scaling."""
         return self._scale
 
 

@@ -1,23 +1,25 @@
 """Joint-numerical-range laboratory.
 
-Evaluates the quadratic map x -> (-g(x), g_1(x), ..., g_m(x)), decides exact
-membership in its range and in the pairwise-segment hull of the range, and
-runs randomized probes of the convexity and separation properties the solver
-relies on.
+The map x -> (-g(x), g_1(x), ..., g_m(x)) of a target quadratic
+g(x) = |x|^2 - 2 a.x + theta and the ball quadratics g_i, held as arrays.
+In graph coordinates y_i = z_i + z_0 and t = -z_0 the range is
+{(A x + offsets, g(x))} with A = -2(a_i - a) and offsets = theta_i - theta,
+so a value vector z is decided by one query on its fibre
+{x : A x + offsets = y}: the minimum of g over the fibre against the level
+-z_0. The range needs a point fibre to hit the level exactly (a fibre with
+free directions reaches every level above its minimum). In the critical
+regime (rank A = n = m) the pair hull of the range is the epigraph of g
+over the point fibres, so it only needs the minimum at or below the level.
+The randomized probes of convexity and separation run on the same query.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    SingularTransform,
-    UnsupportedRegime,
-    ValidationError,
-)
-from .geometry import Instance, UnitQuadratic, _freeze, ball_to_quadratic
-from .linalg import numerical_rank, rank_from_singular_values
+from .errors import DimensionMismatch, UnsupportedRegime, ValidationError
+from .geometry import Instance, UnitQuadratic, _freeze, _require_finite
+from .linalg import numerical_rank
 from .solver import Regime, _regime_of
 
 MEMBER_TOL = 1e-8
@@ -25,41 +27,73 @@ MEMBER_TOL = 1e-8
 
 @dataclass(frozen=True)
 class QuadraticMap:
-    """The map x -> (-target(x), components_1(x), ..., components_m(x))."""
+    """The map x -> (-target(x), g_1(x), ..., g_m(x)) with
+    g_i(x) = |x|^2 - 2 centers_i.x + theta_i.
 
+    The affine part A = -2(centers - target.a), the offsets, the rank of A,
+    its pseudo-inverse and an orthonormal basis of its null space are
+    computed once, at construction.
+    """
+
+    centers: np.ndarray
+    theta: np.ndarray
     target: UnitQuadratic
-    components: tuple
-    dimension: int
 
     def __post_init__(self):
-        comps = tuple(self.components)
-        if len(comps) == 0:
-            raise ValidationError("quadratic map needs at least one component")
-        n = int(self.dimension)
-        if self.target.dimension != n or any(c.dimension != n for c in comps):
+        centers = _freeze(self.centers)
+        theta = _freeze(self.theta)
+        if centers.ndim != 2 or centers.shape[0] == 0:
+            raise ValidationError("quadratic map needs an (m, n) array of "
+                                  "centers with m >= 1")
+        if theta.shape != centers.shape[:1] or (
+                self.target.dimension != centers.shape[1]):
             raise DimensionMismatch("quadratic map dimensions disagree")
-        object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "dimension", n)
+        _require_finite(centers, "quadratic map centers")
+        _require_finite(theta, "quadratic map constants")
+        A = _freeze(-2.0 * (centers - self.target.a))
+        rank = numerical_rank(A)
+        U, s, Vt = np.linalg.svd(A)
+        self.__dict__.update(
+            centers=centers, theta=theta, A=A,
+            offsets=_freeze(theta - self.target.theta), rank=rank,
+            pinv=_freeze(Vt[:rank].T @ (U[:, :rank] / s[:rank]).T),
+            null=_freeze(Vt[rank:].T))
 
     @classmethod
     def from_instance(cls, instance: Instance, target: UnitQuadratic):
-        return cls(target=target,
-                   components=instance.quadratics(),
-                   dimension=instance.dimension)
+        return cls(centers=instance.centers_matrix(), theta=instance.theta(),
+                   target=target)
+
+    @property
+    def dimension(self):
+        return self.centers.shape[1]
 
     @property
     def m(self):
-        return len(self.components)
-
-    def component_centers(self):
-        return np.array([c.a for c in self.components])
-
-    def shifted_rank(self):
-        """rank{a_i - a}, the quantity gating the hull tests."""
-        return numerical_rank(self.component_centers() - self.target.a)
+        return self.centers.shape[0]
 
     def regime(self) -> Regime:
-        return _regime_of(self.shifted_rank(), self.dimension, self.m)
+        return _regime_of(self.rank, self.dimension, self.m)
+
+    def fibre(self, Z):
+        """The fibre query on the rows z of Z: (margin, slack, X_min).
+
+        margin is the minimum of the target over the fibre less the level
+        -z_0 (inf on an empty fibre), X_min the minimiser and slack the
+        tolerance of a level test.
+        """
+        Z = np.atleast_2d(np.asarray(Z, dtype=float))
+        rhs = Z[:, 1:] + Z[:, :1] - self.offsets
+        X0 = rhs @ self.pinv.T
+        resid = np.linalg.norm(rhs - X0 @ self.A.T, axis=1)
+        consistent = resid <= MEMBER_TOL * (1.0 + np.linalg.norm(rhs, axis=1))
+        a = self.target.a
+        Xmin = X0 + ((a - X0) @ self.null) @ self.null.T
+        g_min = (np.einsum("ij,ij->i", Xmin, Xmin) - 2.0 * Xmin @ a
+                 + self.target.theta)
+        level = -Z[:, 0]
+        margin = np.where(consistent, g_min - level, np.inf)
+        return margin, MEMBER_TOL * (1.0 + np.abs(level)), Xmin
 
 
 @dataclass(frozen=True)
@@ -70,205 +104,73 @@ class MembershipVerdict:
 
 
 def eval_map(qmap: QuadraticMap, x):
-    """Value vector (-g(x), g_1(x), ..., g_m(x)) of length m + 1."""
-    return eval_map_batch(qmap, np.asarray(x, dtype=float)[None, :])[0]
-
-
-def eval_map_batch(qmap: QuadraticMap, X):
-    """eval_map over rows of X, shape (N, n) -> (N, m + 1)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    """(-g(x), g_1(x), ..., g_m(x)): shape (m + 1,) for a point x, and
+    (N, m + 1) for the rows of an (N, n) array."""
+    x = np.asarray(x, dtype=float)
+    X = np.atleast_2d(x)
     if X.shape[1] != qmap.dimension:
         raise DimensionMismatch("sample dimension does not match the map")
     xx = np.einsum("ij,ij->i", X, X)
-    A = qmap.component_centers()
-    theta = np.array([c.theta for c in qmap.components])
-    comp = xx[:, None] - 2.0 * X @ A.T + theta[None, :]
+    comp = xx[:, None] - 2.0 * X @ qmap.centers.T + qmap.theta
     tgt = xx - 2.0 * X @ qmap.target.a + qmap.target.theta
-    return np.concatenate([-tgt[:, None], comp], axis=1)
+    G = np.concatenate([-tgt[:, None], comp], axis=1)
+    return G[0] if x.ndim == 1 else G
 
 
-def graph_transform(z):
-    """(z_0, ..., z_m) -> (z_1 + z_0, ..., z_m + z_0, -z_0).
+def _range_members(qmap: QuadraticMap, Z):
+    """(member, margin, X_min) of the rows of Z against the range."""
+    margin, slack, Xmin = qmap.fibre(Z)
+    # a point fibre cannot climb: it must sit at the level
+    off = np.abs(margin) if qmap.null.shape[1] == 0 else margin
+    return off <= slack, margin, Xmin
 
-    Invertible linear map putting the range into graph coordinates
-    (affine part, target value).
-    """
+
+def _value_vector(qmap: QuadraticMap, z):
     z = np.asarray(z, dtype=float)
-    return np.concatenate([z[1:] + z[0], [-z[0]]])
+    if z.shape != (qmap.m + 1,):
+        raise DimensionMismatch("value vector must have length m + 1")
+    return z
 
 
-@dataclass(frozen=True)
-class GraphForm:
-    """Flattened data of the map in the critical regime.
-
-    A has rows -2(a_i - a); in coordinates y = A x + offsets the target value
-    equals the strictly convex quadratic y^T quad y - 2 lin . y + const.
-    """
-
-    A: np.ndarray
-    offsets: np.ndarray
-    quad: np.ndarray
-    lin: np.ndarray
-    const: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "A", _freeze(self.A))
-        object.__setattr__(self, "offsets", _freeze(self.offsets))
-        object.__setattr__(self, "quad", _freeze(self.quad))
-        object.__setattr__(self, "lin", _freeze(self.lin))
-
-    def value(self, y):
-        y = np.asarray(y, dtype=float)
-        return float(y @ self.quad @ y - 2.0 * self.lin @ y + self.const)
-
-    def forward(self, x):
-        """Graph coordinates of a point: y = A x + offsets."""
-        return self.A @ np.asarray(x, dtype=float) + self.offsets
-
-
-def build_graph_form(qmap: QuadraticMap, validate=True, rng=None) -> GraphForm:
-    """Construct the flattening; requires rank{a_i - a} = n = m."""
-    n, m = qmap.dimension, qmap.m
-    if m != n or qmap.shifted_rank() != n:
-        raise SingularTransform(
-            "graph form needs rank{a_i - a} = n = m (square invertible A)"
-        )
-    a = qmap.target.a
-    A = -2.0 * (qmap.component_centers() - a)
-    offsets = np.array([c.theta for c in qmap.components]) - qmap.target.theta
-    Ainv = np.linalg.inv(A)
-    quad = Ainv.T @ Ainv
-    lin = quad @ offsets + Ainv.T @ a
-    const = float(offsets @ quad @ offsets + 2.0 * a @ Ainv @ offsets
-                  + qmap.target.theta)
-    form = GraphForm(A=A, offsets=offsets, quad=quad, lin=lin, const=const)
-    if validate:
-        rng = np.random.default_rng(0) if rng is None else rng
-        scale = 1.0 + float(np.abs(a).max())
-        for _ in range(100):
-            x = rng.standard_normal(n) * scale
-            lhs = form.value(form.forward(x))
-            rhs = qmap.target(x)
-            if abs(lhs - rhs) > 1e-8 * (1.0 + abs(rhs)):
-                raise ValidationError(
-                    f"graph form inconsistent: {lhs} vs {rhs}"
-                )
-    return form
-
-
-class _RangeGeometry:
-    """Cached affine structure of a map: the membership system A x = rhs.
-
-    Row i of A is -2(a_i - a); rhs depends on the queried value vector only,
-    so the SVD is shared across queries (the probes query tens of thousands
-    of points against one map).
-    """
-
-    def __init__(self, qmap: QuadraticMap):
-        self.qmap = qmap
-        a = qmap.target.a
-        self.A = -2.0 * (qmap.component_centers() - a)
-        self.offsets = (np.array([c.theta for c in qmap.components])
-                        - qmap.target.theta)
-        U, s, Vt = np.linalg.svd(self.A, full_matrices=True)
-        r = rank_from_singular_values(s, self.A.shape)
-        self.rank = r
-        self.pinv = Vt[:r].T @ (U[:, :r] / s[:r]).T if r > 0 else np.zeros(
-            (self.A.shape[1], self.A.shape[0]))
-        self.null = Vt[r:].T  # (n, n - r), orthonormal
-
-    def query(self, Z, tol=MEMBER_TOL):
-        """Batch membership of rows of Z in the range of the map.
-
-        Returns (member, consistent, g_min, X_min): a row is in the range iff
-        its affine system is consistent and the minimum of the target
-        quadratic over the solution set does not exceed -z_0.
-        """
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        rhs = Z[:, 1:] + Z[:, :1] - self.offsets[None, :]
-        X0 = rhs @ self.pinv.T
-        resid = np.linalg.norm(rhs - X0 @ self.A.T, axis=1)
-        consistent = resid <= tol * (1.0 + np.linalg.norm(rhs, axis=1))
-        a = self.qmap.target.a
-        T = (a[None, :] - X0) @ self.null
-        Xmin = X0 + T @ self.null.T
-        g_min = (np.einsum("ij,ij->i", Xmin, Xmin)
-                 - 2.0 * Xmin @ a + self.qmap.target.theta)
-        level = -Z[:, 0]
-        slack = tol * (1.0 + np.abs(level))
-        if self.null.shape[1] == 0:
-            # point fiber: no freedom to climb, the level must be hit exactly
-            member = consistent & (np.abs(g_min - level) <= slack)
-        else:
-            member = consistent & (g_min <= level + slack)
-        return member, consistent, g_min, Xmin
-
-
-def in_range(qmap: QuadraticMap, z, tol=MEMBER_TOL,
-             geometry=None) -> MembershipVerdict:
+def in_range(qmap: QuadraticMap, z) -> MembershipVerdict:
     """Exact membership of z in the image of the map.
 
     On a positive verdict the witness x reproduces z: the minimizer of the
-    target over the affine fiber is walked along a kernel direction (the
-    target grows exactly quadratically there) up to the required level; a
-    point fiber is accepted only when it already sits at the level.
+    target over the fibre is walked along a kernel direction (the target
+    grows exactly quadratically there) up to the required level.
     """
-    z = np.asarray(z, dtype=float)
-    if z.size != qmap.m + 1:
-        raise DimensionMismatch("value vector must have length m + 1")
-    geo = geometry or _RangeGeometry(qmap)
-    member, consistent, g_min, Xmin = geo.query(z[None, :], tol=tol)
-    level = -float(z[0])
-    margin = float(g_min[0]) - level if consistent[0] else np.inf
+    z = _value_vector(qmap, z)
+    member, margin, Xmin = _range_members(qmap, z[None, :])
+    margin = float(margin[0])
     if not member[0]:
         return MembershipVerdict(member=False, witness=None, margin=margin)
-    x_min = Xmin[0]
-    if geo.null.shape[1] == 0:
-        witness = x_min
-    else:
-        step = np.sqrt(max(level - float(g_min[0]), 0.0))
-        witness = x_min + step * geo.null[:, 0]
+    witness = Xmin[0]
+    if qmap.null.shape[1] > 0:
+        witness = witness + np.sqrt(max(-margin, 0.0)) * qmap.null[:, 0]
     return MembershipVerdict(member=True, witness=witness, margin=margin)
 
 
-def in_pair_hull(qmap: QuadraticMap, z, tol=MEMBER_TOL) -> MembershipVerdict:
+def in_pair_hull(qmap: QuadraticMap, z) -> MembershipVerdict:
     """Membership in the pairwise-segment hull of the range.
 
     Convex regime: the hull equals the range, so delegate. Critical regime:
-    the hull is the epigraph of the flattened quadratic in graph
-    coordinates. Other regimes are refused (no exact test exists).
+    the hull is the epigraph of the target over the point fibres. Other
+    regimes are refused (no exact test exists).
     """
-    z = np.asarray(z, dtype=float)
     regime = qmap.regime()
     if regime is Regime.CONVEX:
-        return in_range(qmap, z, tol=tol)
+        return in_range(qmap, z)
     if regime is not Regime.CRITICAL:
         raise UnsupportedRegime(
             "pair-hull membership needs rank{a_i - a} < n or = n = m"
         )
-    form = build_graph_form(qmap, validate=False)
-    h = graph_transform(z)
-    y, t = h[:-1], float(h[-1])
-    val = form.value(y)
-    margin = val - t
-    return MembershipVerdict(member=margin <= tol * (1.0 + abs(t)),
-                             witness=None, margin=margin)
+    margin, slack, _ = qmap.fibre(_value_vector(qmap, z)[None, :])
+    return MembershipVerdict(member=bool(margin[0] <= slack[0]),
+                             witness=None, margin=float(margin[0]))
 
 
-def pair_hull_combine(p, q, lam):
-    """Convex combination lam*p + (1-lam)*q, 0 <= lam <= 1."""
-    lam = float(lam)
-    if not 0.0 <= lam <= 1.0:
-        raise ValidationError(f"lambda must be in [0, 1], got {lam}")
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    return lam * p + (1.0 - lam) * q
-
-
-def _sampling_scale(qmap: QuadraticMap, radius=None):
-    if radius is not None:
-        return float(radius)
-    centers = np.vstack([qmap.component_centers(), qmap.target.a[None, :]])
+def _sampling_scale(qmap: QuadraticMap):
+    centers = np.vstack([qmap.centers, qmap.target.a[None, :]])
     mean = centers.mean(axis=0)
     spread = float(np.linalg.norm(centers - mean, axis=1).max())
     return 3.0 * max(spread, 1.0)
@@ -284,40 +186,26 @@ class ConvexityReport:
         return len(self.counterexamples) == 0
 
 
-def convexity_probe(qmap: QuadraticMap, samples: int, seed=0, radius=None,
-                    include_pairs=(), tol=MEMBER_TOL) -> ConvexityReport:
-    """Randomized search for segment midpoints leaving the range.
+def convexity_probe(qmap: QuadraticMap, samples: int,
+                    seed=0) -> ConvexityReport:
+    """Randomized search for segment points leaving the range.
 
     Membership is exact, so each recorded counterexample proves
     non-convexity; an empty report is (only) evidence of convexity.
-    include_pairs lets callers seed specific (x, y, lam) triples.
     """
     rng = np.random.default_rng(seed)
-    geo = _RangeGeometry(qmap)
-    sigma = _sampling_scale(qmap, radius)
+    sigma = _sampling_scale(qmap)
     n = qmap.dimension
-    pairs = [(np.asarray(x, dtype=float), np.asarray(y, dtype=float), float(l))
-             for x, y, l in include_pairs]
-    if samples > 0:
-        X = rng.standard_normal((samples, n)) * sigma
-        Y = rng.standard_normal((samples, n)) * sigma
-        lams = rng.uniform(0.0, 1.0, size=samples)
-    else:
-        X = np.empty((0, n)); Y = np.empty((0, n)); lams = np.empty(0)
-    counterexamples = []
-    for x, y, lam in pairs:
-        z = pair_hull_combine(eval_map(qmap, x), eval_map(qmap, y), lam)
-        if not in_range(qmap, z, tol=tol, geometry=geo).member:
-            counterexamples.append((x, y, lam, z))
-    if samples > 0:
-        GX = eval_map_batch(qmap, X)
-        GY = eval_map_batch(qmap, Y)
-        Z = lams[:, None] * GX + (1.0 - lams[:, None]) * GY
-        member, _, _, _ = geo.query(Z, tol=tol)
-        for i in np.flatnonzero(~member):
-            counterexamples.append((X[i], Y[i], float(lams[i]), Z[i]))
-    return ConvexityReport(samples=samples + len(pairs),
-                           counterexamples=tuple(counterexamples))
+    X = rng.standard_normal((samples, n)) * sigma
+    Y = rng.standard_normal((samples, n)) * sigma
+    lams = rng.uniform(0.0, 1.0, size=samples)
+    Z = (lams[:, None] * eval_map(qmap, X)
+         + (1.0 - lams[:, None]) * eval_map(qmap, Y))
+    member, _, _ = _range_members(qmap, Z)
+    return ConvexityReport(
+        samples=samples,
+        counterexamples=tuple((X[i], Y[i], float(lams[i]), Z[i])
+                              for i in np.flatnonzero(~member)))
 
 
 @dataclass(frozen=True)
@@ -332,7 +220,7 @@ class SeparationReport:
         return bool(self.range_hits) or not self.hull_hits
 
 
-def separation_probe(qmap: QuadraticMap, samples: int, seed=0, radius=None,
+def separation_probe(qmap: QuadraticMap, samples: int, seed=0,
                      extra_points=None) -> SeparationReport:
     """Sample the range and its pair hull, listing negative-orthant members.
 
@@ -343,15 +231,12 @@ def separation_probe(qmap: QuadraticMap, samples: int, seed=0, radius=None,
     if qmap.regime() is Regime.UNSUPPORTED:
         raise UnsupportedRegime("separation probe needs a supported regime")
     rng = np.random.default_rng(seed)
-    n = qmap.dimension
-    sigma = _sampling_scale(qmap, radius)
-    X = (rng.standard_normal((samples, n)) * sigma if samples > 0
-         else np.empty((0, n)))
+    X = rng.standard_normal((samples, qmap.dimension)) * _sampling_scale(qmap)
     if extra_points is not None and len(extra_points) > 0:
         X = np.vstack([X, np.atleast_2d(np.asarray(extra_points, dtype=float))])
     if X.shape[0] == 0:
         return SeparationReport(samples=0, range_hits=(), hull_hits=())
-    G = eval_map_batch(qmap, X)
+    G = eval_map(qmap, X)
     in_orthant = (G[:, 0] < 0.0) & np.all(G[:, 1:] <= 0.0, axis=1)
     range_hits = tuple(G[i] for i in np.flatnonzero(in_orthant))
     # pair hull: random pairs of the sampled range points
@@ -364,4 +249,3 @@ def separation_probe(qmap: QuadraticMap, samples: int, seed=0, radius=None,
     hull_hits = tuple(H[i] for i in np.flatnonzero(hull_mask))
     return SeparationReport(samples=int(N), range_hits=range_hits,
                             hull_hits=hull_hits)
-

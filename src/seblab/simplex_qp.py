@@ -85,11 +85,16 @@ def solve(qp: SimplexQP, tol_gap=None, max_iter=None):
 
     The returned gap upper-bounds value - q* by convexity. If the
     major-cycle budget runs out, or rounding stops progress, above tol_gap
-    the result is still returned with converged=False.
+    the result is still returned with converged=False. The default tol_gap
+    is 1e-10 max_i(2|b_i|^2 - c_i): for a ball program that is
+    max_i |b_i|^2 + r_i^2, the instance's scale(), so the stopping rule
+    follows a uniform scaling of the balls.
     """
     m = qp.m
     if tol_gap is None:
-        tol_gap = 1e-10 * (1.0 + abs(qp.value(np.full(m, 1.0 / m))))
+        B = qp.centers
+        tol_gap = 1e-10 * float((2.0 * np.einsum("ij,ij->i", B, B)
+                                 - qp.linear).max())
     if max_iter is None:
         max_iter = 200 * m + 10**4
     mu, iters, gap = kernels.fw_minimize(qp.centers, qp.linear,

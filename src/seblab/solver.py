@@ -134,7 +134,9 @@ def build_certificate(instance: Instance, solution: Solution,
     In the program's frame about the smallest ball o (b_i = a_i - o):
     alpha = sum(mu) - 1, offdiag = (a - o) - sum(mu_i b_i),
     beta = r^2 - |a - o|^2 + sum(mu_i (|b_i|^2 - r_i^2)); all three vanish
-    at an exact QP optimum.
+    at an exact QP optimum. alpha is a pure number, offdiag a length and
+    beta a squared length, so the PSD test (and its residual) takes them
+    over 1, sqrt(scale) and scale against base_tol.
     """
     qp = build_qp(instance)
     mu = solution.multipliers
@@ -142,8 +144,9 @@ def build_certificate(instance: Instance, solution: Solution,
     alpha = float(mu.sum() - 1.0)
     offdiag = d - qp.centers.T @ mu
     beta = float(solution.radius**2 - d @ d + mu @ qp.linear)
-    tol = base_tol * instance.scale()
-    psd_ok, residual = arrowhead_psd(alpha, offdiag, beta, tol=tol)
+    scale = instance.scale()
+    psd_ok, residual = arrowhead_psd(alpha, offdiag / np.sqrt(scale),
+                                     beta / scale, tol=base_tol)
     return Certificate(multipliers=mu, alpha=alpha, offdiag=offdiag, beta=beta,
                        psd_ok=psd_ok, residual=residual)
 

@@ -57,11 +57,9 @@ def random_rank_deficient_map(rng, n=3, m=3):
     W = rng.standard_normal((n, n - 1))
     centers = a[None, :] + rng.standard_normal((m, n - 1)) @ W.T
     target = UnitQuadratic(a=a, theta=float(a @ a) - rng.uniform(0.5, 2.0) ** 2)
-    comps = tuple(
-        UnitQuadratic(a=c, theta=float(c @ c) - rng.uniform(0.5, 2.0) ** 2)
-        for c in centers
-    )
-    return QuadraticMap(target=target, components=comps, dimension=n)
+    theta = (np.einsum("ij,ij->i", centers, centers)
+             - rng.uniform(0.5, 2.0, m) ** 2)
+    return QuadraticMap(centers=centers, theta=theta, target=target)
 
 
 @pytest.fixture(scope="session")

@@ -21,7 +21,6 @@ from conftest import (
 from seblab.geometry import Ball, Instance, SolveStatus, ball_to_quadratic
 from seblab.numrange import (
     QuadraticMap,
-    build_graph_form,
     convexity_probe,
     eval_map,
     in_pair_hull,
@@ -80,10 +79,10 @@ def test_01_example_values():
     z = [1.0, 0.0, 0.0]
     ok = ok and not in_range(qm, z).member
     hull = in_pair_hull(qm, z)
-    form = build_graph_form(qm)
     ok = ok and hull.member
     ok = ok and abs(hull.margin - (-0.5)) <= 1e-9
-    ok = ok and abs(form.value([1.0, 1.0]) - (-1.5)) <= 1e-9
+    # graph coordinates y = (1, 1), t = 0: the graph value there is -1.5
+    ok = ok and abs(in_pair_hull(qm, [0.0, 1.0, 1.0]).margin - (-1.5)) <= 1e-9
     report(1, ok)
 
 
@@ -172,10 +171,11 @@ def test_09_convexity_probe():
         qm = random_rank_deficient_map(rng, n=n, m=n)
         rep = convexity_probe(qm, CLOUD_SIZE, seed=i)
         ok = ok and len(rep.counterexamples) == 0
-    rep = convexity_probe(example_map(), 100, seed=1,
-                          include_pairs=[([1.0, 0.0], [0.0, 1.0], 0.5)])
-    found = any(np.allclose(ce[3], [1.0, 0.0, 0.0])
-                for ce in rep.counterexamples)
+    qm = example_map()
+    rep = convexity_probe(qm, 100, seed=1)
+    found = len(rep.counterexamples) > 0
+    found = found and not any(in_range(qm, ce[3]).member
+                              for ce in rep.counterexamples)
     report(9, ok and found)
 
 

@@ -2,37 +2,29 @@ import numpy as np
 import pytest
 
 from conftest import (
-    critical_instance,
     example_map,
     lens_instance,
     random_rank_deficient_map,
     unsupported_instance,
 )
-from seblab.errors import (
-    DimensionMismatch,
-    SingularTransform,
-    UnsupportedRegime,
-    ValidationError,
-)
-from seblab.geometry import Instance, UnitQuadratic
+from seblab import numrange
+from seblab.errors import DimensionMismatch, UnsupportedRegime
+from seblab.geometry import UnitQuadratic
+from seblab.linalg import numerical_rank
 from seblab.numrange import (
     QuadraticMap,
-    _RangeGeometry,
-    build_graph_form,
     convexity_probe,
     eval_map,
-    eval_map_batch,
-    graph_transform,
     in_pair_hull,
     in_range,
-    pair_hull_combine,
     separation_probe,
 )
 from seblab.solver import Regime, solve_seb
 
 
 def graph_transform_inv(y):
-    """Inverse of graph_transform: (y_1..y_m, t) -> (-t, y_1 + t, ..., y_m + t)."""
+    """The value vector of graph coordinates (y_1..y_m, t):
+    (-t, y_1 + t, ..., y_m + t)."""
     y = np.asarray(y, dtype=float)
     z0 = -y[-1]
     return np.concatenate([[z0], y[:-1] - z0])
@@ -43,11 +35,15 @@ class TestEvalMap:
         qm = example_map()
         assert np.array_equal(eval_map(qm, [1.0, 0.0]), [1.0, 1.0, -1.0])
         assert np.array_equal(eval_map(qm, [0.0, 1.0]), [1.0, -1.0, 1.0])
+        # an (N, n) array gives one row per point
+        assert np.array_equal(eval_map(qm, [[1.0, 0.0], [0.0, 1.0]]),
+                              [[1.0, 1.0, -1.0], [1.0, -1.0, 1.0]])
+        assert eval_map(qm, np.empty((0, 2))).shape == (0, 3)
 
     def test_common_zero(self):
         # target and component agree: both vanish on the unit sphere
         q = UnitQuadratic(a=np.zeros(2), theta=-1.0)
-        qm = QuadraticMap(target=q, components=(q,), dimension=2)
+        qm = QuadraticMap(centers=np.zeros((1, 2)), theta=[-1.0], target=q)
         assert np.allclose(eval_map(qm, [1.0, 0.0]), [0.0, 0.0])
 
     def test_dimension_mismatch(self):
@@ -55,65 +51,54 @@ class TestEvalMap:
             eval_map(example_map(), [1.0, 0.0, 0.0])
 
 
-class TestGraphTransform:
-    def test_examples(self):
-        assert np.array_equal(graph_transform([1.0, 1.0, -1.0]), [2.0, 0.0, -1.0])
-        assert np.array_equal(graph_transform([1.0, 0.0, 0.0]), [1.0, 1.0, -1.0])
-
-    def test_roundtrip(self, rng):
-        for _ in range(20):
-            z = rng.standard_normal(int(rng.integers(2, 6)))
-            back = graph_transform_inv(graph_transform(z))
-            assert np.allclose(back, z, rtol=0, atol=1e-15 * np.abs(z).max())
-
-
 class TestGraphForm:
+    """The map in graph coordinates: (y, t) = (A x + offsets, g(x))."""
+
     def test_example_map_data(self):
-        form = build_graph_form(example_map())
-        assert np.allclose(form.A, 2.0 * np.eye(2))
-        assert np.allclose(form.offsets, 0.0)
-        assert np.allclose(form.quad, 0.25 * np.eye(2))
-        # quarter-norm-squared minus coordinate sum
-        assert form.value([1.0, 1.0]) == pytest.approx(-1.5)
-        assert form.value([2.0, 0.0]) == pytest.approx(-1.0)
+        qm = example_map()
+        assert np.array_equal(qm.A, 2.0 * np.eye(2))
+        assert np.array_equal(qm.offsets, np.zeros(2))
+        assert qm.rank == 2 and qm.null.shape == (2, 0)
+        assert np.allclose(qm.pinv, 0.5 * np.eye(2))
+        # over the point fibres the target is y.y/4 - sum(y); at t = 0 the
+        # pair-hull margin reads it
+        for y, value in (([1.0, 1.0], -1.5), ([2.0, 0.0], -1.0)):
+            margin = in_pair_hull(qm, graph_transform_inv(y + [0.0])).margin
+            assert margin == pytest.approx(value, abs=1e-12)
 
     def test_consistency_with_target(self, rng):
         qm = example_map()
-        form = build_graph_form(qm)
         for _ in range(100):
             x = rng.standard_normal(2) * 3
-            y = form.forward(x)
-            assert form.value(y) == pytest.approx(qm.target(x), rel=1e-8,
-                                                  abs=1e-8)
-            h = graph_transform(eval_map(qm, x))
-            assert np.allclose(h[:-1], y, atol=1e-9 * (1 + np.abs(y).max()))
-            assert h[-1] == pytest.approx(qm.target(x), rel=1e-9, abs=1e-9)
-
-    def test_collinear_directions_rejected(self):
-        inst = Instance.from_data([[1.0, 0.0], [2.0, 0.0]], [1.0, 1.0])
-        qm = QuadraticMap.from_instance(
-            inst, UnitQuadratic(a=np.zeros(2), theta=-1.0))
-        with pytest.raises(SingularTransform):
-            build_graph_form(qm)
+            z = eval_map(qm, x)
+            y = z[1:] + z[0]
+            assert np.allclose(qm.A @ x + qm.offsets, y,
+                               atol=1e-9 * (1 + np.abs(y).max()))
+            # the fibre of G(x) is the point x, where the target is -z_0
+            margin, slack, X = qm.fibre(z)
+            assert np.allclose(X[0], x, atol=1e-9 * (1 + np.abs(x).max()))
+            assert abs(margin[0]) <= slack[0]
 
 
 def test_range_geometry_rank_is_shifted_rank():
-    # the membership system -2(a_i - a) and the regime gate share one rank rule
+    # the map's one rank, of A = -2(a_i - a), is the shifted rank of the
+    # solver's rank rule, and the regime reads it
     rng = np.random.default_rng(20261018)
     for trial in range(60):
         n, m = (int(v) for v in rng.integers(2, 7, size=2))
         if trial % 2:
             qm = random_rank_deficient_map(rng, n=n, m=m)
-            assert qm.shifted_rank() < n
+            assert qm.rank < n and qm.regime() is Regime.CONVEX
         else:
             scale = 10.0 ** rng.uniform(-6, 6)
             centers = rng.standard_normal((m, n)) * scale
             qm = QuadraticMap(
-                target=UnitQuadratic(a=rng.standard_normal(n) * scale, theta=0.0),
-                components=tuple(UnitQuadratic(a=c, theta=0.0) for c in centers),
-                dimension=n)
-            assert qm.shifted_rank() == min(n, m)
-        assert _RangeGeometry(qm).rank == qm.shifted_rank()
+                centers=centers, theta=np.zeros(m),
+                target=UnitQuadratic(a=rng.standard_normal(n) * scale,
+                                     theta=0.0))
+            assert qm.rank == min(n, m)
+        assert qm.rank == numerical_rank(qm.centers - qm.target.a)
+        assert qm.pinv.shape == (n, m) and qm.null.shape == (n, n - qm.rank)
 
 
 class TestRangeMembership:
@@ -152,7 +137,7 @@ class TestRangeMembership:
         axis = np.linspace(-3.0, 3.0, 301)
         gx, gy = np.meshgrid(axis, axis)
         X = np.stack([gx.ravel(), gy.ravel()], axis=1)
-        G = eval_map_batch(qm, X)
+        G = eval_map(qm, X)
         # about half the draws land 0.02..0.3 from the grid and decide
         # nothing, so draw until 90 have been checked
         checked = 0
@@ -161,7 +146,7 @@ class TestRangeMembership:
                 break
             x, y = rng.uniform(-2, 2, size=(2, 2))
             lam = rng.uniform()
-            z = pair_hull_combine(eval_map(qm, x), eval_map(qm, y), lam)
+            z = lam * eval_map(qm, x) + (1.0 - lam) * eval_map(qm, y)
             dist = float(np.linalg.norm(G - z, axis=1).min())
             member = in_range(qm, z).member
             if dist < 0.02:
@@ -217,17 +202,35 @@ class TestPairHullMembership:
                 assert in_pair_hull(qm, z).member
 
     def test_epigraph_upward_closed(self, rng):
-        qm = example_map()
-        form = build_graph_form(qm)
-        for _ in range(20):
-            y = rng.standard_normal(2) * 3
-            t0 = form.value(y)
-            for dt in (0.0, 0.5, 4.0):
-                z = graph_transform_inv(np.concatenate([y, [t0 + dt]]))
-                assert in_pair_hull(qm, z).member
-            for dt in (0.5, 4.0):
-                z = graph_transform_inv(np.concatenate([y, [t0 - dt]]))
-                assert not in_pair_hull(qm, z).member
+        # the graph value t0 over y: y.y/4 - sum(y) on the example map, and
+        # on random critical maps the target at the fibre point solved here
+        cases = [(example_map(), lambda y: y @ y / 4.0 - y.sum())]
+        maps_rng = np.random.default_rng(219)
+        for n in range(2, 6):
+            C = maps_rng.standard_normal((n, n))
+            a = maps_rng.standard_normal(n)
+            theta = maps_rng.standard_normal(n)
+            theta_t = float(maps_rng.standard_normal())
+
+            def graph_value(y, C=C, a=a, offsets=theta - theta_t,
+                            theta_t=theta_t):
+                x = np.linalg.solve(-2.0 * (C - a), y - offsets)
+                return x @ x - 2.0 * a @ x + theta_t
+
+            qm = QuadraticMap(centers=C, theta=theta,
+                              target=UnitQuadratic(a=a, theta=theta_t))
+            assert qm.regime() is Regime.CRITICAL
+            cases.append((qm, graph_value))
+        for qm, graph_value in cases:
+            for _ in range(20):
+                y = rng.standard_normal(qm.m) * 3
+                t0 = graph_value(y)
+                for dt in (0.0, 0.5, 4.0):
+                    z = graph_transform_inv(np.append(y, t0 + dt))
+                    assert in_pair_hull(qm, z).member
+                for dt in (0.5, 4.0):
+                    z = graph_transform_inv(np.append(y, t0 - dt))
+                    assert not in_pair_hull(qm, z).member
 
     def test_unsupported_regime_refused(self):
         inst = unsupported_instance()
@@ -238,19 +241,6 @@ class TestPairHullMembership:
             in_pair_hull(qm, np.zeros(4))
 
 
-class TestPairHullCombine:
-    def test_examples(self):
-        mid = pair_hull_combine([1.0, 1.0, -1.0], [1.0, -1.0, 1.0], 0.5)
-        assert np.array_equal(mid, [1.0, 0.0, 0.0])
-        p, q = np.array([1.0, 2.0]), np.array([-1.0, 5.0])
-        assert np.array_equal(pair_hull_combine(p, q, 0.0), q)
-        assert np.array_equal(pair_hull_combine(p, q, 1.0), p)
-
-    def test_rejects_out_of_range_lambda(self):
-        with pytest.raises(ValidationError):
-            pair_hull_combine([1.0], [0.0], 1.5)
-
-
 class TestConvexityProbe:
     def test_rank_deficient_maps_have_no_counterexamples(self, rng):
         for _ in range(3):
@@ -259,11 +249,13 @@ class TestConvexityProbe:
             assert report.convex_evidence
 
     def test_example_map_counterexample(self):
-        report = convexity_probe(
-            example_map(), 0,
-            include_pairs=[([1.0, 0.0], [0.0, 1.0], 0.5)])
-        assert len(report.counterexamples) == 1
-        assert np.allclose(report.counterexamples[0][3], [1.0, 0.0, 0.0])
+        qm = example_map()
+        report = convexity_probe(qm, 100, seed=1)
+        assert len(report.counterexamples) > 0
+        for x, y, lam, z in report.counterexamples:
+            assert np.allclose(z, lam * eval_map(qm, x)
+                               + (1.0 - lam) * eval_map(qm, y))
+            assert not in_range(qm, z).member
 
     def test_zero_samples(self):
         assert convexity_probe(example_map(), 0).counterexamples == ()
@@ -306,13 +298,22 @@ class TestSeparationProbe:
         assert report.range_hits == () and report.hull_hits == ()
 
 
-class TestAffineInvariance:
-    def test_graph_transform_matrix(self, rng):
-        # the flattening map as a matrix: linear, invertible
-        m = 3
-        L = np.zeros((m + 1, m + 1))
-        L[:m, 0] = 1.0
-        L[:m, 1:] = np.eye(m)
-        L[m, 0] = -1.0
-        z = rng.standard_normal(m + 1)
-        assert np.allclose(L @ z, graph_transform(z))
+def test_one_rank_per_map(monkeypatch, rng):
+    # the map takes its rank, pinv and null basis once, at construction
+    calls = []
+
+    def counting(vectors, *args, **kwargs):
+        calls.append(1)
+        return numerical_rank(vectors, *args, **kwargs)
+
+    monkeypatch.setattr(numrange, "numerical_rank", counting)
+    for make in (example_map, lambda: random_rank_deficient_map(rng)):
+        qm = make()
+        z = eval_map(qm, np.ones(qm.dimension))
+        qm.regime()
+        in_range(qm, z)
+        in_pair_hull(qm, z)
+        convexity_probe(qm, 50, seed=1)
+        separation_probe(qm, 50, seed=1)
+        assert len(calls) == 1
+        calls.clear()

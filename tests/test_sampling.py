@@ -68,6 +68,16 @@ class TestSampleIntersection:
         assert max_violation(far, cloud.points) <= 1e-9 * float(
             (far.radii() ** 2).max())
 
+    @pytest.mark.parametrize("s", [1e-8, 1e8])
+    def test_scaled_lens_slater_point(self, s):
+        lens = lens_instance()
+        scaled = Instance.from_data(lens.centers_matrix() * s,
+                                    lens.radii() * s)
+        cloud = sample_intersection(scaled, 5, seed=3)
+        assert len(cloud) == 5
+        assert max_violation(scaled, cloud.points) <= 1e-9 * 2.0 * s * s
+        assert farthest_distance(cloud, [0.0, 0.0]) <= s * (1.0 + 1e-12)
+
     def test_rejection_single_ball_is_uniform_box_restriction(self):
         inst = Instance.from_data([[1.0, -2.0]], [0.5])
         cloud = sample_intersection(inst, 2000, seed=1,

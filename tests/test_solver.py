@@ -12,7 +12,13 @@ from conftest import (
     unsupported_instance,
 )
 from seblab.errors import ValidationFailure
-from seblab.geometry import Instance, Solution, SolveStatus, eval_quadratic
+from seblab.geometry import (
+    Instance,
+    Solution,
+    SolveStatus,
+    UnitQuadratic,
+    eval_quadratic,
+)
 from seblab.linalg import numerical_rank
 from seblab.sampling import sample_intersection
 from seblab.solver import (
@@ -24,6 +30,12 @@ from seblab.solver import (
     regime_report,
     solve_seb,
 )
+
+
+def g_values(inst, x):
+    """g_i(x) = |x - a_i|^2 - r_i^2 of every ball."""
+    D = x - inst.centers_matrix()
+    return np.einsum("ij,ij->i", D, D) - inst.radii() ** 2
 
 
 class TestClassify:
@@ -111,8 +123,8 @@ class TestCheckInterior:
         sol = solve_seb(inst)
         nonempty, point = check_interior(inst, sol)
         assert nonempty and np.allclose(point, [0.0, 0.0], atol=1e-10)
-        worst = max(q(point) for q in inst.quadratics())
-        assert worst == pytest.approx(-sol.qp_value, abs=1e-9)
+        assert g_values(inst, point).max() == pytest.approx(-sol.qp_value,
+                                                            abs=1e-9)
 
     def test_disjoint(self):
         inst = disjoint_instance()
@@ -141,7 +153,7 @@ class TestCheckInterior:
         nonempty, point = check_interior(inst, sol)
         assert nonempty
         if point is not None:
-            assert max(q(point) for q in inst.quadratics()) < 0.0
+            assert g_values(inst, point).max() < 0.0
         understated = dataclasses.replace(sol, fw_gap=0.5 * sol.fw_gap)
         with pytest.raises(ValidationFailure):
             check_interior(inst, understated)
@@ -201,8 +213,9 @@ class TestIdentityResidual:
         sol = solve_seb(inst)
         X = rng.standard_normal((50, 4)) * 5
         target = sol.target_quadratic()
-        loop = [sum(w * eval_quadratic(q, x)
-                    for w, q in zip(sol.multipliers, inst.quadratics()))
+        loop = [sum(w * eval_quadratic(UnitQuadratic(a, t), x)
+                    for w, a, t in zip(sol.multipliers, inst.centers_matrix(),
+                                       inst.theta()))
                 - eval_quadratic(target, x) for x in X]
         batch = identity_residual(inst, sol, X)
         assert batch.shape == (50,)
@@ -273,6 +286,33 @@ class TestTranslation:
         assert sol.radius == pytest.approx(1.0, rel=1e-12)
         assert np.allclose(sol.center, [shift, shift], rtol=0,
                            atol=1e-12 * shift)
+
+    @pytest.mark.parametrize("s", [1e-8, 1e-6, 1e-5, 1e-3, 1e4, 1e8])
+    def test_scaled_lens_certified(self, s):
+        # every tolerance is relative to the balls: no absolute floor turns
+        # a small lens into a point or a large one into a loose solve
+        lens = lens_instance()
+        scaled = Instance.from_data(lens.centers_matrix() * s,
+                                    lens.radii() * s)
+        sol = solve_seb(scaled)
+        assert sol.status is SolveStatus.CERTIFIED_OPTIMAL
+        assert sol.radius == pytest.approx(s, rel=1e-12)
+        assert sol.qp_value == pytest.approx(s * s, rel=1e-12)
+        assert np.allclose(sol.center, 0.0, rtol=0, atol=1e-12 * s)
+
+    @pytest.mark.parametrize("s", [1e-8, 1e8])
+    def test_scaled_random_certified(self, s):
+        # a uniform scaling scales the ball and keeps status and certificate
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            inst = random_supported_instance(rng, int(rng.integers(2, 6)))
+            sol = solve_seb(inst)
+            scaled = Instance.from_data(inst.centers_matrix() * s,
+                                        inst.radii() * s)
+            sol_s = solve_seb(scaled)
+            assert sol_s.status is sol.status
+            assert sol_s.radius == pytest.approx(sol.radius * s, rel=1e-10)
+            assert build_certificate(scaled, sol_s).psd_ok
 
 
 class TestRegimeReport:
