@@ -9,12 +9,20 @@ sampler: it advances up to `CHAINS` hit-and-run chains together as the
 columns of one array, drawing from its own `np.random.default_rng(seed)`,
 so the global `np.random` state is never read or changed and one seed
 gives one output.
+
+The grid scan works in slabs of at most `TILE` nodes (one row of nodes
+when a row is larger) and the sampler draws the directions of at most
+`TILE` coordinates at once, so their working memory is fixed and does
+not grow with the grid's node count or the number of steps.
 """
 
 import numpy as np
 
 CHAINS = 256
-BLOCK = 64  # hit-and-run steps whose random draws are made at once
+# float64 values in one working block (256 KB): the nodes of a grid slab,
+# the direction coordinates of a run of hit-and-run steps, or a rejection
+# batch
+TILE = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -114,11 +122,13 @@ def hit_and_run(centers, radii, start, count, burn_in, thin, seed):
 
     The chains are the columns of the (n, chains) state, so the chord
     bounds reduce over the balls (axis 0) elementwise across rows. The
-    directions and uniforms of up to `BLOCK` steps are drawn at once;
-    memory is O(chains * (m + BLOCK * n)).
+    directions and uniforms of a block of TILE // (n * CHAINS) steps (at
+    least one) are drawn at once, so the directions fill at most `TILE`
+    elements; memory is O(TILE + chains * m + count * n).
     """
     rng = np.random.default_rng(seed)
     n = centers.shape[1]
+    block = max(1, TILE // (n * CHAINS))
     A = centers - start
     theta = (np.einsum("ij,ij->i", A, A) - radii * radii)[:, None]
     out = np.empty((count, n))
@@ -126,8 +136,8 @@ def hit_and_run(centers, radii, start, count, burn_in, thin, seed):
 
     def advance(Y, steps):
         k = Y.shape[1]
-        for done in range(0, steps, BLOCK):
-            size = min(BLOCK, steps - done)
+        for done in range(0, steps, block):
+            size = min(block, steps - done)
             Us = rng.standard_normal((size, n, k))
             Us /= np.sqrt(np.einsum("sij,sij->sj", Us, Us))[:, None, :]
             for U, tau in zip(Us, rng.random((size, k))):
@@ -182,18 +192,38 @@ def cloud_meb(points, iterations):
 def grid_min_maxg(centers, radii, lo, hi, resolution):
     """Minimum over a regular (resolution+1)^n grid of max_i g_i(x).
 
-    g_i(x) = sum_d (x_d - a_{i,d})^2 - r_i^2 separates over the axes: per
-    ball, n tables of length resolution+1 are added into the whole grid by
-    broadcasting, and `best` keeps the running maximum over the balls.
-    Differences x_d - a_{i,d} are taken per axis, so no |x|^2 cancels.
-    Memory is two (resolution+1)^n arrays.
+    g_i(x) = sum_d (x_d - a_{i,d})^2 - r_i^2 separates over the axes, so
+    each ball needs only n tables of length resolution+1. The grid is
+    scanned in slabs along its first axis, each of at most `TILE` nodes
+    (one row of nodes when a row alone is larger). Per slab, each ball's
+    tables are added up by broadcasting, in the same order as over the
+    whole grid, into one of two slab buffers made once per call: the first
+    ball's values are the slab's running maximum, which the other balls
+    raise in place, and the slab minimum is folded into the result. Every
+    node's arithmetic is that of an untiled scan, so the value is too, bit
+    for bit. Differences x_d - a_{i,d} are taken per axis, so no |x|^2
+    cancels. Memory is O(max(TILE, (resolution+1)^(n-1)) + n resolution),
+    not two whole grids, and reusing the buffers spares the page faults
+    of a fresh slab-sized array per ball.
     """
-    axes = np.linspace(lo, hi, resolution + 1, axis=1)
-    best = np.full((resolution + 1,) * lo.size, -np.inf)
-    for a, r in zip(centers, radii):
-        tables = (axes - a[:, None]) ** 2
-        g = tables[0] - r * r
-        for table in tables[1:]:
-            g = g[..., None] + table
-        np.maximum(best, g, out=best)
-    return float(best.min())
+    n, k = lo.size, resolution + 1
+    axes = np.linspace(lo, hi, k, axis=1)
+    rows = min(k, max(1, TILE // k ** (n - 1)))
+    slab = (rows,) + (k,) * (n - 1)
+    best_rows, next_rows = np.empty(slab), np.empty(slab)
+    value = np.inf
+    for s in range(0, k, rows):
+        best = best_rows[:k - s]
+        for i, (a, r) in enumerate(zip(centers, radii)):
+            # the ball's values on the slab, summed in the untiled order;
+            # the last operation writes them into the slab buffer
+            dest = next_rows[:k - s] if i else best
+            g = np.subtract((axes[0, s:s + rows] - a[0]) ** 2, r * r,
+                            out=dest if n == 1 else None)
+            for d in range(1, n):
+                g = np.add(g[..., None], (axes[d] - a[d]) ** 2,
+                           out=dest if d == n - 1 else None)
+            if i:
+                np.maximum(best, dest, out=best)
+        value = min(value, float(best.min()))
+    return value

@@ -32,7 +32,11 @@ class QuadraticMap:
 
     The affine part A = -2(centers - target.a), the offsets, the rank of A,
     its pseudo-inverse and an orthonormal basis of its null space are
-    computed once, at construction.
+    computed once, at construction, and so is `scale`, the map's squared
+    length max(spread, target radius)^2, the spread being the largest
+    distance of a center (the target's included) from their mean. Every
+    tolerance and the probes' sampling width are measured from it, with no
+    absolute floor, so they follow a uniform scaling of the map.
     """
 
     centers: np.ndarray
@@ -53,11 +57,15 @@ class QuadraticMap:
         A = _freeze(-2.0 * (centers - self.target.a))
         rank = numerical_rank(A)
         U, s, Vt = np.linalg.svd(A)
+        a = self.target.a
+        points = np.vstack([centers, a])
+        spread = np.linalg.norm(points - points.mean(axis=0), axis=1).max()
         self.__dict__.update(
             centers=centers, theta=theta, A=A,
             offsets=_freeze(theta - self.target.theta), rank=rank,
             pinv=_freeze(Vt[:rank].T @ (U[:, :rank] / s[:rank]).T),
-            null=_freeze(Vt[rank:].T))
+            null=_freeze(Vt[rank:].T),
+            scale=max(float(spread) ** 2, float(a @ a) - self.target.theta))
 
     @classmethod
     def from_instance(cls, instance: Instance, target: UnitQuadratic):
@@ -86,14 +94,15 @@ class QuadraticMap:
         rhs = Z[:, 1:] + Z[:, :1] - self.offsets
         X0 = rhs @ self.pinv.T
         resid = np.linalg.norm(rhs - X0 @ self.A.T, axis=1)
-        consistent = resid <= MEMBER_TOL * (1.0 + np.linalg.norm(rhs, axis=1))
+        consistent = resid <= MEMBER_TOL * (self.scale
+                                            + np.linalg.norm(rhs, axis=1))
         a = self.target.a
         Xmin = X0 + ((a - X0) @ self.null) @ self.null.T
         g_min = (np.einsum("ij,ij->i", Xmin, Xmin) - 2.0 * Xmin @ a
                  + self.target.theta)
         level = -Z[:, 0]
         margin = np.where(consistent, g_min - level, np.inf)
-        return margin, MEMBER_TOL * (1.0 + np.abs(level)), Xmin
+        return margin, MEMBER_TOL * (self.scale + np.abs(level)), Xmin
 
 
 @dataclass(frozen=True)
@@ -170,10 +179,7 @@ def in_pair_hull(qmap: QuadraticMap, z) -> MembershipVerdict:
 
 
 def _sampling_scale(qmap: QuadraticMap):
-    centers = np.vstack([qmap.centers, qmap.target.a[None, :]])
-    mean = centers.mean(axis=0)
-    spread = float(np.linalg.norm(centers - mean, axis=1).max())
-    return 3.0 * max(spread, 1.0)
+    return 3.0 * np.sqrt(qmap.scale)
 
 
 @dataclass(frozen=True)

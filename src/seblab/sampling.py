@@ -64,16 +64,23 @@ def _feasible_rows(instance: Instance, X, tol):
 
 
 def _rejection(instance: Instance, count, seed, tol):
-    """Uniform rejection from the bounding box of the smallest input ball."""
+    """Uniform rejection from the bounding box of the smallest input ball.
+
+    A batch holds at most `kernels.TILE // n` rows (at least one), so the
+    draws and the filter's temporaries stay a fixed working set however
+    large `count`. Batches split one stream of draws, so their size does
+    not change which points come out.
+    """
     rng = np.random.default_rng(seed)
     i = int(np.argmin(instance.radii()))
     lo = instance.centers_matrix()[i] - instance.radii()[i]
     hi = instance.centers_matrix()[i] + instance.radii()[i]
+    cap = max(1, kernels.TILE // instance.dimension)
     kept = []
     drawn = 0
     accepted = 0
     while accepted < count:
-        batch = max(4 * count, 4096)
+        batch = min(max(4 * count, 4096), cap)
         if drawn + batch > REJECTION_BUDGET:
             batch = REJECTION_BUDGET - drawn
             if batch <= 0:

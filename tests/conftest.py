@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,6 +61,22 @@ def random_rank_deficient_map(rng, n=3, m=3):
     theta = (np.einsum("ij,ij->i", centers, centers)
              - rng.uniform(0.5, 2.0, m) ** 2)
     return QuadraticMap(centers=centers, theta=theta, target=target)
+
+
+def traced_peak_mb(fn, *args):
+    """Peak memory in MB that tracemalloc sees `fn(*args)` allocate, above
+    what was already allocated when the call began."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return (tracemalloc.get_traced_memory()[1] - base) / 1e6
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

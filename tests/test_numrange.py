@@ -179,6 +179,41 @@ class TestRangeMembership:
                 assert not in_range(qm, shifted).member
 
 
+def scaled_example_map(s):
+    """The example map with lengths multiplied by s: its values scale by
+    s^2 and its range by s^2 too."""
+    base = example_map()
+    return QuadraticMap(
+        centers=base.centers * s, theta=base.theta * s * s,
+        target=UnitQuadratic(a=base.target.a * s,
+                             theta=base.target.theta * s * s))
+
+
+@pytest.mark.parametrize("s", [1e-8, 1e-5, 1e-3, 1.0, 1e4, 1e8])
+def test_range_lab_scale_invariant(s):
+    # every tolerance and the sampling width follow the map's squared
+    # length; an absolute floor accepted the gap point at s = 1e-5
+    qm = scaled_example_map(s)
+    assert qm.scale == pytest.approx(example_map().scale * s * s,
+                                     rel=1e-12)
+    gap = np.array([1.0, 0.0, 0.0]) * s * s
+    assert not in_range(qm, gap).member
+    assert in_pair_hull(qm, gap).member
+    rng = np.random.default_rng(12)
+    for x in rng.uniform(-2.0, 2.0, size=(50, 2)):
+        z = eval_map(qm, s * x)
+        verdict = in_range(qm, z)
+        assert verdict.member
+        assert np.linalg.norm(eval_map(qm, verdict.witness) - z) <= (
+            1e-9 * s * s)
+        shifted = z + np.array([rng.uniform(0.05, 1.0), 0.0, 0.0]) * s * s
+        assert not in_range(qm, shifted).member
+    report = convexity_probe(qm, 100, seed=1)
+    assert len(report.counterexamples) > 0
+    for _, _, _, z in report.counterexamples:
+        assert not in_range(qm, z).member
+
+
 class TestPairHullMembership:
     def test_gap_point_in_hull(self):
         verdict = in_pair_hull(example_map(), [1.0, 0.0, 0.0])

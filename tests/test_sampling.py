@@ -8,13 +8,14 @@ from conftest import (
     disjoint_instance,
     lens_instance,
     random_supported_instance,
+    traced_peak_mb,
 )
 from seblab.errors import (
     DimensionTooLarge,
     EmptyInteriorError,
     ValidationError,
 )
-from seblab.geometry import Instance
+from seblab.geometry import BASE_TOL, Instance
 from seblab.sampling import (
     SampleCloud,
     SampleMethod,
@@ -86,6 +87,25 @@ class TestSampleIntersection:
         assert max_violation(inst, cloud.points) <= 1e-9
         # sample mean near the center for a symmetric body
         assert np.allclose(cloud.points.mean(axis=0), [1.0, -2.0], atol=0.05)
+
+    def test_rejection_batches_split_one_stream(self):
+        # capped batches split one stream of draws: the cloud is the first
+        # `count` in-ball rows of a single uncapped draw, and the batches,
+        # not the count, bound the working memory
+        c, r = np.array([0.5, -1.0, 2.0]), 1.5
+        inst = Instance.from_data([c], [r])
+        count = 20000
+        cloud = sample_intersection(inst, count, seed=6,
+                                    method=SampleMethod.REJECTION)
+        X = np.random.default_rng(6).uniform(c - r, c + r, size=(3 * count, 3))
+        D = X - c
+        inside = X[np.einsum("ij,ij->i", D, D) <= r * r + BASE_TOL * r * r]
+        assert np.array_equal(cloud.points, inside[:count])
+        # the cloud itself is 0.48 MB, held about three times while kept
+        # rows are stacked; an uncapped batch of 4 count rows was 6.5 MB
+        peak = traced_peak_mb(sample_intersection, inst, count, 6,
+                              SampleMethod.REJECTION)
+        assert peak < 2.0
 
     def test_hit_and_run_reaches_both_lobes(self):
         # the lens is symmetric about x2 = 0; a mixing chain covers both sides
