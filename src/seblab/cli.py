@@ -91,9 +91,8 @@ def cmd_jnr(args, out):
     qmap = QuadraticMap.from_instance(instance,
                                       _target_quadratic(instance, target))
     if args.action == "sample":
-        rng = np.random.default_rng(args.seed)
-        sigma = numrange._sampling_scale(qmap)
-        X = rng.standard_normal((args.count, qmap.dimension)) * sigma
+        X = numrange.sample_inputs(qmap, args.count,
+                                   np.random.default_rng(args.seed))
         G = numrange.eval_map(qmap, X)
         dest = open(args.out, "w", newline="") if args.out else out
         try:

@@ -2,8 +2,8 @@
 
 All types are immutable after construction (arrays are frozen), so they are
 safe to share between threads. An `Instance` holds its balls as read-only
-arrays (centers, radii, theta and the scale), built once; its `balls` are
-views built from those arrays on demand.
+arrays (centers, radii and the scale), built once. Every quadratic is held
+in vertex form |x - c|^2 - rho and evaluated by `quadratic_values`.
 """
 
 from dataclasses import dataclass
@@ -55,23 +55,23 @@ class Ball:
 
 @dataclass(frozen=True)
 class UnitQuadratic:
-    """The function x -> x.x - 2 a.x + theta (identity leading form).
+    """The function x -> |x - a|^2 - rho (identity leading form).
 
     Nonpositive sublevel set {q <= 0} is the ball of center a and radius
-    sqrt(|a|^2 - theta) when that quantity is positive.
+    sqrt(rho) when rho is positive.
     """
 
     a: np.ndarray
-    theta: float
+    rho: float
 
     def __post_init__(self):
         a = _freeze(np.atleast_1d(self.a))
-        _require_finite(a, "quadratic linear coefficient")
-        theta = float(self.theta)
-        if not np.isfinite(theta):
+        _require_finite(a, "quadratic center")
+        rho = float(self.rho)
+        if not np.isfinite(rho):
             raise ValidationError("quadratic constant must be finite")
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "rho", rho)
 
     @property
     def dimension(self):
@@ -82,47 +82,42 @@ class UnitQuadratic:
 
 
 def ball_to_quadratic(b: Ball) -> UnitQuadratic:
-    """Represent a ball as its defining unit quadratic: theta = |c|^2 - r^2."""
-    c = b.center
-    return UnitQuadratic(a=c, theta=float(np.dot(c, c)) - b.radius**2)
+    """Represent a ball as its defining unit quadratic: rho = r^2."""
+    return UnitQuadratic(a=b.center, rho=b.radius**2)
+
+
+def quadratic_values(X, centers, rho):
+    """|x - c_i|^2 - rho_i for every row x of the (N, n) array X and every
+    row c_i of the (m, n) array centers: an (N, m) array.
+
+    The squares are expanded about the first center, so rounding follows
+    the distances between the points and the centers, not their distance
+    from the origin.
+    """
+    o = centers[0]
+    Y = X - o
+    B = centers - o
+    return (np.einsum("ij,ij->i", Y, Y)[:, None] - 2.0 * (Y @ B.T)
+            + (np.einsum("ij,ij->i", B, B) - rho))
 
 
 def eval_quadratic(q: UnitQuadratic, x) -> float:
-    """Evaluate x.x - 2 a.x + theta."""
+    """Evaluate |x - a|^2 - rho."""
     x = np.asarray(x, dtype=float)
     if x.shape != q.a.shape:
         raise DimensionMismatch(
             f"point dimension {x.shape} does not match quadratic dimension {q.a.shape}"
         )
-    return float(np.dot(x, x) - 2.0 * np.dot(q.a, x) + q.theta)
+    return float(quadratic_values(x[None, :], q.a[None, :], q.rho)[0, 0])
 
 
 class Instance:
     """A collection of m >= 1 balls in a common ambient dimension n.
 
-    The balls are held as read-only arrays built once at construction:
-    the (m, n) centers, the radii, theta_i = |a_i|^2 - r_i^2 and the
-    scale. The accessors return these arrays without copying, and writing
-    to one raises. `balls` is a view built from the arrays on each call;
-    `from_data` validates the arrays and builds no Ball.
+    The balls are held as read-only arrays built once by `from_data`: the
+    (m, n) centers, the radii and the scale. The accessors return these
+    arrays without copying, and writing to one raises.
     """
-
-    def __init__(self, dimension, balls):
-        balls = tuple(balls)
-        if len(balls) == 0:
-            raise ValidationError("instance needs at least one ball")
-        n = int(dimension)
-        if n < 1:
-            raise ValidationError("dimension must be >= 1")
-        for b in balls:
-            if not isinstance(b, Ball):
-                raise ValidationError("instance balls must be Ball objects")
-            if b.dimension != n:
-                raise DimensionMismatch(
-                    f"ball dimension {b.dimension} != instance dimension {n}"
-                )
-        self._store(np.array([b.center for b in balls]),
-                    np.array([b.radius for b in balls]))
 
     @classmethod
     def from_data(cls, centers, radii):
@@ -137,20 +132,16 @@ class Instance:
         _require_finite(centers, "ball center")
         if not np.all(np.isfinite(radii) & (radii > 0.0)):
             raise ValidationError("ball radii must be finite and > 0")
-        instance = object.__new__(cls)
-        instance._store(centers, radii)
-        return instance
-
-    def _store(self, centers, radii):
         # measured from the smallest ball, the scale ignores translation;
         # with no floor it follows a uniform scaling of the balls exactly
         D = centers - centers[np.argmin(radii)]
         scale = float((np.einsum("ij,ij->i", D, D) + radii * radii).max())
-        theta = np.einsum("ij,ij->i", centers, centers) - radii * radii
-        for arr in (centers, radii, theta):
-            arr.setflags(write=False)
-        self.__dict__.update(dimension=centers.shape[1], _centers=centers,
-                             _radii=radii, _theta=theta, _scale=scale)
+        centers.setflags(write=False)
+        radii.setflags(write=False)
+        instance = object.__new__(cls)
+        instance.__dict__.update(dimension=centers.shape[1], _centers=centers,
+                                 _radii=radii, _scale=scale)
+        return instance
 
     def __setattr__(self, name, value):
         raise AttributeError("Instance is immutable")
@@ -159,20 +150,12 @@ class Instance:
     def m(self):
         return self._radii.size
 
-    @property
-    def balls(self):
-        return tuple(Ball(c, r) for c, r in zip(self._centers, self._radii))
-
     def centers_matrix(self):
         """The m centers as rows of an (m, n) array."""
         return self._centers
 
     def radii(self):
         return self._radii
-
-    def theta(self):
-        """theta_i = |a_i|^2 - r_i^2, the constant of each ball's quadratic."""
-        return self._theta
 
     def scale(self):
         """Magnitude used for relative tolerances:
@@ -215,9 +198,8 @@ class Solution:
         object.__setattr__(self, "multipliers", _freeze(self.multipliers))
 
     def target_quadratic(self) -> UnitQuadratic:
-        """Unit quadratic of the returned ball (theta = |a|^2 - r^2)."""
-        c = self.center
-        return UnitQuadratic(a=c, theta=float(np.dot(c, c)) - self.radius**2)
+        """Unit quadratic of the returned ball (rho = r^2)."""
+        return UnitQuadratic(a=self.center, rho=self.radius**2)
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,18 @@
 """Joint-numerical-range laboratory.
 
 The map x -> (-g(x), g_1(x), ..., g_m(x)) of a target quadratic
-g(x) = |x|^2 - 2 a.x + theta and the ball quadratics g_i, held as arrays.
-In graph coordinates y_i = z_i + z_0 and t = -z_0 the range is
-{(A x + offsets, g(x))} with A = -2(a_i - a) and offsets = theta_i - theta,
-so a value vector z is decided by one query on its fibre
-{x : A x + offsets = y}: the minimum of g over the fibre against the level
--z_0. The range needs a point fibre to hit the level exactly (a fibre with
-free directions reaches every level above its minimum). In the critical
-regime (rank A = n = m) the pair hull of the range is the epigraph of g
-over the point fibres, so it only needs the minimum at or below the level.
-The randomized probes of convexity and separation run on the same query.
+g(x) = |x - a|^2 - rho and the ball quadratics g_i, held as arrays about
+the target center a. In graph coordinates y_i = z_i + z_0 and t = -z_0 the
+range is {(A (x - a) + offsets, g(x))} with A = -2(a_i - a) and
+offsets_i = g_i(a) - g(a), so a value vector z is decided by one query on
+its fibre {x : A (x - a) + offsets = y}: the minimum of g over the fibre
+against the level -z_0. The range needs a point fibre to hit the level
+exactly (a fibre with free directions reaches every level above its
+minimum). In the critical regime (rank A = n = m) the pair hull of the
+range is the epigraph of g over the point fibres, so it only needs the
+minimum at or below the level. The randomized probes of convexity and
+separation run on the same query. Nothing is computed from an absolute
+coordinate, so the verdicts do not move when the map is translated.
 """
 
 from dataclasses import dataclass
@@ -18,7 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, UnsupportedRegime, ValidationError
-from .geometry import Instance, UnitQuadratic, _freeze, _require_finite
+from .geometry import (
+    Instance,
+    UnitQuadratic,
+    _freeze,
+    _require_finite,
+    quadratic_values,
+)
 from .linalg import numerical_rank
 from .solver import Regime, _regime_of
 
@@ -28,49 +36,53 @@ MEMBER_TOL = 1e-8
 @dataclass(frozen=True)
 class QuadraticMap:
     """The map x -> (-target(x), g_1(x), ..., g_m(x)) with
-    g_i(x) = |x|^2 - 2 centers_i.x + theta_i.
+    g_i(x) = |x - centers_i|^2 - rho_i.
 
-    The affine part A = -2(centers - target.a), the offsets, the rank of A,
-    its pseudo-inverse and an orthonormal basis of its null space are
-    computed once, at construction, and so is `scale`, the map's squared
-    length max(spread, target radius)^2, the spread being the largest
-    distance of a center (the target's included) from their mean. Every
-    tolerance and the probes' sampling width are measured from it, with no
-    absolute floor, so they follow a uniform scaling of the map.
+    The graph relation is y = A (x - a) + offsets, a = target.a. The affine
+    part A = -2(centers - a), the offsets g_i(a) - g(a), the rank of A, its
+    pseudo-inverse and an orthonormal basis of its null space are computed
+    once, at construction, from differences to a, and so is `scale`, the
+    map's squared length max(spread^2, target.rho), the spread being the
+    largest distance of a center (the target's included) from their mean.
+    Every tolerance and the probes' sampling width are measured from it,
+    with no absolute floor, so they follow a uniform scaling of the map.
     """
 
     centers: np.ndarray
-    theta: np.ndarray
+    rho: np.ndarray
     target: UnitQuadratic
 
     def __post_init__(self):
         centers = _freeze(self.centers)
-        theta = _freeze(self.theta)
+        rho = _freeze(self.rho)
         if centers.ndim != 2 or centers.shape[0] == 0:
             raise ValidationError("quadratic map needs an (m, n) array of "
                                   "centers with m >= 1")
-        if theta.shape != centers.shape[:1] or (
+        if rho.shape != centers.shape[:1] or (
                 self.target.dimension != centers.shape[1]):
             raise DimensionMismatch("quadratic map dimensions disagree")
         _require_finite(centers, "quadratic map centers")
-        _require_finite(theta, "quadratic map constants")
-        A = _freeze(-2.0 * (centers - self.target.a))
+        _require_finite(rho, "quadratic map constants")
+        a = self.target.a
+        B = centers - a
+        A = _freeze(-2.0 * B)
         rank = numerical_rank(A)
         U, s, Vt = np.linalg.svd(A)
-        a = self.target.a
         points = np.vstack([centers, a])
         spread = np.linalg.norm(points - points.mean(axis=0), axis=1).max()
         self.__dict__.update(
-            centers=centers, theta=theta, A=A,
-            offsets=_freeze(theta - self.target.theta), rank=rank,
+            centers=centers, rho=rho, A=A,
+            offsets=_freeze(np.einsum("ij,ij->i", B, B) - rho
+                            + self.target.rho),
+            rank=rank,
             pinv=_freeze(Vt[:rank].T @ (U[:, :rank] / s[:rank]).T),
             null=_freeze(Vt[rank:].T),
-            scale=max(float(spread) ** 2, float(a @ a) - self.target.theta))
+            scale=max(float(spread) ** 2, self.target.rho))
 
     @classmethod
     def from_instance(cls, instance: Instance, target: UnitQuadratic):
-        return cls(centers=instance.centers_matrix(), theta=instance.theta(),
-                   target=target)
+        return cls(centers=instance.centers_matrix(),
+                   rho=instance.radii() ** 2, target=target)
 
     @property
     def dimension(self):
@@ -88,21 +100,20 @@ class QuadraticMap:
 
         margin is the minimum of the target over the fibre less the level
         -z_0 (inf on an empty fibre), X_min the minimiser and slack the
-        tolerance of a level test.
+        tolerance of a level test. The fibre is solved in y = x - a, where
+        the least-norm solution is the minimiser of g = |y|^2 - rho.
         """
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
         rhs = Z[:, 1:] + Z[:, :1] - self.offsets
-        X0 = rhs @ self.pinv.T
-        resid = np.linalg.norm(rhs - X0 @ self.A.T, axis=1)
+        Y = rhs @ self.pinv.T
+        resid = np.linalg.norm(rhs - Y @ self.A.T, axis=1)
         consistent = resid <= MEMBER_TOL * (self.scale
                                             + np.linalg.norm(rhs, axis=1))
-        a = self.target.a
-        Xmin = X0 + ((a - X0) @ self.null) @ self.null.T
-        g_min = (np.einsum("ij,ij->i", Xmin, Xmin) - 2.0 * Xmin @ a
-                 + self.target.theta)
         level = -Z[:, 0]
+        g_min = np.einsum("ij,ij->i", Y, Y) - self.target.rho
         margin = np.where(consistent, g_min - level, np.inf)
-        return margin, MEMBER_TOL * (self.scale + np.abs(level)), Xmin
+        return (margin, MEMBER_TOL * (self.scale + np.abs(level)),
+                Y + self.target.a)
 
 
 @dataclass(frozen=True)
@@ -119,10 +130,9 @@ def eval_map(qmap: QuadraticMap, x):
     X = np.atleast_2d(x)
     if X.shape[1] != qmap.dimension:
         raise DimensionMismatch("sample dimension does not match the map")
-    xx = np.einsum("ij,ij->i", X, X)
-    comp = xx[:, None] - 2.0 * X @ qmap.centers.T + qmap.theta
-    tgt = xx - 2.0 * X @ qmap.target.a + qmap.target.theta
-    G = np.concatenate([-tgt[:, None], comp], axis=1)
+    G = quadratic_values(X, np.vstack([qmap.target.a, qmap.centers]),
+                         np.append(qmap.target.rho, qmap.rho))
+    G[:, 0] = -G[:, 0]
     return G[0] if x.ndim == 1 else G
 
 
@@ -178,8 +188,11 @@ def in_pair_hull(qmap: QuadraticMap, z) -> MembershipVerdict:
                              witness=None, margin=float(margin[0]))
 
 
-def _sampling_scale(qmap: QuadraticMap):
-    return 3.0 * np.sqrt(qmap.scale)
+def sample_inputs(qmap: QuadraticMap, count: int, rng):
+    """`count` normal map inputs about the target center, of standard
+    deviation three times the map's length, drawn from `rng`."""
+    return qmap.target.a + (rng.standard_normal((count, qmap.dimension))
+                            * (3.0 * np.sqrt(qmap.scale)))
 
 
 @dataclass(frozen=True)
@@ -200,10 +213,8 @@ def convexity_probe(qmap: QuadraticMap, samples: int,
     non-convexity; an empty report is (only) evidence of convexity.
     """
     rng = np.random.default_rng(seed)
-    sigma = _sampling_scale(qmap)
-    n = qmap.dimension
-    X = rng.standard_normal((samples, n)) * sigma
-    Y = rng.standard_normal((samples, n)) * sigma
+    X = sample_inputs(qmap, samples, rng)
+    Y = sample_inputs(qmap, samples, rng)
     lams = rng.uniform(0.0, 1.0, size=samples)
     Z = (lams[:, None] * eval_map(qmap, X)
          + (1.0 - lams[:, None]) * eval_map(qmap, Y))
@@ -237,7 +248,7 @@ def separation_probe(qmap: QuadraticMap, samples: int, seed=0,
     if qmap.regime() is Regime.UNSUPPORTED:
         raise UnsupportedRegime("separation probe needs a supported regime")
     rng = np.random.default_rng(seed)
-    X = rng.standard_normal((samples, qmap.dimension)) * _sampling_scale(qmap)
+    X = sample_inputs(qmap, samples, rng)
     if extra_points is not None and len(extra_points) > 0:
         X = np.vstack([X, np.atleast_2d(np.asarray(extra_points, dtype=float))])
     if X.shape[0] == 0:

@@ -68,15 +68,16 @@ def _rejection(instance: Instance, count, seed, tol):
 
     A batch holds at most `kernels.TILE // n` rows (at least one), so the
     draws and the filter's temporaries stay a fixed working set however
-    large `count`. Batches split one stream of draws, so their size does
-    not change which points come out.
+    large `count`, and accepted rows go straight into the one (count, n)
+    output. Batches split one stream of draws, so their size does not
+    change which points come out.
     """
     rng = np.random.default_rng(seed)
     i = int(np.argmin(instance.radii()))
     lo = instance.centers_matrix()[i] - instance.radii()[i]
     hi = instance.centers_matrix()[i] + instance.radii()[i]
     cap = max(1, kernels.TILE // instance.dimension)
-    kept = []
+    out = np.empty((count, instance.dimension))
     drawn = 0
     accepted = 0
     while accepted < count:
@@ -88,15 +89,15 @@ def _rejection(instance: Instance, count, seed, tol):
                     f"acceptance rate below {MIN_ACCEPT_RATE} after {drawn} draws"
                 )
         X = rng.uniform(lo, hi, size=(batch, instance.dimension))
-        rows = _feasible_rows(instance, X, tol)
+        rows = _feasible_rows(instance, X, tol)[:count - accepted]
         drawn += batch
+        out[accepted:accepted + rows.size] = X[rows]
         accepted += rows.size
-        kept.append(X[rows])
         if drawn >= 1_000_000 and accepted / drawn < MIN_ACCEPT_RATE:
             raise RejectionStall(
                 f"acceptance rate {accepted / drawn:.2e} below {MIN_ACCEPT_RATE}"
             )
-    return np.vstack(kept)[:count]
+    return out
 
 
 def sample_intersection(instance: Instance, count: int, seed: int = 0,

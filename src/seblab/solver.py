@@ -17,6 +17,7 @@ from .geometry import (
     Instance,
     Solution,
     SolveStatus,
+    quadratic_values,
 )
 from .linalg import arrowhead_psd, numerical_rank
 from .simplex_qp import build_qp, solve
@@ -115,9 +116,8 @@ def check_interior(instance: Instance, solution: Solution, base_tol=BASE_TOL):
     """
     tol = base_tol * instance.scale()
     a = solution.center
-    A = instance.centers_matrix()
-    worst = float((np.einsum("ij,ij->i", A - a, A - a)
-                   - instance.radii() ** 2).max())
+    worst = float(quadratic_values(a[None, :], instance.centers_matrix(),
+                                   instance.radii() ** 2).max())
     if worst > -solution.qp_value + solution.fw_gap + tol:
         raise ValidationFailure(
             f"max_i g_i(center) = {worst} exceeds -q(mu) + gap = "
@@ -156,15 +156,13 @@ def identity_residual(instance: Instance, solution: Solution, x):
     row of an (N, n) array x (an array); identically 0 at a QP optimum.
 
     The identity needs only sum(mu) = 1, a = sum(mu_i a_i) and
-    theta = sum(mu_i theta_i); it does not depend on the rank condition.
-    Every g_i is evaluated from the centers and theta in one array pass.
+    r^2 = sum(mu_i (r_i^2 - |a_i - a|^2)); it does not depend on the rank
+    condition. The g_i and the target are evaluated in one array pass.
     """
     x = np.asarray(x, dtype=float)
-    X = np.atleast_2d(x)
-    xx = np.einsum("ij,ij->i", X, X)
-    g = (xx[:, None] - 2.0 * (X @ instance.centers_matrix().T)
-         + instance.theta())
-    target = solution.target_quadratic()
-    residual = g @ solution.multipliers - (xx - 2.0 * (X @ target.a)
-                                           + target.theta)
+    G = quadratic_values(
+        np.atleast_2d(x),
+        np.vstack([instance.centers_matrix(), solution.center]),
+        np.append(instance.radii() ** 2, solution.radius ** 2))
+    residual = G[:, :-1] @ solution.multipliers - G[:, -1]
     return float(residual[0]) if x.ndim == 1 else residual

@@ -34,9 +34,9 @@ def unsupported_instance():
 
 def example_map():
     """The 2-D non-convex range: target center (1,1), components centered at
-    (0,1) and (1,0), all quadratic constants zero."""
+    (0,1) and (1,0), every quadratic vanishing at the origin."""
     inst = Instance.from_data([[0.0, 1.0], [1.0, 0.0]], [1.0, 1.0])
-    target = UnitQuadratic(a=np.array([1.0, 1.0]), theta=0.0)
+    target = UnitQuadratic(a=np.array([1.0, 1.0]), rho=2.0)
     return QuadraticMap.from_instance(inst, target)
 
 
@@ -57,10 +57,9 @@ def random_rank_deficient_map(rng, n=3, m=3):
     a = rng.standard_normal(n)
     W = rng.standard_normal((n, n - 1))
     centers = a[None, :] + rng.standard_normal((m, n - 1)) @ W.T
-    target = UnitQuadratic(a=a, theta=float(a @ a) - rng.uniform(0.5, 2.0) ** 2)
-    theta = (np.einsum("ij,ij->i", centers, centers)
-             - rng.uniform(0.5, 2.0, m) ** 2)
-    return QuadraticMap(centers=centers, theta=theta, target=target)
+    target = UnitQuadratic(a=a, rho=rng.uniform(0.5, 2.0) ** 2)
+    return QuadraticMap(centers=centers, rho=rng.uniform(0.5, 2.0, m) ** 2,
+                        target=target)
 
 
 def traced_peak_mb(fn, *args):

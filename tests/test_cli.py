@@ -1,9 +1,14 @@
 import io as io_module
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import seblab
 from seblab import io as seblab_io
 from seblab.cli import main
 from seblab.errors import ValidationError
@@ -197,3 +202,21 @@ class TestIoRoundTrip:
                                             "radius": 1.0}]}
         with pytest.raises(ValidationError):
             seblab_io.parse_instance(doc)
+
+
+def test_cli_imports_only_numpy_beyond_the_stdlib():
+    # the CLI's cold start loads the standard library, numpy and seblab
+    # only; the modules already loaded by interpreter startup (site hooks
+    # of the installation) are not the CLI's
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import seblab.cli\n"
+            "print('\\n'.join(sorted(set(sys.modules) - before)))\n")
+    src = str(Path(seblab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=60).stdout
+    tops = {name.partition(".")[0] for name in out.split()}
+    assert "seblab" in tops
+    assert tops <= set(sys.stdlib_module_names) | {"numpy", "seblab"}

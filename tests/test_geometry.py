@@ -17,14 +17,14 @@ from seblab.geometry import (
 
 def test_ball_to_quadratic_examples():
     q = ball_to_quadratic(Ball(center=[0.0, 1.0], radius=2.0))
-    assert np.array_equal(q.a, [0.0, 1.0]) and q.theta == -3.0
+    assert np.array_equal(q.a, [0.0, 1.0]) and q.rho == 4.0
 
     q = ball_to_quadratic(Ball(center=[1.0, 1.0], radius=math.sqrt(2.0)))
     assert np.array_equal(q.a, [1.0, 1.0])
-    assert q.theta == pytest.approx(0.0, abs=1e-15)
+    assert q.rho == pytest.approx(2.0, rel=1e-15)
 
     q = ball_to_quadratic(Ball(center=np.zeros(4), radius=1.0))
-    assert np.array_equal(q.a, np.zeros(4)) and q.theta == -1.0
+    assert np.array_equal(q.a, np.zeros(4)) and q.rho == 1.0
 
 
 def test_round_trip_is_identity(rng):
@@ -32,26 +32,39 @@ def test_round_trip_is_identity(rng):
         n = rng.integers(1, 8)
         b = Ball(center=rng.standard_normal(n) * 10, radius=rng.uniform(0.1, 20))
         q = ball_to_quadratic(b)
-        # the ball back from its quadratic: center a, radius^2 |a|^2 - theta
+        # the ball back from its quadratic: center a, radius sqrt(rho)
         assert np.array_equal(q.a, b.center)
-        assert math.sqrt(q.a @ q.a - q.theta) == pytest.approx(b.radius,
-                                                                rel=1e-12)
+        assert math.sqrt(q.rho) == pytest.approx(b.radius, rel=1e-15)
 
 
 def test_eval_quadratic_examples():
-    q = UnitQuadratic(a=[1.0, 1.0], theta=0.0)
+    q = UnitQuadratic(a=[1.0, 1.0], rho=2.0)
     assert eval_quadratic(q, [1.0, 0.0]) == -1.0
 
-    q2 = UnitQuadratic(a=[3.0, -2.0], theta=0.7)
-    a = np.array([3.0, -2.0])
-    assert eval_quadratic(q2, a) == pytest.approx(0.7 - a @ a, rel=1e-15)
+    q2 = UnitQuadratic(a=[3.0, -2.0], rho=12.3)
+    assert eval_quadratic(q2, [3.0, -2.0]) == -12.3
 
-    q3 = UnitQuadratic(a=[0.0, 1.0], theta=0.0)
+    q3 = UnitQuadratic(a=[0.0, 1.0], rho=1.0)
     assert eval_quadratic(q3, [0.0, 1.0]) == -1.0
 
 
+@pytest.mark.parametrize("t", [0.0, 1e4, 1e8])
+def test_quadratic_values_moved_far(rng, t):
+    # the squares are expanded about a center, not about the origin, so
+    # moving points and centers together changes the values by rounding at
+    # the scale of their distances, not of t^2
+    X = rng.uniform(-2.0, 2.0, (40, 3))
+    centers = rng.uniform(-2.0, 2.0, (5, 3))
+    rho = rng.uniform(0.5, 2.0, 5)
+    got = geometry.quadratic_values(X + t, centers + t, rho)
+    D = X[:, None, :] - centers[None, :, :]
+    want = np.einsum("ijk,ijk->ij", D, D) - rho
+    assert got.shape == (40, 5)
+    assert np.abs(got - want).max() <= 1e-12 + 1e3 * np.spacing(t)
+
+
 def test_eval_quadratic_dimension_mismatch():
-    q = UnitQuadratic(a=[1.0, 1.0], theta=0.0)
+    q = UnitQuadratic(a=[1.0, 1.0], rho=2.0)
     with pytest.raises(DimensionMismatch):
         eval_quadratic(q, [1.0, 0.0, 0.0])
 
@@ -75,16 +88,16 @@ def test_validation_rejects_bad_input():
     with pytest.raises(ValidationError):
         Ball(center=[np.nan, 0.0], radius=1.0)
     with pytest.raises(ValidationError):
-        Instance(dimension=2, balls=())
-    with pytest.raises(DimensionMismatch):
-        Instance(dimension=2, balls=(Ball([0.0, 0.0], 1.0), Ball([0.0], 1.0)))
+        Instance.from_data(np.zeros((0, 2)), [])
+    with pytest.raises(ValidationError):
+        UnitQuadratic(a=[0.0, 0.0], rho=np.inf)
 
 
 def test_types_are_immutable():
     b = Ball(center=[1.0, 2.0], radius=1.0)
     with pytest.raises(ValueError):
         b.center[0] = 0.0
-    inst = Instance(dimension=2, balls=(b,))
+    inst = Instance.from_data([b.center], [b.radius])
     assert inst.m == 1
     assert inst.scale() >= 1.0
 
@@ -99,19 +112,17 @@ def test_from_data_builds_no_ball(monkeypatch):
 
     monkeypatch.setattr(geometry.Ball, "__post_init__", counting)
     inst = Instance.from_data(np.ones((50, 3)), np.full(50, 2.0))
-    inst.centers_matrix(), inst.radii(), inst.theta(), inst.scale()
+    inst.centers_matrix(), inst.radii(), inst.scale()
     assert made == []
-    assert len(inst.balls) == 50 and len(made) == 50
 
 
 def test_accessors_are_read_only_and_stored():
     inst = Instance.from_data([[1.0, 2.0], [3.0, -1.0]], [1.0, 2.5])
-    for accessor in (inst.centers_matrix, inst.radii, inst.theta):
+    for accessor in (inst.centers_matrix, inst.radii):
         arr = accessor()
         assert arr is accessor()
         with pytest.raises(ValueError):
             arr[0] = 0.0
-    assert np.array_equal(inst.theta(), [5.0 - 1.0, 10.0 - 6.25])
     # max |a_i - o|^2 + r_i^2 about the smallest ball o = (1, 2)
     assert inst.scale() == 13.0 + 6.25
     with pytest.raises(AttributeError):
@@ -123,21 +134,6 @@ def test_from_data_copies_its_input():
     inst = Instance.from_data(centers, [1.0, 1.0])
     centers[0, 0] = 5.0
     assert inst.centers_matrix()[0, 0] == 0.0 and centers.flags.writeable
-
-
-def test_constructors_agree(rng):
-    centers = rng.standard_normal((6, 4))
-    radii = rng.uniform(0.5, 2.0, 6)
-    by_balls = Instance(dimension=4, balls=[Ball(c, r)
-                                            for c, r in zip(centers, radii)])
-    by_data = Instance.from_data(centers, radii)
-    for inst in (by_balls, by_data):
-        assert inst.dimension == 4 and inst.m == 6
-    for accessor in ("centers_matrix", "radii", "theta", "scale"):
-        assert np.array_equal(getattr(by_balls, accessor)(),
-                              getattr(by_data, accessor)())
-    for b1, b2 in zip(by_balls.balls, by_data.balls):
-        assert np.array_equal(b1.center, b2.center) and b1.radius == b2.radius
 
 
 def _doc(centers, radii, dimension=2):
@@ -156,9 +152,6 @@ def _doc(centers, radii, dimension=2):
     ([], [], ValidationError),
 ])
 def test_bad_input_same_error_everywhere(centers, radii, error):
-    with pytest.raises(error):
-        Instance(dimension=2, balls=[Ball(c, r)
-                                     for c, r in zip(centers, radii)])
     with pytest.raises(error):
         io.parse_instance(_doc(centers, radii))
     if error is not DimensionMismatch:  # ragged rows are no (m, n) array

@@ -9,7 +9,7 @@ from conftest import (
 )
 from seblab import numrange
 from seblab.errors import DimensionMismatch, UnsupportedRegime
-from seblab.geometry import UnitQuadratic
+from seblab.geometry import Instance, UnitQuadratic
 from seblab.linalg import numerical_rank
 from seblab.numrange import (
     QuadraticMap,
@@ -42,8 +42,8 @@ class TestEvalMap:
 
     def test_common_zero(self):
         # target and component agree: both vanish on the unit sphere
-        q = UnitQuadratic(a=np.zeros(2), theta=-1.0)
-        qm = QuadraticMap(centers=np.zeros((1, 2)), theta=[-1.0], target=q)
+        q = UnitQuadratic(a=np.zeros(2), rho=1.0)
+        qm = QuadraticMap(centers=np.zeros((1, 2)), rho=[1.0], target=q)
         assert np.allclose(eval_map(qm, [1.0, 0.0]), [0.0, 0.0])
 
     def test_dimension_mismatch(self):
@@ -52,12 +52,13 @@ class TestEvalMap:
 
 
 class TestGraphForm:
-    """The map in graph coordinates: (y, t) = (A x + offsets, g(x))."""
+    """The map in graph coordinates: (y, t) = (A (x - a) + offsets, g(x))."""
 
     def test_example_map_data(self):
         qm = example_map()
         assert np.array_equal(qm.A, 2.0 * np.eye(2))
-        assert np.array_equal(qm.offsets, np.zeros(2))
+        # g_i(a) = 0 and g(a) = -2 at the target center a = (1, 1)
+        assert np.array_equal(qm.offsets, [2.0, 2.0])
         assert qm.rank == 2 and qm.null.shape == (2, 0)
         assert np.allclose(qm.pinv, 0.5 * np.eye(2))
         # over the point fibres the target is y.y/4 - sum(y); at t = 0 the
@@ -72,7 +73,7 @@ class TestGraphForm:
             x = rng.standard_normal(2) * 3
             z = eval_map(qm, x)
             y = z[1:] + z[0]
-            assert np.allclose(qm.A @ x + qm.offsets, y,
+            assert np.allclose(qm.A @ (x - qm.target.a) + qm.offsets, y,
                                atol=1e-9 * (1 + np.abs(y).max()))
             # the fibre of G(x) is the point x, where the target is -z_0
             margin, slack, X = qm.fibre(z)
@@ -93,9 +94,9 @@ def test_range_geometry_rank_is_shifted_rank():
             scale = 10.0 ** rng.uniform(-6, 6)
             centers = rng.standard_normal((m, n)) * scale
             qm = QuadraticMap(
-                centers=centers, theta=np.zeros(m),
+                centers=centers, rho=np.zeros(m),
                 target=UnitQuadratic(a=rng.standard_normal(n) * scale,
-                                     theta=0.0))
+                                     rho=0.0))
             assert qm.rank == min(n, m)
         assert qm.rank == numerical_rank(qm.centers - qm.target.a)
         assert qm.pinv.shape == (n, m) and qm.null.shape == (n, n - qm.rank)
@@ -184,9 +185,9 @@ def scaled_example_map(s):
     s^2 and its range by s^2 too."""
     base = example_map()
     return QuadraticMap(
-        centers=base.centers * s, theta=base.theta * s * s,
+        centers=base.centers * s, rho=base.rho * s * s,
         target=UnitQuadratic(a=base.target.a * s,
-                             theta=base.target.theta * s * s))
+                             rho=base.target.rho * s * s))
 
 
 @pytest.mark.parametrize("s", [1e-8, 1e-5, 1e-3, 1.0, 1e4, 1e8])
@@ -212,6 +213,44 @@ def test_range_lab_scale_invariant(s):
     assert len(report.counterexamples) > 0
     for _, _, _, z in report.counterexamples:
         assert not in_range(qm, z).member
+
+
+@pytest.mark.parametrize("t", [0.0, 1e2, 1e4, 1e6, 1e8])
+def test_range_lab_translation_invariant(t):
+    # the map is held about its target center, so moving it by t e_0 moves
+    # no value and no verdict; an absolute constant |a|^2 - r^2 swamped
+    # r^2 from t = 1e4 on
+    shift = np.array([t, 0.0])
+    base = example_map()
+    qm = QuadraticMap(centers=base.centers + shift, rho=base.rho,
+                      target=UnitQuadratic(a=base.target.a + shift, rho=2.0))
+    gap = [1.0, 0.0, 0.0]
+    assert not in_range(qm, gap).member
+    assert in_pair_hull(qm, gap).member
+    # a witness near t e_0 is rounded to the spacing of t
+    tol = 1e-9 + 1e3 * np.spacing(t)
+    rng = np.random.default_rng(3)
+    for x in rng.uniform(-2.0, 2.0, size=(50, 2)) + shift:
+        z = eval_map(qm, x)
+        assert np.allclose(z, eval_map(base, x - shift), rtol=0, atol=tol)
+        verdict = in_range(qm, z)
+        assert verdict.member
+        assert np.linalg.norm(eval_map(qm, verdict.witness) - z) <= tol
+
+
+@pytest.mark.parametrize("t", [0.0, 1e2, 1e4, 1e6, 1e8])
+def test_moved_lens_map_accepts_its_images(t):
+    lens = lens_instance()
+    moved = Instance.from_data(lens.centers_matrix() + t, lens.radii())
+    qm = QuadraticMap.from_instance(moved,
+                                    solve_seb(moved).target_quadratic())
+    tol = 1e-9 + 1e3 * np.spacing(t)
+    rng = np.random.default_rng(3)
+    for x in rng.uniform(-2.0, 2.0, size=(50, 2)) + t:
+        z = eval_map(qm, x)
+        verdict = in_range(qm, z)
+        assert verdict.member
+        assert np.linalg.norm(eval_map(qm, verdict.witness) - z) <= tol
 
 
 class TestPairHullMembership:
@@ -244,16 +283,17 @@ class TestPairHullMembership:
         for n in range(2, 6):
             C = maps_rng.standard_normal((n, n))
             a = maps_rng.standard_normal(n)
-            theta = maps_rng.standard_normal(n)
-            theta_t = float(maps_rng.standard_normal())
+            rho = maps_rng.standard_normal(n)
+            rho_t = float(maps_rng.standard_normal())
+            # offsets g_i(a) - g(a), with g_i(a) = |a - C_i|^2 - rho_i
+            offsets = np.sum((a - C) ** 2, axis=1) - rho + rho_t
 
-            def graph_value(y, C=C, a=a, offsets=theta - theta_t,
-                            theta_t=theta_t):
-                x = np.linalg.solve(-2.0 * (C - a), y - offsets)
-                return x @ x - 2.0 * a @ x + theta_t
+            def graph_value(y, C=C, a=a, offsets=offsets, rho_t=rho_t):
+                d = np.linalg.solve(-2.0 * (C - a), y - offsets)
+                return d @ d - rho_t
 
-            qm = QuadraticMap(centers=C, theta=theta,
-                              target=UnitQuadratic(a=a, theta=theta_t))
+            qm = QuadraticMap(centers=C, rho=rho,
+                              target=UnitQuadratic(a=a, rho=rho_t))
             assert qm.regime() is Regime.CRITICAL
             cases.append((qm, graph_value))
         for qm, graph_value in cases:
@@ -317,6 +357,17 @@ class TestSeparationProbe:
         report = separation_probe(qm, 2000, seed=5,
                                   extra_points=cloud.points)
         assert len(report.range_hits) > 0
+
+    @pytest.mark.parametrize("t", [0.0, 3.0, 10.0, 1e6])
+    def test_draws_follow_the_map(self, t):
+        # the probe draws about the target center: on the lens with a
+        # half-radius target at its center, moving both finds the same hits
+        lens = lens_instance()
+        moved = Instance.from_data(lens.centers_matrix() + t, lens.radii())
+        qm = QuadraticMap.from_instance(
+            moved, UnitQuadratic(a=np.array([t, t]), rho=0.25))
+        report = separation_probe(qm, 2000, seed=5)
+        assert len(report.range_hits) == 12 and len(report.hull_hits) == 5
 
     def test_unsupported_regime_refused(self):
         inst = unsupported_instance()

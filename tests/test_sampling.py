@@ -101,11 +101,25 @@ class TestSampleIntersection:
         D = X - c
         inside = X[np.einsum("ij,ij->i", D, D) <= r * r + BASE_TOL * r * r]
         assert np.array_equal(cloud.points, inside[:count])
-        # the cloud itself is 0.48 MB, held about three times while kept
-        # rows are stacked; an uncapped batch of 4 count rows was 6.5 MB
+        # the cloud itself is 0.48 MB; an uncapped batch of 4 count rows
+        # was 6.5 MB
         peak = traced_peak_mb(sample_intersection, inst, count, 6,
                               SampleMethod.REJECTION)
         assert peak < 2.0
+
+    def test_rejection_holds_one_output(self):
+        # accepted rows go straight into the (count, n) output, so beyond
+        # it only one batch and its filter are live; stacking a list of
+        # kept batches held the rows about twice more (9.95 MB)
+        inst = Instance.from_data([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+                                  [np.sqrt(2.0), np.sqrt(2.0)])
+        count = 200_000
+        output_mb = count * 3 * 8 / 1e6
+        # the first draw of a process imports modules (0.7 MB); not counted
+        sample_intersection(inst, 1, 4, SampleMethod.REJECTION)
+        peak = traced_peak_mb(sample_intersection, inst, count, 4,
+                              SampleMethod.REJECTION)
+        assert peak < output_mb + 1.5
 
     def test_hit_and_run_reaches_both_lobes(self):
         # the lens is symmetric about x2 = 0; a mixing chain covers both sides

@@ -173,8 +173,8 @@ class TestCertificate:
         # ball (the first input ball itself)
         inst = lens_instance()
         mu = np.array([1.0, 0.0])
-        a = inst.balls[0].center
-        r2 = float(a @ a) - (float(a @ a) - inst.balls[0].radius ** 2)
+        a = inst.centers_matrix()[0]
+        r2 = float(inst.radii()[0]) ** 2
         sol = Solution(center=a, radius=math.sqrt(r2), multipliers=mu,
                        qp_value=r2, status=SolveStatus.UPPER_BOUND_ONLY)
         cert = build_certificate(inst, sol)
@@ -213,9 +213,9 @@ class TestIdentityResidual:
         sol = solve_seb(inst)
         X = rng.standard_normal((50, 4)) * 5
         target = sol.target_quadratic()
-        loop = [sum(w * eval_quadratic(UnitQuadratic(a, t), x)
-                    for w, a, t in zip(sol.multipliers, inst.centers_matrix(),
-                                       inst.theta()))
+        loop = [sum(w * eval_quadratic(UnitQuadratic(a, r * r), x)
+                    for w, a, r in zip(sol.multipliers, inst.centers_matrix(),
+                                       inst.radii()))
                 - eval_quadratic(target, x) for x in X]
         batch = identity_residual(inst, sol, X)
         assert batch.shape == (50,)
@@ -243,14 +243,63 @@ class TestEquivariance:
         assert np.allclose(sol_t.multipliers, sol.multipliers, atol=1e-8)
 
     def test_rotation(self, rng):
-        inst = random_supported_instance(rng, 3)
-        sol = solve_seb(inst)
-        Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        rotated = Instance.from_data(inst.centers_matrix() @ Q.T, inst.radii())
-        sol_q = solve_seb(rotated)
-        assert np.allclose(sol_q.center, Q @ sol.center, atol=1e-8)
-        assert sol_q.radius == pytest.approx(sol.radius, abs=1e-8)
-        assert np.allclose(sol_q.multipliers, sol.multipliers, atol=1e-8)
+        # at every magnitude: rotating the balls rotates the ball
+        for s in (1e-6, 1.0, 1e6):
+            base = random_supported_instance(rng, 3)
+            inst = Instance.from_data(base.centers_matrix() * s,
+                                      base.radii() * s)
+            sol = solve_seb(inst)
+            Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+            rotated = Instance.from_data(inst.centers_matrix() @ Q.T,
+                                         inst.radii())
+            sol_q = solve_seb(rotated)
+            assert sol_q.status is sol.status
+            assert np.allclose(sol_q.center, Q @ sol.center, rtol=0,
+                               atol=1e-8 * s)
+            assert sol_q.radius == pytest.approx(sol.radius, rel=1e-8)
+            assert np.allclose(sol_q.multipliers, sol.multipliers, atol=1e-8)
+
+    def test_permutation(self):
+        # permuting the balls permutes the multipliers and nothing else
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            n = int(rng.integers(2, 6))
+            m = int(rng.integers(n, 3 * n + 1))
+            centers = rng.standard_normal((m, n))
+            radii = (np.linalg.norm(centers - 0.3 * rng.standard_normal(n),
+                                    axis=1) + rng.uniform(0.5, 1.0, m))
+            sol = solve_seb(Instance.from_data(centers, radii))
+            perm = rng.permutation(m)
+            sol_p = solve_seb(Instance.from_data(centers[perm], radii[perm]))
+            assert sol_p.status is sol.status
+            assert sol_p.radius == pytest.approx(sol.radius, rel=1e-10)
+            assert np.allclose(sol_p.center, sol.center, rtol=0, atol=1e-10)
+            assert np.allclose(sol_p.multipliers, sol.multipliers[perm],
+                               atol=1e-8)
+
+    @pytest.mark.parametrize("extra", ["duplicate", "redundant"])
+    def test_extra_ball_keeps_the_ball(self, extra):
+        # a copy of an input ball, or a ball containing the optimal ball,
+        # leaves the intersection, hence its smallest ball, unchanged
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            inst = random_supported_instance(rng, int(rng.integers(2, 6)))
+            sol = solve_seb(inst)
+            assert sol.status is SolveStatus.CERTIFIED_OPTIMAL
+            if extra == "duplicate":
+                j = int(rng.integers(inst.m))
+                center, radius = inst.centers_matrix()[j], inst.radii()[j]
+            else:
+                v = rng.standard_normal(inst.dimension)
+                center = sol.center + 0.5 * sol.radius * v / np.linalg.norm(v)
+                radius = 2.0 * sol.radius
+            grown = Instance.from_data(
+                np.vstack([inst.centers_matrix(), center]),
+                np.append(inst.radii(), radius))
+            sol_g = solve_seb(grown)
+            assert sol_g.radius == pytest.approx(sol.radius, rel=1e-10)
+            assert np.allclose(sol_g.center, sol.center, rtol=0,
+                               atol=1e-10 * sol.radius)
 
 
 class TestTranslation:
