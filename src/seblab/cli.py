@@ -59,11 +59,12 @@ def cmd_solve(args, out):
     if args.verify and solution.status in (SolveStatus.CERTIFIED_OPTIMAL,
                                            SolveStatus.UPPER_BOUND_ONLY):
         cloud = sampling.sample_intersection(
-            instance, args.verify, seed=args.seed, start=solution.center)
+            instance, args.verify, seed=args.seed, solution=solution)
         worst = sampling.farthest_distance(cloud, solution.center)
         rng = np.random.default_rng(args.seed)
         xs = rng.standard_normal((min(args.verify, 1000), instance.dimension))
         diagnostics["verify_points"] = args.verify
+        diagnostics["sample_method"] = cloud.method.value
         diagnostics["max_containment_violation"] = max(
             0.0, worst - solution.radius)
         diagnostics["identity_residual_max"] = float(
@@ -180,10 +181,11 @@ def cmd_oracle(args, out):
                                           SolveStatus.UPPER_BOUND_ONLY):
         cloud = sampling.sample_intersection(instance, args.cloud,
                                              seed=args.seed,
-                                             start=solution.center)
+                                             solution=solution)
         center, radius = sampling.cloud_meb(cloud)
         report["cloud_meb"] = {
             "count": args.cloud,
+            "sample_method": cloud.method.value,
             "radius": float(radius),
             "center": [float(v) for v in center],
             "farthest_from_solver_center": float(

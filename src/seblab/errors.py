@@ -25,10 +25,6 @@ class EmptyInteriorError(SebLabError):
     """The ball intersection has no interior point."""
 
 
-class RejectionStall(SebLabError):
-    """Rejection sampling acceptance rate collapsed."""
-
-
 class DimensionTooLarge(SebLabError):
     """Grid oracle guard: exhaustive search only supported in low dimension."""
 

@@ -4,11 +4,14 @@
 the one simplex-QP solver: the ball solver calls it, and `cloud_meb` calls
 it for the exact minimum enclosing ball of a point cloud. `grid_min_maxg`
 is the brute-force grid scan, which adds per-axis tables into the grid by
-broadcasting, one ball at a time. `hit_and_run` is the feasible-point
-sampler: it advances up to `CHAINS` hit-and-run chains together as the
-columns of one array, drawing from its own `np.random.default_rng(seed)`,
-so the global `np.random` state is never read or changed and one seed
-gives one output.
+broadcasting, one ball at a time. `hit_and_run` is the sampler's
+fallback for intersections that fill too little of their enclosing ball
+for rejection (in high dimension): it advances up to `CHAINS` hit-and-run
+chains together as the columns of one array, drawing from its own
+`np.random.default_rng(seed)`, so the global `np.random` state is never
+read or changed and one seed gives one output. Its points are feasible
+but correlated along each chain; the default rejection path in
+`sampling` gives i.i.d. uniform points.
 
 The grid scan works in slabs of at most `TILE` nodes (one row of nodes
 when a row is larger) and the sampler draws the directions of at most
@@ -21,7 +24,7 @@ import numpy as np
 CHAINS = 256
 # float64 values in one working block (256 KB): the nodes of a grid slab,
 # the direction coordinates of a run of hit-and-run steps, or a rejection
-# batch
+# batch with its filter's temporaries
 TILE = 1 << 15
 
 

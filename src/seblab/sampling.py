@@ -6,17 +6,21 @@ from enum import Enum
 
 import numpy as np
 
-from . import kernels
-from .errors import (
-    DimensionTooLarge,
-    EmptyInteriorError,
-    RejectionStall,
-    ValidationError,
-)
-from .geometry import BASE_TOL, Instance, SolveStatus
+from . import kernels, solver
+from .errors import DimensionTooLarge, EmptyInteriorError, ValidationError
+from .geometry import Instance, SolveStatus
 
-REJECTION_BUDGET = 5_000_000
-MIN_ACCEPT_RATE = 1e-6
+# A first batch of ball draws that keeps fewer than this share of its rows
+# hands the call to hit-and-run: the ball's volume outgrows the
+# intersection's with the dimension (about 1-9 % kept at n = 12, none at
+# n >= 24), and the rate bounds rejection's draws near 100 per point. It
+# is not the cost crossover: on n balls at the unit vectors of R^n
+# (n = 8, 12, 16, 24; 2-CPU Xeon, numpy 2.4.6) a drawn and filtered row
+# took 0.45-1.75 us and a hit-and-run point (2,000 points, burn-in 100,
+# thin 5) 9.3-22 us, so the two cost the same per kept point at 5-8 %
+# kept. Between 1 % and that, rejection spends up to about 8 times the
+# chains' time to keep its points i.i.d. and exactly uniform.
+PILOT_ACCEPT_RATE = 0.01
 
 
 class SampleMethod(Enum):
@@ -39,13 +43,9 @@ class SampleCloud:
         return self.points.shape[0]
 
 
-def _slater_point(instance: Instance):
-    from .solver import check_interior, solve_seb
-
-    solution = solve_seb(instance)
-    if solution.status is SolveStatus.EMPTY_INTERIOR:
-        raise EmptyInteriorError("ball intersection has empty interior")
-    nonempty, point = check_interior(instance, solution)
+def _slater_point(instance: Instance, solution):
+    """The solution's center, when it lies strictly inside every ball."""
+    nonempty, point = solver.check_interior(instance, solution)
     if not nonempty:
         raise EmptyInteriorError("ball intersection has empty interior")
     if point is None:
@@ -54,83 +54,116 @@ def _slater_point(instance: Instance):
     return point
 
 
-def _feasible_rows(instance: Instance, X, tol):
-    """Indices of the rows of X inside every ball, filtered ball by ball."""
+def _feasible_rows(centers, radii, X):
+    """Indices of the rows of X inside every ball, filtered ball by ball.
+
+    The test |x - a_i|^2 <= r_i^2 carries no slack: a uniform draw lies on
+    a sphere with probability zero, so a margin would only admit points
+    outside the balls.
+    """
     keep = np.arange(X.shape[0])
-    for a, r in zip(instance.centers_matrix(), instance.radii()):
+    for a, r in zip(centers, radii):
         D = X[keep] - a
-        keep = keep[np.einsum("ij,ij->i", D, D) <= r * r + tol]
+        keep = keep[np.einsum("ij,ij->i", D, D) <= r * r]
     return keep
 
 
-def _rejection(instance: Instance, count, seed, tol):
-    """Uniform rejection from the bounding box of the smallest input ball.
+def _proposal_ball(instance: Instance, multipliers):
+    """The enclosing ball B(a, r) that simplex weights mu give on their own:
+    a = sum_i mu_i a_i and r^2 = sum_i mu_i (r_i^2 - |a_i - a|^2).
 
-    A batch holds at most `kernels.TILE // n` rows (at least one), so the
-    draws and the filter's temporaries stay a fixed working set however
-    large `count`, and accepted rows go straight into the one (count, n)
-    output. Batches split one stream of draws, so their size does not
-    change which points come out.
+    For x in every ball, sum_i mu_i |x - a_i|^2 = |x - a|^2
+    + sum_i mu_i |a_i - a|^2 <= sum_i mu_i r_i^2, so the ball holds the
+    whole intersection for any simplex mu, converged or not. It is built
+    here from mu (clipped to the simplex) and not read off the solution, so
+    a containment check of the solution's center and radius against the
+    cloud still tests them. Sums run about the first center, free of
+    cancellation however far the balls sit from the origin.
     """
-    rng = np.random.default_rng(seed)
-    i = int(np.argmin(instance.radii()))
-    lo = instance.centers_matrix()[i] - instance.radii()[i]
-    hi = instance.centers_matrix()[i] + instance.radii()[i]
-    cap = max(1, kernels.TILE // instance.dimension)
-    out = np.empty((count, instance.dimension))
-    drawn = 0
+    mu = np.clip(np.asarray(multipliers, dtype=float), 0.0, None)
+    mu /= mu.sum()
+    centers = instance.centers_matrix()
+    a = centers[0] + mu @ (centers - centers[0])
+    D = centers - a
+    r2 = float(mu @ (instance.radii() ** 2 - np.einsum("ij,ij->i", D, D)))
+    if not r2 > 0.0:
+        raise EmptyInteriorError("ball intersection has empty interior")
+    return a, np.sqrt(r2)
+
+
+def _ball_rejection(instance: Instance, count, rng, center, radius):
+    """`count` i.i.d. uniform points of the intersection, drawn uniformly
+    from its enclosing ball B(center, radius) and kept when inside every
+    ball; None when the first batch keeps less than PILOT_ACCEPT_RATE.
+
+    A draw is a normalised normal direction times radius * U^(1/n), in
+    coordinates about `center`, which keeps the filter free of
+    cancellation however far the balls sit from the origin. Every batch
+    holds `kernels.TILE // (4 n)` rows (at least one), so the draws and
+    the filter's temporaries stay a fixed working set however large
+    `count`; the batches split one stream of draws, and a smaller `count`
+    gives a prefix of the same cloud. Accepted rows go straight into the
+    one (count, n) output, which is moved to `center` in place.
+    """
+    n = instance.dimension
+    batch = max(1, kernels.TILE // (4 * n))
+    centers, radii = instance.centers_matrix() - center, instance.radii()
+    out = np.empty((count, n))
     accepted = 0
     while accepted < count:
-        batch = min(max(4 * count, 4096), cap)
-        if drawn + batch > REJECTION_BUDGET:
-            batch = REJECTION_BUDGET - drawn
-            if batch <= 0:
-                raise RejectionStall(
-                    f"acceptance rate below {MIN_ACCEPT_RATE} after {drawn} draws"
-                )
-        X = rng.uniform(lo, hi, size=(batch, instance.dimension))
-        rows = _feasible_rows(instance, X, tol)[:count - accepted]
-        drawn += batch
+        X = rng.standard_normal((batch, n))
+        X *= (radius * rng.random(batch) ** (1.0 / n)
+              / np.sqrt(np.einsum("ij,ij->i", X, X)))[:, None]
+        rows = _feasible_rows(centers, radii, X)
+        if accepted == 0 and rows.size < PILOT_ACCEPT_RATE * batch:
+            return None
+        rows = rows[:count - accepted]
         out[accepted:accepted + rows.size] = X[rows]
         accepted += rows.size
-        if drawn >= 1_000_000 and accepted / drawn < MIN_ACCEPT_RATE:
-            raise RejectionStall(
-                f"acceptance rate {accepted / drawn:.2e} below {MIN_ACCEPT_RATE}"
-            )
+    out += center
     return out
 
 
 def sample_intersection(instance: Instance, count: int, seed: int = 0,
-                        method=SampleMethod.HIT_AND_RUN, start=None,
-                        burn_in=100, thin=5, base_tol=BASE_TOL) -> SampleCloud:
+                        method=SampleMethod.REJECTION, start=None,
+                        burn_in=100, thin=5, solution=None) -> SampleCloud:
     """Draw `count` points of the ball intersection.
 
-    Hit-and-run walks exact chords from a Slater point (computed from the
-    solver when `start` is omitted): up to `kernels.CHAINS` chains start
-    there together, each runs `burn_in` steps and then keeps every
-    `thin`-th point, and rows come out one round of chains at a time.
-    Rejection samples the bounding box of the smallest ball and falls back
-    to hit-and-run if acceptance collapses. Both draw only from
-    `np.random.default_rng(seed)`: the global `np.random` state is left
-    alone, and the same arguments give the same cloud.
+    `solution` is the solver's output for `instance`; when omitted the
+    call solves once itself. Its multipliers alone give the enclosing ball
+    B(a, r) of `_proposal_ball`, which holds the whole intersection
+    whether or not the solve converged; its center and radius are not
+    used for the draws. Rejection (the default) draws i.i.d. uniform
+    points of that ball and keeps those inside every input ball, so the
+    cloud is i.i.d. and exactly uniform on the intersection. When the
+    first batch keeps too few draws (PILOT_ACCEPT_RATE), as in high
+    dimension, the call falls back to hit-and-run, which walks exact
+    chords from `start`, or from the solution's center when `start` is
+    omitted and that center lies strictly inside every ball: up to
+    `kernels.CHAINS` chains start there together, each runs `burn_in`
+    steps and then keeps every `thin`-th point. The cloud's `method` names
+    the path that ran. Both draw only from `np.random.default_rng(seed)`
+    or the kernel's own generator of that seed: the global `np.random`
+    state is left alone, and the same arguments give the same cloud.
     """
     if count < 0:
         raise ValidationError("count must be >= 0")
     method = SampleMethod(method)
-    # relative to the balls, not to |center|^2: far from the origin a
-    # scale() tolerance would accept points well outside the balls
-    tol = base_tol * float((instance.radii() ** 2).max())
     if count == 0:
         return SampleCloud(points=np.empty((0, instance.dimension)),
                            seed=seed, method=method)
+    if solution is None:
+        solution = solver.solve_seb(instance)
+    if solution.status in (SolveStatus.EMPTY_INTERIOR,
+                           SolveStatus.DEGENERATE_POINT):
+        raise EmptyInteriorError("ball intersection has empty interior")
     if method is SampleMethod.REJECTION:
-        try:
-            pts = _rejection(instance, count, seed, tol)
+        pts = _ball_rejection(instance, count, np.random.default_rng(seed),
+                              *_proposal_ball(instance, solution.multipliers))
+        if pts is not None:
             return SampleCloud(points=pts, seed=seed, method=method)
-        except RejectionStall:
-            method = SampleMethod.HIT_AND_RUN
     if start is None:
-        start = _slater_point(instance)
+        start = _slater_point(instance, solution)
     pts = kernels.hit_and_run(
         instance.centers_matrix(), instance.radii(),
         np.asarray(start, dtype=float),

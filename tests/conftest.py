@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -78,6 +79,8 @@ def traced_peak_mb(fn, *args):
             tracemalloc.stop()
 
 
-@pytest.fixture(scope="session")
-def rng():
-    return np.random.default_rng(20240817)
+@pytest.fixture
+def rng(request):
+    """A generator of the test's own: seeded from its id, so its inputs do
+    not depend on which tests ran before it or were selected with it."""
+    return np.random.default_rng(zlib.crc32(request.node.nodeid.encode()))

@@ -25,6 +25,11 @@ EXAMPLE = {"dimension": 2,
 DISJOINT = {"dimension": 2,
             "balls": [{"center": [-5.0, 0.0], "radius": 1.0},
                       {"center": [5.0, 0.0], "radius": 1.0}]}
+# the solver's ball keeps about 4 in 10,000 uniform draws: the sampler
+# falls back to hit-and-run
+HIGH_DIM = {"dimension": 16,
+            "balls": [{"center": list(row), "radius": 1.2}
+                      for row in np.eye(16)]}
 UNSUPPORTED = {"dimension": 2,
                "balls": [{"center": [1.0, 0.0], "radius": 2.0},
                          {"center": [0.0, 1.0], "radius": 2.0},
@@ -58,6 +63,33 @@ class TestSolveCommand:
         assert report["diagnostics"]["max_containment_violation"] == 0.0
         assert report["diagnostics"]["identity_residual_max"] < 1e-9
         assert report["diagnostics"]["converged"] is True
+
+    def test_verify_reports_sample_method(self, tmp_path):
+        for doc, method in ((LENS, "Rejection"), (HIGH_DIM, "HitAndRun")):
+            path = write_doc(tmp_path, "inst.json", doc)
+            code, text = run_cli(["solve", path, "--verify", "50"])
+            assert code == 0
+            diagnostics = json.loads(text)["diagnostics"]
+            assert diagnostics["sample_method"] == method
+            assert diagnostics["max_containment_violation"] == 0.0
+
+    def test_verify_samples_the_reported_solve(self, tmp_path, monkeypatch):
+        # the cloud is drawn from the solve being verified, also under
+        # --max-iter, and not from a second solve with default settings
+        from seblab import solver
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the sampler solved again")
+
+        monkeypatch.setattr(solver, "solve_seb", no_solve)
+        path = write_doc(tmp_path, "lens.json", LENS)
+        for extra in ([], ["--max-iter", "3"]):
+            code, text = run_cli(["solve", path, "--verify", "50"] + extra)
+            assert code == 0
+            assert json.loads(text)["diagnostics"]["sample_method"] == (
+                "Rejection")
+        code, _ = run_cli(["oracle", path, "--cloud", "50"])
+        assert code == 0
 
     def test_disjoint_exit_code(self, tmp_path):
         path = write_doc(tmp_path, "disjoint.json", DISJOINT)
@@ -168,6 +200,14 @@ class TestOracleCommand:
         assert abs(g["value"] - g["minus_qp_value"]) <= g["bound"]
         assert report["cloud_meb"]["radius"] <= report["solver"]["radius"] * (
             1 + 1e-3)
+
+    def test_cloud_reports_sample_method(self, tmp_path):
+        for doc, method in ((LENS, "Rejection"), (HIGH_DIM, "HitAndRun")):
+            path = write_doc(tmp_path, "inst.json", doc)
+            code, text = run_cli(["oracle", path, "--grid", "2",
+                                  "--cloud", "50"])
+            assert code == 0
+            assert json.loads(text)["cloud_meb"]["sample_method"] == method
 
 
 class TestRankCommand:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -15,10 +16,13 @@ from seblab.errors import (
     EmptyInteriorError,
     ValidationError,
 )
-from seblab.geometry import BASE_TOL, Instance
+from seblab import kernels
+from seblab.geometry import Instance
 from seblab.sampling import (
     SampleCloud,
     SampleMethod,
+    _feasible_rows,
+    _proposal_ball,
     cloud_meb,
     default_box,
     farthest_distance,
@@ -26,6 +30,7 @@ from seblab.sampling import (
     grid_resolution_bound,
     sample_intersection,
 )
+from seblab import solver
 from seblab.solver import solve_seb
 
 
@@ -45,6 +50,31 @@ def max_violation(instance, points):
     return float((d2 - radii2[None, :]).max())
 
 
+def fallback_instance():
+    """16 balls centered at the unit vectors of R^16, radius 1.2: the
+    solver's ball keeps about 4 in 10,000 of its uniform draws."""
+    return Instance.from_data(np.eye(16), np.full(16, 1.2))
+
+
+def rejection_stream(instance, seed, rows):
+    """The first `rows` in-ball draws of the rejection stream: batches of
+    TILE // (4 n) uniform points of the multipliers' ball, in the sampler's
+    arithmetic, each kept when it lies inside every input ball."""
+    center, radius = _proposal_ball(instance, solve_seb(instance).multipliers)
+    n = instance.dimension
+    batch = kernels.TILE // (4 * n)
+    centers = instance.centers_matrix() - center
+    rng = np.random.default_rng(seed)
+    kept = []
+    while sum(len(k) for k in kept) < rows:
+        X = rng.standard_normal((batch, n))
+        X *= (radius * rng.random(batch) ** (1.0 / n)
+              / np.sqrt(np.einsum("ij,ij->i", X, X)))[:, None]
+        D2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        kept.append(X[(D2 <= instance.radii() ** 2).all(axis=1)])
+    return np.vstack(kept)[:rows] + center
+
+
 class TestSampleIntersection:
     @pytest.mark.parametrize("method", list(SampleMethod))
     def test_points_are_feasible(self, method):
@@ -57,6 +87,7 @@ class TestSampleIntersection:
                 (far, SHIFT, 1e-9 * float((far.radii() ** 2).max()))):
             cloud = sample_intersection(inst, 500, seed=3, method=method,
                                         start=start)
+            assert cloud.method is method
             assert len(cloud) == 500
             assert cloud.points.shape == (500, 2)
             assert max_violation(inst, cloud.points) <= tol
@@ -64,7 +95,8 @@ class TestSampleIntersection:
     def test_moved_lens_slater_point(self):
         # without `start` the chains begin at the solver's Slater point
         far = moved_lens()
-        cloud = sample_intersection(far, 5, seed=3)
+        cloud = sample_intersection(far, 5, seed=3,
+                                    method=SampleMethod.HIT_AND_RUN)
         assert len(cloud) == 5
         assert max_violation(far, cloud.points) <= 1e-9 * float(
             (far.radii() ** 2).max())
@@ -74,43 +106,107 @@ class TestSampleIntersection:
         lens = lens_instance()
         scaled = Instance.from_data(lens.centers_matrix() * s,
                                     lens.radii() * s)
-        cloud = sample_intersection(scaled, 5, seed=3)
+        cloud = sample_intersection(scaled, 5, seed=3,
+                                    method=SampleMethod.HIT_AND_RUN)
         assert len(cloud) == 5
         assert max_violation(scaled, cloud.points) <= 1e-9 * 2.0 * s * s
         assert farthest_distance(cloud, [0.0, 0.0]) <= s * (1.0 + 1e-12)
 
-    def test_rejection_single_ball_is_uniform_box_restriction(self):
-        inst = Instance.from_data([[1.0, -2.0]], [0.5])
-        cloud = sample_intersection(inst, 2000, seed=1,
-                                    method=SampleMethod.REJECTION)
+    def test_rejection_single_ball_moments(self):
+        # uniform on B(c, r) in R^3: mean c, and E|x - c|^2 = 3 r^2 / 5
+        c, r = np.array([1.0, -2.0, 0.5]), 0.5
+        inst = Instance.from_data([c], [r])
+        cloud = sample_intersection(inst, 4000, seed=1)
         assert cloud.method is SampleMethod.REJECTION
-        assert max_violation(inst, cloud.points) <= 1e-9
-        # sample mean near the center for a symmetric body
-        assert np.allclose(cloud.points.mean(axis=0), [1.0, -2.0], atol=0.05)
+        assert max_violation(inst, cloud.points) <= 1e-12
+        # five standard errors: 0.0071 r per coordinate, 0.0041 r^2
+        assert np.allclose(cloud.points.mean(axis=0), c, rtol=0.0,
+                           atol=0.035 * r)
+        D = cloud.points - c
+        assert np.einsum("ij,ij->i", D, D).mean() == pytest.approx(
+            0.6 * r * r, abs=0.02 * r * r)
+
+    def test_proposal_ball_holds_the_intersection(self, rng):
+        # any simplex weights give a ball holding every feasible point;
+        # the points come from hit-and-run, which does not use that ball
+        lens = lens_instance()
+        for mu, center, r in (([0.5, 0.5], [0.0, 0.0], 1.0),
+                              ([1.0, 0.0], [-1.0, 0.0], np.sqrt(2.0))):
+            a, radius = _proposal_ball(lens, mu)
+            assert np.allclose(a, center, rtol=0.0, atol=1e-15)
+            assert radius == pytest.approx(r, rel=1e-15)
+        for n in (2, 3, 4):
+            inst = random_supported_instance(rng, n)
+            cloud = sample_intersection(inst, 500, seed=n,
+                                        method=SampleMethod.HIT_AND_RUN)
+            for _ in range(5):
+                a, radius = _proposal_ball(inst, rng.dirichlet(
+                    np.ones(inst.m)))
+                assert farthest_distance(cloud, a) <= radius * (1 + 1e-12)
+
+    def test_shrunken_solution_ball_is_exceeded(self):
+        # the draws come from the multipliers alone: a solution whose
+        # radius is too small, or whose center is off, is still sampled
+        # over the whole lens, so the cloud reaches outside its ball
+        lens = lens_instance()
+        sol = solve_seb(lens)
+        for bad in (dataclasses.replace(sol, radius=0.9 * sol.radius),
+                    dataclasses.replace(sol, center=sol.center + [0.0, 0.3])):
+            cloud = sample_intersection(lens, 2000, seed=2, solution=bad)
+            assert cloud.method is SampleMethod.REJECTION
+            assert max_violation(lens, cloud.points) <= 0.0
+            assert farthest_distance(cloud, bad.center) > bad.radius + 0.05
+
+    def test_held_solution_saves_the_solve(self, monkeypatch):
+        # a caller that holds the solution gets the cloud the call would
+        # draw after its own solve, without a second solve
+        lens = lens_instance()
+        sol = solve_seb(lens)
+        own = sample_intersection(lens, 500, seed=3)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("sample_intersection solved again")
+
+        monkeypatch.setattr(solver, "solve_seb", no_solve)
+        for method in SampleMethod:
+            held = sample_intersection(lens, 500, seed=3, method=method,
+                                       solution=sol)
+            assert held.method is method
+        assert np.array_equal(
+            sample_intersection(lens, 500, seed=3, solution=sol).points,
+            own.points)
+
+    def test_filter_rejects_points_just_outside(self):
+        # |x - a|^2 = r^2 (1 + 5e-10) lies outside: a 1e-9 r^2 slack let it
+        # through, and the benchmark's containment check allows 1e-12
+        for r in (1.0, 3.0):
+            X = np.array([[r * np.sqrt(1.0 + 5e-10), 0.0], [r, 0.0],
+                          [0.0, -r], [0.5 * r, 0.5 * r]])
+            assert np.array_equal(
+                _feasible_rows(np.zeros((1, 2)), np.array([r]), X), [1, 2, 3])
 
     def test_rejection_batches_split_one_stream(self):
-        # capped batches split one stream of draws: the cloud is the first
-        # `count` in-ball rows of a single uncapped draw, and the batches,
-        # not the count, bound the working memory
+        # fixed batches split one stream of draws: the cloud is the first
+        # `count` in-ball rows of that stream, a smaller count gives a
+        # prefix of it, and the batches, not the count, bound the working
+        # memory
         c, r = np.array([0.5, -1.0, 2.0]), 1.5
         inst = Instance.from_data([c], [r])
         count = 20000
-        cloud = sample_intersection(inst, count, seed=6,
-                                    method=SampleMethod.REJECTION)
-        X = np.random.default_rng(6).uniform(c - r, c + r, size=(3 * count, 3))
-        D = X - c
-        inside = X[np.einsum("ij,ij->i", D, D) <= r * r + BASE_TOL * r * r]
-        assert np.array_equal(cloud.points, inside[:count])
+        cloud = sample_intersection(inst, count, seed=6)
+        assert np.array_equal(cloud.points, rejection_stream(inst, 6, count))
+        assert np.array_equal(sample_intersection(inst, 100, seed=6).points,
+                              cloud.points[:100])
         # the cloud itself is 0.48 MB; an uncapped batch of 4 count rows
         # was 6.5 MB
-        peak = traced_peak_mb(sample_intersection, inst, count, 6,
-                              SampleMethod.REJECTION)
+        peak = traced_peak_mb(sample_intersection, inst, count, 6)
         assert peak < 2.0
 
     def test_rejection_holds_one_output(self):
-        # accepted rows go straight into the (count, n) output, so beyond
-        # it only one batch and its filter are live; stacking a list of
-        # kept batches held the rows about twice more (9.95 MB)
+        # accepted rows go straight into the (count, n) output, which is
+        # moved to the ball's center in place, so beyond it only one batch
+        # and its filter are live; stacking a list of kept batches held the
+        # rows about twice more (9.95 MB), and so does `out + center`
         inst = Instance.from_data([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
                                   [np.sqrt(2.0), np.sqrt(2.0)])
         count = 200_000
@@ -121,52 +217,99 @@ class TestSampleIntersection:
                               SampleMethod.REJECTION)
         assert peak < output_mb + 1.5
 
+    def test_rejection_working_set_on_lens(self):
+        # 2,000 points of the 3-D lens, as the verification workloads draw
+        # them: the output (0.048 MB), one batch and the solve; hit-and-run
+        # from the center peaked at 0.86 MB
+        inst = Instance.from_data([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+                                  [np.sqrt(2.0), np.sqrt(2.0)])
+        sample_intersection(inst, 1, 4)
+        peak = traced_peak_mb(sample_intersection, inst, 2000, 4)
+        assert peak < 0.5
+
     def test_hit_and_run_reaches_both_lobes(self):
         # the lens is symmetric about x2 = 0; a mixing chain covers both sides
-        cloud = sample_intersection(lens_instance(), 2000, seed=7)
+        cloud = sample_intersection(lens_instance(), 2000, seed=7,
+                                    method=SampleMethod.HIT_AND_RUN)
         assert (cloud.points[:, 1] > 0.1).sum() > 200
         assert (cloud.points[:, 1] < -0.1).sum() > 200
 
+    def test_rejection_reaches_both_lobes(self):
+        # each side of the strip |x2| <= 0.1 holds 43 % of the lens's area:
+        # 855 of 2,000 i.i.d. uniform points expected, standard deviation 22
+        cloud = sample_intersection(lens_instance(), 2000, seed=7)
+        assert cloud.method is SampleMethod.REJECTION
+        assert (cloud.points[:, 1] > 0.1).sum() > 700
+        assert (cloud.points[:, 1] < -0.1).sum() > 700
+
+    def test_high_dimension_falls_back_to_hit_and_run(self):
+        # the first batch of ball draws keeps (almost) nothing, so the call
+        # hands over to the chains and says so
+        inst = fallback_instance()
+        cloud = sample_intersection(inst, 300, seed=2)
+        assert cloud.method is SampleMethod.HIT_AND_RUN
+        assert cloud.points.shape == (300, 16)
+        assert max_violation(inst, cloud.points) <= 1e-9 * inst.scale()
+
     def test_seed_reproducibility(self):
-        inst = critical_instance()
-        c1 = sample_intersection(inst, 100, seed=42)
-        c2 = sample_intersection(inst, 100, seed=42)
-        c3 = sample_intersection(inst, 100, seed=43)
-        assert np.array_equal(c1.points, c2.points)
-        assert not np.array_equal(c1.points, c3.points)
+        # one seed gives one cloud on either path
+        for inst, method in ((critical_instance(), SampleMethod.REJECTION),
+                             (fallback_instance(), SampleMethod.HIT_AND_RUN)):
+            c1 = sample_intersection(inst, 100, seed=42)
+            c2 = sample_intersection(inst, 100, seed=42)
+            c3 = sample_intersection(inst, 100, seed=43)
+            assert c1.method is method
+            assert np.array_equal(c1.points, c2.points)
+            assert not np.array_equal(c1.points, c3.points)
 
     def test_hit_and_run_translation_equivariant(self):
         # chords are computed relative to the start point, so moving the
         # balls and the start by 1e6 moves the cloud and nothing else
         near = sample_intersection(lens_instance(), 500, seed=3,
+                                   method=SampleMethod.HIT_AND_RUN,
                                    start=np.zeros(2))
-        moved = sample_intersection(moved_lens(), 500, seed=3, start=SHIFT)
+        moved = sample_intersection(moved_lens(), 500, seed=3,
+                                    method=SampleMethod.HIT_AND_RUN,
+                                    start=SHIFT)
+        assert np.allclose(moved.points - SHIFT, near.points, rtol=0,
+                           atol=1e-9)
+
+    def test_rejection_translation_equivariant(self):
+        # draws and filter are taken about the solver's center, so moving
+        # the balls by 1e6 moves the cloud and nothing else
+        near = sample_intersection(lens_instance(), 500, seed=3)
+        moved = sample_intersection(moved_lens(), 500, seed=3)
+        assert near.method is moved.method is SampleMethod.REJECTION
         assert np.allclose(moved.points - SHIFT, near.points, rtol=0,
                            atol=1e-9)
 
     def test_global_rng_untouched(self):
-        np.random.seed(7)
-        expected = np.random.random(3)
-        np.random.seed(7)
-        sample_intersection(lens_instance(), 5, seed=1)
-        assert np.array_equal(np.random.random(3), expected)
+        for inst in (lens_instance(), fallback_instance()):
+            np.random.seed(7)
+            expected = np.random.random(3)
+            np.random.seed(7)
+            sample_intersection(inst, 5, seed=1)
+            assert np.array_equal(np.random.random(3), expected)
 
     @pytest.mark.parametrize("count", [1, 5, 300, 1000])
     def test_count_around_chain_rounds(self, count):
         # below, between and above multiples of the chain count
         inst = critical_instance()
         start = solve_seb(inst).center
-        c1 = sample_intersection(inst, count, seed=4, start=start,
-                                 burn_in=0, thin=1)
-        c2 = sample_intersection(inst, count, seed=4, start=start,
-                                 burn_in=0, thin=1)
+        c1 = sample_intersection(inst, count, seed=4,
+                                 method=SampleMethod.HIT_AND_RUN,
+                                 start=start, burn_in=0, thin=1)
+        c2 = sample_intersection(inst, count, seed=4,
+                                 method=SampleMethod.HIT_AND_RUN,
+                                 start=start, burn_in=0, thin=1)
         assert c1.points.shape == (count, 2)
         assert max_violation(inst, c1.points) <= 1e-9 * inst.scale()
         assert np.array_equal(c1.points, c2.points)
 
     def test_disjoint_raises(self):
-        with pytest.raises(EmptyInteriorError):
-            sample_intersection(disjoint_instance(), 10)
+        for method in SampleMethod:
+            with pytest.raises(EmptyInteriorError):
+                sample_intersection(disjoint_instance(), 10, method=method)
 
     def test_zero_count(self):
         cloud = sample_intersection(lens_instance(), 0)
