@@ -1,6 +1,9 @@
+import importlib
 import math
+import sys
 import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,8 @@ from seblab import Instance, UnitQuadratic
 from seblab.numrange import QuadraticMap
 
 SQRT2 = math.sqrt(2.0)
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+BENCH_MODULES = ("checks", "run", "spans", "workloads")
 
 
 def lens_instance():
@@ -84,3 +89,16 @@ def rng(request):
     """A generator of the test's own: seeded from its id, so its inputs do
     not depend on which tests ran before it or were selected with it."""
     return np.random.default_rng(zlib.crc32(request.node.nodeid.encode()))
+
+
+@pytest.fixture(scope="module")
+def bench():
+    """The benchmark's modules, imported as `bench/run.py` imports them and
+    only read."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        yield {name: importlib.import_module(name) for name in BENCH_MODULES}
+    finally:
+        sys.path.remove(str(BENCH))
+        for name in BENCH_MODULES:
+            sys.modules.pop(name, None)

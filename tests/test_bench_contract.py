@@ -8,28 +8,12 @@ result, would turn a per-layer metric into null.
 
 import importlib
 import json
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import BENCH
 from seblab import kernels
-
-BENCH = Path(__file__).resolve().parent.parent / "bench"
-MODULES = ("checks", "run", "spans", "workloads")
-
-
-@pytest.fixture(scope="module")
-def bench():
-    """The benchmark's modules, imported as `bench/run.py` imports them."""
-    sys.path.insert(0, str(BENCH))
-    try:
-        yield {name: importlib.import_module(name) for name in MODULES}
-    finally:
-        sys.path.remove(str(BENCH))
-        for name in MODULES:
-            sys.modules.pop(name, None)
 
 
 def test_every_traced_site_exists(bench):

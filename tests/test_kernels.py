@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import traced_peak_mb
-from seblab import kernels
+from conftest import (critical_instance, disjoint_instance, lens_instance,
+                      traced_peak_mb, unsupported_instance)
+from seblab import Instance, kernels, sampling, solver
 
 
 def brute_force_grid(centers, radii, lo, hi, resolution):
@@ -16,9 +17,10 @@ def brute_force_grid(centers, radii, lo, hi, resolution):
         for x in itertools.product(*axes))
 
 
-def untiled_grid(centers, radii, lo, hi, resolution):
+def untiled_values(centers, radii, lo, hi, resolution):
     """The whole grid at once: each ball's per-axis tables broadcast into
-    one (resolution+1)^n array, in the kernel's order of additions."""
+    one (resolution+1)^n array of max_i g_i, in the kernel's order of
+    additions."""
     axes = np.linspace(lo, hi, resolution + 1, axis=1)
     best = np.full((resolution + 1,) * lo.size, -np.inf)
     for a, r in zip(centers, radii):
@@ -26,7 +28,11 @@ def untiled_grid(centers, radii, lo, hi, resolution):
         for x, c in zip(axes[1:], a[1:]):
             g = g[..., None] + (x - c) ** 2
         np.maximum(best, g, out=best)
-    return float(best.min())
+    return best
+
+
+def untiled_grid(centers, radii, lo, hi, resolution):
+    return float(untiled_values(centers, radii, lo, hi, resolution).min())
 
 
 def random_grid_case(rng, n, m):
@@ -35,6 +41,25 @@ def random_grid_case(rng, n, m):
     lo = rng.uniform(-4.0, 0.0, n)
     hi = lo + rng.uniform(0.5, 6.0, n)
     return centers, radii, lo, hi
+
+
+@pytest.fixture(scope="module")
+def verify_items(bench):
+    """The `verify-lab` instances of seeds 1-3."""
+    return [item for seed in (1, 2, 3)
+            for item in bench["workloads"].verify_items(seed)]
+
+
+@pytest.fixture(scope="module")
+def verify_clouds(verify_items, bench):
+    """The clouds the `verify-lab` operations draw for those instances."""
+    clouds = []
+    for item in verify_items:
+        sol = solver.solve_seb(item.instance)
+        clouds.append(sampling.sample_intersection(
+            item.instance, bench["workloads"].CLOUD_POINTS, seed=item.seed,
+            start=sol.center, solution=sol).points)
+    return clouds
 
 
 class TestGridMinMaxG:
@@ -80,6 +105,101 @@ class TestGridMinMaxG:
                 case = random_grid_case(rng, n, m)
                 assert (kernels.grid_min_maxg(*case, resolution)
                         == untiled_grid(*case, resolution))
+
+    @pytest.mark.parametrize("shift", [1e3, 1e5, 1e8])
+    @pytest.mark.parametrize("n, resolution", [(1, 70000), (2, 200), (3, 60)])
+    def test_shifted_boxes_match_untiled_scan(self, n, resolution, shift):
+        # the pruning margin follows the box's extent about the centers,
+        # not the coordinates' magnitude
+        rng = np.random.default_rng(400 + n)
+        for m in (1, 2, 3):
+            centers, radii, lo, hi = random_grid_case(rng, n, m)
+            t = shift * rng.uniform(0.5, 1.0, n) * rng.choice([-1.0, 1.0], n)
+            case = (centers + t, radii, lo + t, hi + t)
+            assert (kernels.grid_min_maxg(*case, resolution)
+                    == untiled_grid(*case, resolution))
+
+    @pytest.mark.parametrize("n, resolution", [(2, 200), (3, 60)])
+    def test_disjoint_balls_match_untiled_scan(self, n, resolution):
+        # a positive minimum: no node lies in every ball
+        centers = np.zeros((2, n))
+        centers[:, 0] = [-5.0, 5.0]
+        case = (centers, np.ones(2), np.full(n, -6.0), np.full(n, 6.0))
+        value = kernels.grid_min_maxg(*case, resolution)
+        assert value > 0.0
+        assert value == untiled_grid(*case, resolution)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("n, resolution", [(1, 70000), (2, 200), (3, 60)])
+    def test_minimum_on_slab_boundary(self, n, resolution, reverse):
+        # nodes at the integers 0..resolution, and one ball centred on the
+        # last row of the first slab, on the first row of the second, or
+        # halfway between them, where the two rows tie in value and the
+        # two slabs in bound; the slab holding the minimum has it as its
+        # bound, so a bound too high by a row would skip that slab
+        lo, hi = np.zeros(n), np.full(n, float(resolution))
+        if reverse:
+            lo, hi = hi, lo
+        axes = np.linspace(lo, hi, resolution + 1, axis=1)
+        rows, _ = kernels._slabs(np.zeros((1, n)), np.ones(1), axes)
+        for x0 in (rows - 1.0, rows - 0.5, float(rows)):
+            centers = np.full((1, n), resolution / 2.0)
+            centers[0, 0] = resolution - x0 if reverse else x0
+            case = (centers, np.array([3.0]), lo, hi)
+            _, bounds = kernels._slabs(centers, case[1], axes)
+            if x0 == rows - 0.5:
+                assert bounds[0] == bounds[1] == bounds.min()
+            assert (kernels.grid_min_maxg(*case, resolution)
+                    == untiled_grid(*case, resolution))
+
+    @pytest.mark.parametrize("n, resolution", [(1, 70000), (2, 200), (3, 60)])
+    def test_tied_slab_bounds_match_untiled_scan(self, n, resolution):
+        # a box flat along the first axis: every slab ties in bound
+        rng = np.random.default_rng(600 + n)
+        for m in (1, 2, 3):
+            centers, radii, lo, hi = random_grid_case(rng, n, m)
+            hi[0] = lo[0]
+            axes = np.linspace(lo, hi, resolution + 1, axis=1)
+            _, bounds = kernels._slabs(centers, radii, axes)
+            assert bounds.size > 1 and np.unique(bounds).size == 1
+            assert (kernels.grid_min_maxg(centers, radii, lo, hi, resolution)
+                    == untiled_grid(centers, radii, lo, hi, resolution))
+
+    def test_verify_lab_grids_match_untiled_scan(self, verify_items, bench):
+        for item in verify_items:
+            inst = item.instance
+            resolution = bench["workloads"].GRID_RESOLUTION[inst.dimension]
+            case = (inst.centers_matrix(), inst.radii(),
+                    *sampling.default_box(inst))
+            assert (kernels.grid_min_maxg(*case, resolution)
+                    == untiled_grid(*case, resolution)), item.label
+
+    @pytest.mark.parametrize("n, resolution", [(1, 70000), (2, 200), (3, 60)])
+    def test_slab_bounds_undercut_their_nodes(self, n, resolution):
+        # in either orientation of the box, no node of a slab lies below
+        # the slab's bound by more than rounding
+        rng = np.random.default_rng(700 + n)
+        for m in (1, 2, 3) * 3:
+            centers, radii, lo, hi = random_grid_case(rng, n, m)
+            if rng.random() < 0.5:
+                lo, hi = hi, lo
+            axes = np.linspace(lo, hi, resolution + 1, axis=1)
+            rows, bounds = kernels._slabs(centers, radii, axes)
+            values = untiled_values(centers, radii, lo, hi, resolution)
+            mins = [values[s:s + rows].min()
+                    for s in range(0, resolution + 1, rows)]
+            assert np.all(bounds <= np.array(mins) + 1e-12)
+
+    def test_pruning_skips_far_slabs(self):
+        # one ball inside the box: only the slabs next to its center can
+        # hold a node as low as the minimum
+        centers, radii = np.array([[0.3, -0.2, 0.1]]), np.ones(1)
+        lo, hi = np.full(3, -2.0), np.full(3, 2.0)
+        rows, bounds = kernels._slabs(centers, radii,
+                                      np.linspace(lo, hi, 61, axis=1))
+        value = kernels.grid_min_maxg(centers, radii, lo, hi, 60)
+        assert bounds.size > 2
+        assert np.count_nonzero(bounds <= value) <= 2
 
     def test_working_memory_is_a_slab(self):
         # 201^3 nodes: an untiled scan holds two 65 MB grids
@@ -137,3 +257,164 @@ class TestHitAndRun:
         peak = traced_peak_mb(kernels.hit_and_run, c[None, :], np.ones(1), c,
                               2000, 100, 5, 1)
         assert peak < 1.0
+
+
+def minor_cycles_factoring_every_support(A, c, T, w):
+    """`kernels._minor_cycles` with a Cholesky attempt on every support,
+    however many points it holds: the reference for the kernel's
+    dimension-count test, which skips the attempt above n + 1 points."""
+    while T.size > 1:
+        D = A[T[1:]] - A[T[0]]
+        G = D @ D.T
+        try:
+            L = np.linalg.cholesky(G)
+            independent = (L.diagonal().min()
+                           > 1e-6 * np.sqrt(G.diagonal().max()))
+        except np.linalg.LinAlgError:
+            independent = False
+        if independent:
+            z = np.linalg.solve(G, 0.5 * (c[T[1:]] - c[T[0]]) - D @ A[T[0]])
+            y = np.append(1.0 - z.sum(), z)
+            if y.min() >= 0.0:
+                w = y
+                break
+            step = y - w
+        else:
+            u = np.linalg.svd(D.T)[2][-1]
+            step = np.append(-u.sum(), u)
+            if c[T] @ step < 0.0:
+                step = -step
+        neg = np.flatnonzero(step < 0.0)
+        ratios = w[neg] / -step[neg]
+        j = int(np.argmin(ratios))
+        w = np.maximum(w + ratios[j] * step, 0.0)
+        w[neg[j]] = 0.0
+        T, w = T[w > 0.0], w[w > 0.0]
+    keep = w > 0.0
+    return T[keep], w[keep] / w[keep].sum()
+
+
+def default_start_meb(points, iterations=1000):
+    """`kernels.cloud_meb` started from `fw_minimize`'s best vertex."""
+    o = points[0]
+    P = points - o
+    mu, _, _ = kernels.fw_minimize(P, np.einsum("ij,ij->i", P, P), 0.0,
+                                   iterations)
+    center = o + P.T @ mu
+    return center, float(np.sqrt(np.einsum("ij,ij->i", points - center,
+                                           points - center).max()))
+
+
+def simplex_q(A, c, mu):
+    x = A.T @ mu
+    return float(x @ x - c @ mu)
+
+
+class TestMinorCycles:
+    def test_dimension_count_keeps_supports_and_weights(self, monkeypatch,
+                                                        verify_clouds):
+        # more than n + 1 points are affinely dependent: skipping their
+        # Cholesky attempt must change no support and no weight
+        rng = np.random.default_rng(700)
+        instances = [lens_instance(), critical_instance(),
+                     disjoint_instance(), unsupported_instance()]
+        for n, m in ((2, 8), (3, 12), (3, 60), (5, 40)):
+            centers = rng.standard_normal((m, n))
+            p = 0.3 * rng.standard_normal(n)
+            radii = (np.linalg.norm(centers - p, axis=1)
+                     + rng.uniform(0.5, 1.0, m))
+            instances.append(Instance.from_data(centers, radii))
+
+        def results():
+            return ([solver.solve_seb(inst).multipliers for inst in instances]
+                    + [np.concatenate(kernels.cloud_meb(P, 1000), axis=None)
+                       for P in verify_clouds])
+
+        shortcut = results()
+        oversized = []
+
+        def reference(A, c, T, w):
+            oversized.append(T.size > A.shape[1] + 1)
+            return minor_cycles_factoring_every_support(A, c, T, w)
+
+        monkeypatch.setattr(kernels, "_minor_cycles", reference)
+        factored = results()
+        assert any(oversized)
+        for got, want in zip(shortcut, factored):
+            assert np.array_equal(got, want)
+
+
+class TestCloudMeb:
+    @pytest.mark.parametrize("points, center, radius", [
+        ([[5.0, -1.0]], [5.0, -1.0], 0.0),
+        ([[2.0, 3.0, -1.0]] * 6, [2.0, 3.0, -1.0], 0.0),
+        ([[0.0, 0.0], [2.0, 0.0]], [1.0, 0.0], 1.0),
+        ([[3.0, 1.0], [2.0, -1.0], [4.0, 3.0], [1.0, -3.0], [2.5, 0.0]],
+         [2.5, 0.0], 3.0 * np.sqrt(1.25)),
+    ], ids=["one point", "all equal", "two points", "collinear"])
+    def test_degenerate_clouds(self, points, center, radius):
+        points = np.array(points)
+        c, r = kernels.cloud_meb(points, 1000)
+        assert np.allclose(c, center, rtol=0.0, atol=1e-12)
+        assert r == pytest.approx(radius, rel=1e-12, abs=1e-15)
+        c0, r0 = default_start_meb(points)
+        assert r == pytest.approx(r0, rel=1e-15, abs=1e-15)
+
+    def test_far_shift(self):
+        rng = np.random.default_rng(800)
+        points = rng.standard_normal((500, 3))
+        shift = np.array([1e8, -1e8, 1e8])
+        c, r = kernels.cloud_meb(points, 1000)
+        c_far, r_far = kernels.cloud_meb(points + shift, 1000)
+        # moving the points rounds them to about 1.5e-8
+        assert np.allclose(c_far - shift, c, rtol=0.0, atol=1e-7)
+        assert r_far == pytest.approx(r, abs=1e-7)
+        assert r_far == pytest.approx(default_start_meb(points + shift)[1],
+                                      rel=1e-15, abs=0.0)
+
+    def test_support_start_keeps_gap_guarantee(self):
+        # a ball program's simplex QP, started from a given support
+        rng = np.random.default_rng(801)
+        for n, m in ((2, 5), (3, 40), (6, 30)):
+            A = rng.standard_normal((m, n))
+            c = np.einsum("ij,ij->i", A, A) - rng.uniform(1.0, 4.0, m)
+            tol = 1e-10
+            mu0, _, _ = kernels.fw_minimize(A, c, tol, 10**4)
+            for support in (np.array([0]), np.array([m - 1, 0]),
+                            np.arange(min(m, n + 3))):
+                mu, _, gap = kernels.fw_minimize(A, c, tol, 10**4, support)
+                assert mu.min() >= 0.0 and mu.sum() == pytest.approx(1.0)
+                grad = 2.0 * (A @ (A.T @ mu)) - c
+                assert gap == pytest.approx(grad @ mu - grad.min(), abs=1e-12)
+                assert gap <= tol
+                assert (simplex_q(A, c, mu)
+                        <= simplex_q(A, c, mu0) + tol)
+
+    def test_support_start_is_its_hull_minimum(self):
+        # an acute triangle and points inside it: started from the three
+        # vertices, the kernel is at their circumcenter, the exact ball,
+        # before its first major cycle
+        rng = np.random.default_rng(803)
+        triangle = np.array([[0.0, 0.0], [4.0, 0.0], [1.5, 3.0]])
+        inner = rng.dirichlet(np.ones(3), 200) @ triangle
+        P = np.vstack([triangle, inner])
+        c = np.einsum("ij,ij->i", P, P)
+        mu, cycles, _ = kernels.fw_minimize(P, c, 1e-12 * c.max(), 100,
+                                            np.arange(3))
+        center = P.T @ mu
+        assert cycles == 0
+        assert np.count_nonzero(mu) == 3
+        d = np.linalg.norm(triangle - center, axis=1)
+        assert d.max() - d.min() <= 1e-14 * d.max()
+
+    def test_radius_matches_default_start(self, verify_clouds):
+        rng = np.random.default_rng(802)
+        clouds = list(verify_clouds)
+        for n in (1, 2, 3, 5):
+            for size in (3, 50, 1000):
+                scale, shift = rng.uniform(0.1, 10.0), rng.standard_normal(n)
+                clouds.append(rng.standard_normal((size, n)) * scale + shift)
+        for points in clouds:
+            r0 = default_start_meb(points)[1]
+            assert kernels.cloud_meb(points, 1000)[1] == pytest.approx(
+                r0, rel=1e-15, abs=0.0)
