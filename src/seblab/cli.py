@@ -3,7 +3,9 @@
 Subcommands:
     solve <file>                 solve the instance, print a JSON report
     jnr <file> sample|member|probe   joint-numerical-range lab
-    oracle <file>                brute-force oracles side by side with the solver
+    oracle <file>                exact oracles beside the solver: q* by support
+                                 enumeration, min max_i g_i on a grid (n <= 3),
+                                 the ball of N sampled points (--cloud N)
     rank <file>                  rank / regime classification only
 
 Exit codes: 0 success, 1 parse/validation error, 2 empty interior,
@@ -17,7 +19,8 @@ import sys
 import numpy as np
 
 from . import io, numrange, sampling
-from .errors import SebLabError, UnsupportedRegime, ValidationError
+from .errors import (CombinatorialBlowup, SebLabError, UnsupportedRegime,
+                     ValidationError)
 from .geometry import SolveStatus, ball_to_quadratic
 from .numrange import QuadraticMap
 from .solver import (
@@ -148,7 +151,7 @@ def cmd_jnr(args, out):
 
 
 def cmd_oracle(args, out):
-    from .simplex_qp import build_qp, grid_oracle
+    from .simplex_qp import build_qp, support_oracle
 
     instance, _ = io.load_instance(args.file)
     solution = solve_seb(instance)
@@ -158,13 +161,12 @@ def cmd_oracle(args, out):
                    "status": solution.status.value},
         "warnings": [],
     }
-    qp = build_qp(instance)
     try:
-        val, mu = grid_oracle(qp, args.grid)
-        report["grid_oracle"] = {"k": args.grid, "value": float(val),
-                                 "minimizer": [float(v) for v in mu]}
-    except SebLabError as exc:
-        report["warnings"].append(f"grid_oracle skipped: {exc}")
+        val, mu = support_oracle(build_qp(instance))
+        report["support_oracle"] = {"value": float(val),
+                                    "minimizer": [float(v) for v in mu]}
+    except CombinatorialBlowup as exc:
+        report["warnings"].append(f"support_oracle skipped: {exc}")
     if instance.dimension <= 3:
         res = 200 if instance.dimension <= 2 else 60
         val = sampling.grid_min_maxg(instance, res)
@@ -240,7 +242,6 @@ def build_parser():
 
     p = sub.add_parser("oracle", help="brute-force cross-checks")
     p.add_argument("file")
-    p.add_argument("--grid", type=int, default=60, metavar="K")
     p.add_argument("--cloud", type=int, default=0, metavar="N")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_oracle)

@@ -191,6 +191,8 @@ def in_pair_hull(qmap: QuadraticMap, z) -> MembershipVerdict:
 def sample_inputs(qmap: QuadraticMap, count: int, rng):
     """`count` normal map inputs about the target center, of standard
     deviation three times the map's length, drawn from `rng`."""
+    if count < 0:
+        raise ValidationError(f"count must be >= 0, got {count}")
     return qmap.target.a + (rng.standard_normal((count, qmap.dimension))
                             * (3.0 * np.sqrt(qmap.scale)))
 

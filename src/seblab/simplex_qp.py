@@ -8,7 +8,8 @@ is formed: memory is O(mn). Wolfe's finite method adds one ball per major
 cycle and moves to the exact minimum over the hull of the support (at most
 n + 1 balls at an optimum of a ball instance), so it ends at a
 rounding-level gap after about as many cycles as the support has balls,
-with a gap certificate built in.
+with a gap certificate built in. `support_oracle` finds q* exactly by
+enumerating supports, without the solver's kernel, to check it.
 """
 
 import itertools
@@ -18,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import CombinatorialBlowup
+from .errors import CombinatorialBlowup, ValidationError
 from .geometry import Instance, _freeze
 
-GRID_ORACLE_GUARD = 10**7
+SUPPORT_GUARD = 10**4
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,8 @@ def solve(qp: SimplexQP, tol_gap=None, max_iter=None):
     the result is still returned with converged=False. The default tol_gap
     is 1e-10 max_i(2|b_i|^2 - c_i): for a ball program that is
     max_i |b_i|^2 + r_i^2, the instance's scale(), so the stopping rule
-    follows a uniform scaling of the balls.
+    follows a uniform scaling of the balls. A negative max_iter raises
+    ValidationError.
     """
     m = qp.m
     if tol_gap is None:
@@ -97,6 +99,8 @@ def solve(qp: SimplexQP, tol_gap=None, max_iter=None):
                                  - qp.linear).max())
     if max_iter is None:
         max_iter = 200 * m + 10**4
+    elif max_iter < 0:
+        raise ValidationError(f"max_iter must be >= 0, got {max_iter}")
     mu, iters, gap = kernels.fw_minimize(qp.centers, qp.linear,
                                          float(tol_gap), int(max_iter))
     return QPResult(minimizer=mu, value=qp.value(mu),
@@ -104,52 +108,38 @@ def solve(qp: SimplexQP, tol_gap=None, max_iter=None):
                     converged=gap <= tol_gap)
 
 
-def _compositions(k, m):
-    """All m-part compositions of k (stars and bars), lexicographic."""
-    for bars in itertools.combinations(range(k + m - 1), m - 1):
-        prev = -1
-        counts = []
-        for b in bars:
-            counts.append(b - prev - 1)
-            prev = b
-        counts.append(k + m - 1 - prev - 1)
-        yield counts
+def support_oracle(qp: SimplexQP):
+    """(q*, a minimizer) by enumeration of supports, with no kernel call:
+    an independent reference for `solve`.
 
-
-def grid_oracle(qp: SimplexQP, k: int):
-    """Exhaustive minimum of q over the k-th simplex lattice {mu_i = k_i/k}.
-
-    Independent brute-force oracle; ties resolve to the lexicographically
-    smallest minimizer regardless of evaluation order.
+    Some optimum has a support S of at most n + 1 affinely independent
+    points, where w is the stationary point of q on their affine hull:
+    w = (1 - sum z, z), (D D^T) z = (c_S' - c_0)/2 - D b_0, D the rows
+    b_j - b_0 (b_0 the first point of S). Each such w >= 0 is a simplex
+    point, so q(w) >= q*, and the least is q*. A singular system is
+    skipped (a smaller support covers it). More than SUPPORT_GUARD
+    supports raise CombinatorialBlowup before any is solved.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    m = qp.m
-    n_points = math.comb(k + m - 1, m - 1)
-    if n_points > GRID_ORACLE_GUARD:
+    m, n = qp.centers.shape
+    sizes = range(1, min(m, n + 1) + 1)
+    count = sum(math.comb(m, s) for s in sizes)
+    if count > SUPPORT_GUARD:
         raise CombinatorialBlowup(
-            f"simplex lattice has {n_points} points (> {GRID_ORACLE_GUARD})"
-        )
-    best_val = math.inf
-    best_mu = None
-    batch = []
-    def flush():
-        nonlocal best_val, best_mu
-        if not batch:
-            return
-        MU = np.array(batch, dtype=float) / k
-        X = MU @ qp.centers
-        vals = np.einsum("ij,ij->i", X, X) - MU @ qp.linear
-        j = int(np.argmin(vals))
-        if vals[j] < best_val or (
-            vals[j] == best_val and tuple(MU[j]) < tuple(best_mu)
-        ):
-            best_val = float(vals[j])
-            best_mu = MU[j]
-        batch.clear()
-    for counts in _compositions(k, m):
-        batch.append(counts)
-        if len(batch) >= 100_000:
-            flush()
-    flush()
-    return best_val, best_mu
+            f"{count} supports to enumerate (> {SUPPORT_GUARD})")
+    best_val, best_w = math.inf, None
+    for s in sizes:
+        for S in itertools.combinations(range(m), s):
+            first, rest = S[0], list(S[1:])
+            D = qp.centers[rest] - qp.centers[first]
+            rhs = (0.5 * (qp.linear[rest] - qp.linear[first])
+                   - D @ qp.centers[first])
+            try:
+                z = np.linalg.solve(D @ D.T, rhs)
+            except np.linalg.LinAlgError:
+                continue
+            w = np.zeros(m)
+            w[list(S)] = np.append(1.0 - z.sum(), z)
+            val = qp.value(w) if w.min() >= 0.0 else math.inf
+            if val < best_val:
+                best_val, best_w = val, w
+    return best_val, best_w

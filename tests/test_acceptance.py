@@ -34,7 +34,7 @@ from seblab.sampling import (
     grid_resolution_bound,
     sample_intersection,
 )
-from seblab.simplex_qp import build_qp, grid_oracle
+from seblab.simplex_qp import build_qp, support_oracle
 from seblab.solver import (
     Regime,
     build_certificate,
@@ -92,8 +92,8 @@ def test_02_lens_instance():
     ok = (np.allclose(sol.center, [0.0, 0.0], atol=1e-8)
           and abs(sol.radius - 1.0) <= 1e-8
           and np.allclose(sol.multipliers, [0.5, 0.5], atol=1e-8))
-    grid_val, _ = grid_oracle(build_qp(inst), 200)
-    ok = ok and abs(grid_val - sol.qp_value) <= 1e-3
+    q_exact, _ = support_oracle(build_qp(inst))
+    ok = ok and abs(q_exact - sol.qp_value) <= 1e-12 * inst.scale()
     for corner in ([0.0, 1.0], [0.0, -1.0]):
         ok = ok and abs(np.linalg.norm(np.array(corner) - sol.center)
                         - sol.radius) <= 1e-8
@@ -105,8 +105,8 @@ def test_03_critical_instance():
     sol = solve_seb(inst)
     ok = (np.allclose(sol.center, [0.5, 0.5], atol=1e-8)
           and abs(sol.radius - math.sqrt(3.5)) <= 1e-8)
-    grid_val, _ = grid_oracle(build_qp(inst), 200)
-    ok = ok and abs(grid_val - sol.qp_value) <= 1e-3
+    q_exact, _ = support_oracle(build_qp(inst))
+    ok = ok and abs(q_exact - sol.qp_value) <= 1e-12 * inst.scale()
     ok = ok and classify(inst).regime is Regime.CRITICAL
     report(3, ok)
 
@@ -116,13 +116,9 @@ def test_04_certificate_identity(batch):
     ok = True
     for inst, sol in batch:
         X = rng.standard_normal((1000, inst.dimension)) * 5
-        for x in X:
-            bound = 1e-9 * (1.0 + float(x @ x))
-            if abs(identity_residual(inst, sol, x)) > bound:
-                ok = False
-                break
-        if not ok:
-            break
+        bound = 1e-9 * (1.0 + np.einsum("ij,ij->i", X, X))
+        ok = ok and bool(np.all(np.abs(identity_residual(inst, sol, X))
+                                <= bound))
     report(4, ok)
 
 
@@ -140,8 +136,9 @@ def test_05_lmi_certificate(batch):
 def test_06_optimality_vs_oracle(batch):
     ok = True
     for inst, sol in batch:
-        grid_val, _ = grid_oracle(build_qp(inst), 60)
-        ok = ok and sol.qp_value - sol.fw_gap <= grid_val + 1e-12
+        q_exact, _ = support_oracle(build_qp(inst))
+        ok = ok and abs(sol.qp_value - q_exact) <= max(
+            sol.fw_gap, 1e-12 * abs(q_exact))
         ok = ok and sol.fw_gap <= 1e-10 * inst.scale()
     report(6, ok)
 
@@ -222,9 +219,9 @@ def test_12_unsupported_regime():
     sol = solve_seb(inst)
     ok = sol.status is SolveStatus.UPPER_BOUND_ONLY
     rng = np.random.default_rng(12)
-    for x in rng.standard_normal((1000, 2)) * 5:
-        ok = ok and abs(identity_residual(inst, sol, x)) <= 1e-9 * (
-            1.0 + float(x @ x))
+    X = rng.standard_normal((1000, 2)) * 5
+    ok = ok and bool(np.all(np.abs(identity_residual(inst, sol, X))
+                            <= 1e-9 * (1.0 + np.einsum("ij,ij->i", X, X))))
     cert = build_certificate(inst, sol)
     ok = ok and cert.psd_ok and abs(cert.alpha) <= 1e-7
     ok = ok and float(np.linalg.norm(cert.offdiag)) <= 1e-7

@@ -118,6 +118,12 @@ class TestSolveCommand:
         assert code == 1
         assert "error" in json.loads(text)
 
+    def test_negative_max_iter(self, tmp_path):
+        path = write_doc(tmp_path, "lens.json", LENS)
+        code, text = run_cli(["solve", path, "--max-iter", "-1"])
+        assert code == 1
+        assert "max_iter" in json.loads(text)["error"]
+
     def test_compact_single_line(self, tmp_path):
         path = write_doc(tmp_path, "lens.json", LENS)
         code, text = run_cli(["--compact", "solve", path])
@@ -181,6 +187,13 @@ class TestJnrCommand:
         assert code == 3
         assert "error" in json.loads(text)
 
+    def test_negative_count(self, tmp_path):
+        path = write_doc(tmp_path, "lens.json", LENS)
+        for action in ("sample", "probe"):
+            code, text = run_cli(["jnr", path, action, "--count", "-1"])
+            assert code == 1
+            assert "count" in json.loads(text)["error"]
+
     def test_target_needed_for_disjoint(self, tmp_path):
         path = write_doc(tmp_path, "disjoint.json", DISJOINT)
         code, _ = run_cli(["jnr", path, "member", "--point", "0,0,0"])
@@ -190,24 +203,36 @@ class TestJnrCommand:
 class TestOracleCommand:
     def test_lens(self, tmp_path):
         path = write_doc(tmp_path, "lens.json", LENS)
-        code, text = run_cli(["oracle", path, "--grid", "100",
-                              "--cloud", "500"])
+        code, text = run_cli(["oracle", path, "--cloud", "500"])
         assert code == 0
         report = json.loads(text)
         assert report["solver"]["qp_value"] == pytest.approx(1.0, abs=1e-10)
-        assert report["grid_oracle"]["value"] >= report["solver"]["qp_value"]
+        assert report["warnings"] == []
+        assert abs(report["support_oracle"]["value"]
+                   - report["solver"]["qp_value"]) <= 1e-12
+        assert np.allclose(report["support_oracle"]["minimizer"], [0.5, 0.5],
+                           rtol=0, atol=1e-12)
         g = report["grid_min_maxg"]
         assert abs(g["value"] - g["minus_qp_value"]) <= g["bound"]
         assert report["cloud_meb"]["radius"] <= report["solver"]["radius"] * (
-            1 + 1e-3)
+            1 + 1e-9)
 
     def test_cloud_reports_sample_method(self, tmp_path):
         for doc, method in ((LENS, "Rejection"), (HIGH_DIM, "HitAndRun")):
             path = write_doc(tmp_path, "inst.json", doc)
-            code, text = run_cli(["oracle", path, "--grid", "2",
-                                  "--cloud", "50"])
+            code, text = run_cli(["oracle", path, "--cloud", "50"])
             assert code == 0
             assert json.loads(text)["cloud_meb"]["sample_method"] == method
+
+    def test_support_oracle_guard_is_a_warning(self, tmp_path):
+        # 16 balls in R^16: 2^16 - 1 supports, over the oracle's guard
+        path = write_doc(tmp_path, "high.json", HIGH_DIM)
+        code, text = run_cli(["oracle", path])
+        assert code == 0
+        report = json.loads(text)
+        assert "support_oracle" not in report
+        assert any(w.startswith("support_oracle skipped: 65535 supports")
+                   for w in report["warnings"])
 
 
 class TestRankCommand:

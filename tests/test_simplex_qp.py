@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import critical_instance, lens_instance
-from seblab.errors import CombinatorialBlowup
+from seblab import kernels, simplex_qp
+from seblab.errors import CombinatorialBlowup, ValidationError
 from seblab.geometry import Instance
 from seblab.simplex_qp import (
     SimplexQP,
     build_qp,
-    grid_oracle,
     solve,
+    support_oracle,
 )
 
 
@@ -101,9 +102,9 @@ class TestSolve:
             A = rng.standard_normal((m, 2))
             qp = SimplexQP(centers=A, linear=rng.standard_normal(m))
             res = solve(qp)
-            grid_val, _ = grid_oracle(qp, 200)
-            # value - q* <= gap, and the lattice value upper-bounds q*
-            assert res.value - res.gap <= grid_val + 1e-12
+            q_exact, _ = support_oracle(qp)
+            # q* <= value <= q* + gap, up to rounding
+            assert q_exact - 1e-12 <= res.value <= q_exact + res.gap + 1e-12
 
     def test_nonconvergence_flagged(self):
         # the optimum is uniform on all 12 vertices; two major cycles reach
@@ -112,23 +113,83 @@ class TestSolve:
         res = solve(qp, tol_gap=1e-16, max_iter=2)
         assert not res.converged
 
+    def test_negative_max_iter_rejected(self):
+        qp = SimplexQP(centers=np.eye(2), linear=np.array([-3.0, -3.0]))
+        with pytest.raises(ValidationError):
+            solve(qp, max_iter=-1)
+        assert solve(qp, max_iter=0).iterations == 0
 
-class TestGridOracle:
+
+class TestSupportOracle:
     def test_examples(self):
         qp = SimplexQP(centers=np.eye(2), linear=np.array([-3.0, -3.0]))
-        val, mu = grid_oracle(qp, 2)
-        assert val == pytest.approx(3.5) and np.allclose(mu, [0.5, 0.5])
+        val, mu = support_oracle(qp)
+        assert val == pytest.approx(3.5, abs=1e-15)
+        assert np.allclose(mu, [0.5, 0.5], atol=1e-15)
 
         qp1 = SimplexQP(centers=np.array([[2.0]]), linear=np.array([1.0]))
-        _, mu1 = grid_oracle(qp1, 7)
-        assert np.allclose(mu1, [1.0])
+        val1, mu1 = support_oracle(qp1)
+        assert val1 == 3.0 and np.array_equal(mu1, [1.0])
 
         qp2 = SimplexQP(centers=np.array([[1.0], [-1.0]]),
                         linear=np.array([-1.0, -1.0]))
-        val2, _ = grid_oracle(qp2, 10)
-        assert val2 == pytest.approx(1.0)
+        val2, mu2 = support_oracle(qp2)
+        assert val2 == pytest.approx(1.0, abs=1e-15)
+        assert np.allclose(mu2, [0.5, 0.5], atol=1e-15)
+
+    def test_zero_gram_is_linear_program(self):
+        # every system of two or more points is singular: the vertices
+        # decide, and the best is the largest linear coefficient
+        qp = SimplexQP(centers=np.zeros((3, 1)),
+                       linear=np.array([1.0, 3.0, 2.0]))
+        val, mu = support_oracle(qp)
+        assert val == -3.0 and np.array_equal(mu, [0.0, 1.0, 0.0])
+
+    def test_uniform_optimum_on_twelve_balls(self):
+        # the 12 unit vectors with radii 1.2: q* = 1.44 - 11/12 at uniform
+        # mu, a support of all 12 balls
+        inst = Instance.from_data(np.eye(12), np.full(12, 1.2))
+        val, mu = support_oracle(build_qp(inst))
+        assert val == pytest.approx(1.44 - 11.0 / 12.0, rel=1e-14)
+        assert np.allclose(mu, np.full(12, 1.0 / 12.0), rtol=0, atol=1e-14)
+
+    def test_agrees_with_solve(self, rng):
+        for _ in range(60):
+            m = int(rng.integers(1, 9))
+            n = int(rng.integers(1, 5))
+            qp = SimplexQP(centers=rng.standard_normal((m, n)),
+                           linear=rng.standard_normal(m))
+            val, mu = support_oracle(qp)
+            res = solve(qp, tol_gap=0.0)
+            assert abs(val - res.value) <= 1e-12 * max(1.0, abs(val))
+            assert mu.min() >= 0.0 and mu.sum() == pytest.approx(1.0)
+            assert qp.value(mu) == val
+
+    def test_guard_counts_supports(self, monkeypatch):
+        # m = 4 points in R^1: 4 vertices and 6 pairs
+        qp = SimplexQP(centers=np.arange(4.0)[:, None], linear=np.zeros(4))
+        monkeypatch.setattr(simplex_qp, "SUPPORT_GUARD", 10)
+        support_oracle(qp)
+        monkeypatch.setattr(simplex_qp, "SUPPORT_GUARD", 9)
+        with pytest.raises(CombinatorialBlowup):
+            support_oracle(qp)
 
     def test_guard(self):
-        qp = SimplexQP(centers=np.eye(12), linear=np.zeros(12))
+        # 2^16 - 1 supports
+        qp = SimplexQP(centers=np.eye(16), linear=np.zeros(16))
         with pytest.raises(CombinatorialBlowup):
-            grid_oracle(qp, 200)
+            support_oracle(qp)
+
+    def test_independent_of_the_kernels(self, rng, monkeypatch):
+        qps = [SimplexQP(centers=rng.standard_normal((6, 3)),
+                         linear=rng.standard_normal(6)) for _ in range(10)]
+        values = [solve(qp).value for qp in qps]
+
+        def broken(*args, **kwargs):
+            raise AssertionError("the oracle called a solver kernel")
+
+        monkeypatch.setattr(kernels, "fw_minimize", broken)
+        monkeypatch.setattr(kernels, "_minor_cycles", broken)
+        for qp, value in zip(qps, values):
+            val, _ = support_oracle(qp)
+            assert abs(val - value) <= 1e-12 * max(1.0, abs(val))
