@@ -6,7 +6,8 @@ Subcommands:
     oracle <file>                exact oracles beside the solver: q* by support
                                  enumeration, min max_i g_i on a grid (n <= 3),
                                  the ball of N sampled points (--cloud N)
-    rank <file>                  rank / regime classification only
+    rank <file>                  the centers' affine rank and its regime,
+                                 the gate `solve` reads before solving
 
 Exit codes: 0 success, 1 parse/validation error, 2 empty interior,
 3 unsupported regime (jnr operations that need the gating condition).
@@ -203,7 +204,7 @@ def cmd_rank(args, out):
     report = {
         "dimension": instance.dimension,
         "balls": instance.m,
-        "rank_centers": regime.rank_centers,
+        "rank_shifted": regime.rank_shifted,
         "regime": regime.regime.value,
     }
     print(io.emit(report, compact=args.compact), file=out)

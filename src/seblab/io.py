@@ -118,7 +118,6 @@ def solution_report(instance, solution, regime, certificate=None,
         "qp_value": float(solution.qp_value),
         "status": solution.status.value,
         "regime": {
-            "rank_centers": regime.rank_centers,
             "rank_shifted": regime.rank_shifted,
             "regime": regime.regime.value,
         },

@@ -9,19 +9,14 @@ import numpy as np
 DEFAULT_RANK_TOL = 1e-10
 
 
-def rank_from_singular_values(s, shape, tol=DEFAULT_RANK_TOL):
-    """Count of the (descending) singular values s of a matrix of the given
-    shape above tol*s_max*max(shape); the one rank rule of the package."""
+def numerical_rank(vectors):
+    """Rank of a list of vectors: the count of singular values above
+    DEFAULT_RANK_TOL*s_max*max(n,m); the one rank rule of the package."""
+    V = np.atleast_2d(np.asarray(vectors, dtype=float))
+    s = np.linalg.svd(V, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > tol * s[0] * max(shape)))
-
-
-def numerical_rank(vectors, tol=DEFAULT_RANK_TOL):
-    """Rank of a list of vectors: singular values above tol*s_max*max(n,m)."""
-    V = np.atleast_2d(np.asarray(vectors, dtype=float))
-    return rank_from_singular_values(np.linalg.svd(V, compute_uv=False),
-                                     V.shape, tol)
+    return int(np.count_nonzero(s > DEFAULT_RANK_TOL * s[0] * max(V.shape)))
 
 
 def arrowhead_psd(alpha, b, beta, tol=1e-9):

@@ -89,14 +89,17 @@ def solve(qp: SimplexQP, tol_gap=None, max_iter=None):
     the result is still returned with converged=False. The default tol_gap
     is 1e-10 max_i(2|b_i|^2 - c_i): for a ball program that is
     max_i |b_i|^2 + r_i^2, the instance's scale(), so the stopping rule
-    follows a uniform scaling of the balls. A negative max_iter raises
-    ValidationError.
+    follows a uniform scaling of the balls. A tol_gap that is negative or
+    not finite, or a negative max_iter, raises ValidationError.
     """
     m = qp.m
     if tol_gap is None:
         B = qp.centers
         tol_gap = 1e-10 * float((2.0 * np.einsum("ij,ij->i", B, B)
                                  - qp.linear).max())
+    elif not (math.isfinite(tol_gap) and tol_gap >= 0.0):
+        raise ValidationError(
+            f"tol_gap must be finite and >= 0, got {tol_gap}")
     if max_iter is None:
         max_iter = 200 * m + 10**4
     elif max_iter < 0:

@@ -1,8 +1,9 @@
 """Enclosing-ball pipeline: regime gating, QP solve, recovery, certificates.
 
 The center is recovered as the multiplier combination of the input centers
-and the radius as the square root of the QP optimum; the rank of the centers
-and the convergence of the solve decide whether minimality is certified.
+and the radius as the square root of the QP optimum; the affine rank of the
+centers and the convergence of the solve decide whether minimality is
+certified.
 """
 
 from dataclasses import dataclass
@@ -31,9 +32,8 @@ class Regime(Enum):
 
 @dataclass(frozen=True)
 class RankRegime:
-    rank_centers: int
+    rank_shifted: int
     regime: Regime
-    rank_shifted: int | None = None
 
 
 def _regime_of(rank, n, m):
@@ -45,30 +45,35 @@ def _regime_of(rank, n, m):
 
 
 def classify(instance: Instance) -> RankRegime:
-    """Pre-solve gate on rank{a_1, ..., a_m} (the shifted rank needs the
-    still-unknown center, so the unshifted rank stands in; it only
-    over-reports)."""
-    rank = numerical_rank(instance.centers_matrix())
-    return RankRegime(rank_centers=rank,
+    """The rank gate, read before the solve: rank{a_i - a} at the solver's
+    center a = sum mu_i a_i is rank{a_i - a_j} for every simplex mu (a lies
+    in the centers' affine hull), the affine rank of the centers. It is
+    taken about the smallest ball, the frame of build_qp, so it moves with
+    no translation, and it is at most m - 1: the gate never reads
+    CriticalCase (rank = n = m) for the solver."""
+    A = instance.centers_matrix()
+    rank = numerical_rank(A - A[int(np.argmin(instance.radii()))])
+    return RankRegime(rank_shifted=rank,
                       regime=_regime_of(rank, instance.dimension, instance.m))
 
 
-def solve_seb(instance: Instance, tol_gap=None, max_iter=None, base_tol=BASE_TOL):
+def solve_seb(instance: Instance, tol_gap=None, max_iter=None):
     """Solve the simplex QP and recover the enclosing ball.
 
     The center is o + B^T mu in the program's frame about the smallest
     ball o. q* > 0: ball of radius sqrt(q*), certified when the solve
-    converged and the post-solve shifted rank, kept on the solution,
-    satisfies the gating condition. |q*| ~ 0: the intersection is a single
-    touching point (radius 0). q* < 0: empty interior.
+    converged and the centers' rank, read once by classify before the
+    solve and kept on the solution, satisfies the gating condition.
+    |q*| ~ 0: the intersection is a single touching point (radius 0).
+    q* < 0: empty interior.
     """
+    gate = classify(instance)
     qp = build_qp(instance)
     res = solve(qp, tol_gap=tol_gap, max_iter=max_iter)
     mu = res.minimizer
     q_star = res.value
     x = qp.centers.T @ mu
-    tol = base_tol * instance.scale()
-    rank_shifted = None
+    tol = BASE_TOL * instance.scale()
 
     if q_star < -tol:
         status = SolveStatus.EMPTY_INTERIOR
@@ -77,9 +82,7 @@ def solve_seb(instance: Instance, tol_gap=None, max_iter=None, base_tol=BASE_TOL
         status = SolveStatus.DEGENERATE_POINT
         radius = 0.0  # sqrt of noise-level q* clamps to 0
     else:
-        rank_shifted = numerical_rank(qp.centers - x)
-        post = _regime_of(rank_shifted, instance.dimension, instance.m)
-        if res.converged and post in (Regime.CONVEX, Regime.CRITICAL):
+        if res.converged and gate.regime in (Regime.CONVEX, Regime.CRITICAL):
             status = SolveStatus.CERTIFIED_OPTIMAL
         else:
             status = SolveStatus.UPPER_BOUND_ONLY
@@ -87,25 +90,17 @@ def solve_seb(instance: Instance, tol_gap=None, max_iter=None, base_tol=BASE_TOL
     return Solution(center=qp.origin + x, radius=radius, multipliers=mu,
                     qp_value=q_star, status=status, fw_gap=res.gap,
                     fw_iterations=res.iterations, converged=res.converged,
-                    rank_shifted=rank_shifted)
+                    rank_shifted=gate.rank_shifted)
 
 
 def regime_report(instance: Instance, solution: Solution) -> RankRegime:
-    """Pre-solve rank of the centers, and the regime read from the
-    post-solve shifted rank rank{a_i - a}: the solution's own when the
-    solve took it, else computed here."""
-    pre = classify(instance)
-    rank_shifted = solution.rank_shifted
-    if rank_shifted is None:
-        rank_shifted = numerical_rank(instance.centers_matrix()
-                                      - solution.center)
-    return RankRegime(rank_centers=pre.rank_centers,
-                      regime=_regime_of(rank_shifted, instance.dimension,
-                                        instance.m),
-                      rank_shifted=rank_shifted)
+    """The regime of the rank the solve read and kept on the solution."""
+    return RankRegime(rank_shifted=solution.rank_shifted,
+                      regime=_regime_of(solution.rank_shifted,
+                                        instance.dimension, instance.m))
 
 
-def check_interior(instance: Instance, solution: Solution, base_tol=BASE_TOL):
+def check_interior(instance: Instance, solution: Solution):
     """Slater check via the minimax identity min_x max_i g_i(x) = -q*.
 
     The intersection has nonempty interior iff q* > 0. For any simplex mu
@@ -114,7 +109,7 @@ def check_interior(instance: Instance, solution: Solution, base_tol=BASE_TOL):
     Returns (nonempty, slater_point_or_None), the point being the center
     when it lies strictly inside every ball.
     """
-    tol = base_tol * instance.scale()
+    tol = BASE_TOL * instance.scale()
     a = solution.center
     worst = float(quadratic_values(a[None, :], instance.centers_matrix(),
                                    instance.radii() ** 2).max())
@@ -127,8 +122,7 @@ def check_interior(instance: Instance, solution: Solution, base_tol=BASE_TOL):
     return nonempty, (a if nonempty and worst < 0.0 else None)
 
 
-def build_certificate(instance: Instance, solution: Solution,
-                      base_tol=BASE_TOL) -> Certificate:
+def build_certificate(instance: Instance, solution: Solution) -> Certificate:
     """Multiplier certificate blocks for the containment LMI.
 
     In the program's frame about the smallest ball o (b_i = a_i - o):
@@ -136,7 +130,7 @@ def build_certificate(instance: Instance, solution: Solution,
     beta = r^2 - |a - o|^2 + sum(mu_i (|b_i|^2 - r_i^2)); all three vanish
     at an exact QP optimum. alpha is a pure number, offdiag a length and
     beta a squared length, so the PSD test (and its residual) takes them
-    over 1, sqrt(scale) and scale against base_tol.
+    over 1, sqrt(scale) and scale against BASE_TOL.
     """
     qp = build_qp(instance)
     mu = solution.multipliers
@@ -146,7 +140,7 @@ def build_certificate(instance: Instance, solution: Solution,
     beta = float(solution.radius**2 - d @ d + mu @ qp.linear)
     scale = instance.scale()
     psd_ok, residual = arrowhead_psd(alpha, offdiag / np.sqrt(scale),
-                                     beta / scale, tol=base_tol)
+                                     beta / scale, tol=BASE_TOL)
     return Certificate(multipliers=mu, alpha=alpha, offdiag=offdiag, beta=beta,
                        psd_ok=psd_ok, residual=residual)
 

@@ -23,8 +23,9 @@ def lens_instance():
 
 
 def critical_instance():
-    """Centers (1,0) and (0,1), radii 2: rank = n = m = 2, optimum at
-    (1/2, 1/2) with radius sqrt(3.5)."""
+    """Centers (1,0) and (0,1), radii 2: the absolute centers have rank
+    n = m = 2, but their affine rank, the solver's gate, is 1 (convex);
+    optimum at (1/2, 1/2) with radius sqrt(3.5)."""
     return Instance.from_data([[1.0, 0.0], [0.0, 1.0]], [2.0, 2.0])
 
 

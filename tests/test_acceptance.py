@@ -36,6 +36,7 @@ from seblab.sampling import (
 )
 from seblab.simplex_qp import build_qp, support_oracle
 from seblab.solver import (
+    RankRegime,
     Regime,
     build_certificate,
     classify,
@@ -101,13 +102,18 @@ def test_02_lens_instance():
 
 
 def test_03_critical_instance():
+    # n = m = 2 with full-rank centers, but the gate is the centers' affine
+    # rank, 1: convex at any translation
     inst = Instance.from_data([[1.0, 0.0], [0.0, 1.0]], [2.0, 2.0])
     sol = solve_seb(inst)
     ok = (np.allclose(sol.center, [0.5, 0.5], atol=1e-8)
           and abs(sol.radius - math.sqrt(3.5)) <= 1e-8)
     q_exact, _ = support_oracle(build_qp(inst))
     ok = ok and abs(q_exact - sol.qp_value) <= 1e-12 * inst.scale()
-    ok = ok and classify(inst).regime is Regime.CRITICAL
+    for shift in ([0.0, 0.0], [0.0, 5.0], [-0.5, -0.5]):
+        moved = Instance.from_data(inst.centers_matrix() + shift,
+                                   inst.radii())
+        ok = ok and classify(moved) == RankRegime(1, Regime.CONVEX)
     report(3, ok)
 
 

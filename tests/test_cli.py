@@ -124,6 +124,13 @@ class TestSolveCommand:
         assert code == 1
         assert "max_iter" in json.loads(text)["error"]
 
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_bad_tol(self, tmp_path, tol):
+        path = write_doc(tmp_path, "lens.json", LENS)
+        code, text = run_cli(["solve", path, "--tol", tol])
+        assert code == 1
+        assert "tol_gap" in json.loads(text)["error"]
+
     def test_compact_single_line(self, tmp_path):
         path = write_doc(tmp_path, "lens.json", LENS)
         code, text = run_cli(["--compact", "solve", path])
@@ -243,6 +250,23 @@ class TestRankCommand:
             code, text = run_cli(["rank", path])
             assert code == 0
             assert json.loads(text)["regime"] == regime
+
+    def test_moved_lens_agrees_with_solve(self, tmp_path):
+        # off the axis the absolute centers have rank 2 = n = m, but the
+        # gate is the centers' affine rank, 1, at any translation
+        moved = {"dimension": 2,
+                 "balls": [{"center": [-1.0, 5.0], "radius": 2.0 ** 0.5},
+                           {"center": [1.0, 5.0], "radius": 2.0 ** 0.5}]}
+        path = write_doc(tmp_path, "moved.json", moved)
+        code, text = run_cli(["rank", path])
+        assert code == 0
+        report = json.loads(text)
+        assert (report["rank_shifted"], report["regime"]) == (1, "ConvexCase")
+        code, text = run_cli(["solve", path])
+        assert code == 0
+        solved = json.loads(text)
+        assert solved["regime"] == {"rank_shifted": 1, "regime": "ConvexCase"}
+        assert solved["status"] == "CertifiedOptimal"
 
 
 class TestIoRoundTrip:

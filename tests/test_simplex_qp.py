@@ -119,6 +119,14 @@ class TestSolve:
             solve(qp, max_iter=-1)
         assert solve(qp, max_iter=0).iterations == 0
 
+    @pytest.mark.parametrize("tol_gap", [-1.0, math.nan, math.inf])
+    def test_bad_tol_gap_rejected(self, tol_gap):
+        # a negative or NaN gap tolerance can never be met: the exactly
+        # optimal lens would read unconverged
+        with pytest.raises(ValidationError, match="tol_gap"):
+            solve(build_qp(lens_instance()), tol_gap=tol_gap)
+        assert solve(build_qp(lens_instance()), tol_gap=0.0).converged
+
 
 class TestSupportOracle:
     def test_examples(self):

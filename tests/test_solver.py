@@ -22,6 +22,7 @@ from seblab.geometry import (
 from seblab.linalg import numerical_rank
 from seblab.sampling import sample_intersection
 from seblab.solver import (
+    RankRegime,
     Regime,
     build_certificate,
     check_interior,
@@ -38,12 +39,56 @@ def g_values(inst, x):
     return np.einsum("ij,ij->i", D, D) - inst.radii() ** 2
 
 
+def affine_instance(rng, n, k, m):
+    """m balls in R^n whose centers span an affine subspace of dimension
+    k < n exactly: small integer directions and coefficients on a 1/32
+    grid, so the centers and any integer translation of them up to 2^20
+    are represented without rounding. Radii leave a common interior
+    point."""
+    while True:
+        W = rng.integers(-3, 4, (n, k))
+        C = rng.integers(-64, 65, (m, k)) / 32.0
+        if (np.linalg.matrix_rank(W) == k
+                and np.linalg.matrix_rank(C[1:] - C[0]) == k):
+            break
+    centers = rng.integers(-64, 65, n) / 32.0 + C @ W.T
+    p = centers.mean(axis=0) + 0.3 * rng.standard_normal(n)
+    radii = np.linalg.norm(centers - p, axis=1) + rng.uniform(0.5, 1.0, m)
+    return Instance.from_data(centers, radii)
+
+
 class TestClassify:
     def test_examples(self):
-        assert classify(critical_instance()).regime is Regime.CRITICAL
-        assert classify(lens_instance()).regime is Regime.CONVEX
-        assert classify(lens_instance()).rank_centers == 1
-        assert classify(unsupported_instance()).regime is Regime.UNSUPPORTED
+        assert classify(critical_instance()) == RankRegime(1, Regime.CONVEX)
+        assert classify(lens_instance()) == RankRegime(1, Regime.CONVEX)
+        assert classify(unsupported_instance()) == RankRegime(
+            2, Regime.UNSUPPORTED)
+
+    def test_invariant_and_equal_to_the_solve(self, rng):
+        # the gate is the centers' affine rank: translation up to 1e6,
+        # rotation, uniform scaling and ball permutation leave it alone,
+        # and the solve reports the same rank and regime. The 1e6 shifts
+        # are integer, so the moved centers are exact; a real shift of
+        # 1e6 rounds them by about the rank tolerance itself
+        for _ in range(200):
+            n = int(rng.integers(2, 7))
+            k = int(rng.integers(1, n))
+            m = k + int(rng.integers(1, 4))
+            inst = affine_instance(rng, n, k, m)
+            expected = RankRegime(k, Regime.CONVEX)
+            assert classify(inst) == expected
+            assert regime_report(inst, solve_seb(inst)) == expected
+            A, radii = inst.centers_matrix(), inst.radii()
+            Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            perm = rng.permutation(m)
+            s = 10.0 ** rng.uniform(-3, 3)
+            for t in (rng.standard_normal(n), 1e3 * rng.standard_normal(n),
+                      rng.integers(-10**6, 10**6 + 1, n)):
+                assert classify(Instance.from_data(A + t, radii)) == expected
+            assert classify(Instance.from_data(A @ Q.T, radii)) == expected
+            assert classify(Instance.from_data(s * A, s * radii)) == expected
+            assert classify(Instance.from_data(A[perm],
+                                               radii[perm])) == expected
 
 
 class TestSolveSeb:
@@ -92,13 +137,15 @@ class TestSolveSeb:
 
     def test_regime_follows_shifted_rank(self):
         # moved off the axis the centers have rank 2 = n = m, but the
-        # shifted centers a_i - a still have rank 1: the convex case
+        # shifted centers a_i - a still have rank 1: the convex case, read
+        # alike before and after the solve
         lens = lens_instance()
         moved = Instance.from_data(lens.centers_matrix() + [0.0, 1e-3],
                                    lens.radii())
-        report = regime_report(moved, solve_seb(moved))
-        assert report.rank_centers == 2 and report.rank_shifted == 1
-        assert report.regime is Regime.CONVEX
+        sol = solve_seb(moved)
+        report = regime_report(moved, sol)
+        assert report == classify(moved) == RankRegime(1, Regime.CONVEX)
+        assert numerical_rank(moved.centers_matrix() - sol.center) == 1
 
     def test_radius_squares_to_qp_value(self, rng):
         for n in (2, 3, 4):
@@ -107,13 +154,13 @@ class TestSolveSeb:
             assert sol.radius**2 == pytest.approx(sol.qp_value, rel=1e-10)
 
     def test_status_soundness(self, rng):
-        from seblab.linalg import numerical_rank
-
         for n in (2, 3):
             inst = random_supported_instance(rng, n)
             sol = solve_seb(inst)
+            # the rank read before the solve is the post-solve rank
+            rank = numerical_rank(inst.centers_matrix() - sol.center)
+            assert sol.rank_shifted == rank
             if sol.status is SolveStatus.CERTIFIED_OPTIMAL:
-                rank = numerical_rank(inst.centers_matrix() - sol.center)
                 assert rank < n or (rank == n and inst.m == n)
 
 
@@ -370,32 +417,32 @@ class TestRegimeReport:
 
         calls = []
 
-        def counting(vectors, *args, **kwargs):
+        def counting(vectors):
             calls.append(1)
-            return numerical_rank(vectors, *args, **kwargs)
+            return numerical_rank(vectors)
 
         monkeypatch.setattr(solver, "numerical_rank", counting)
-        inst = critical_instance()
-        sol = solve_seb(inst)
-        report = regime_report(inst, sol)
-        # classify's unshifted rank and the solve's shifted rank
-        assert len(calls) == 2
-        assert report.rank_shifted == sol.rank_shifted == 1
+        # one rank, read by classify before the solve, for every status
+        for inst in (critical_instance(), disjoint_instance()):
+            calls.clear()
+            sol = solve_seb(inst)
+            report = regime_report(inst, sol)
+            assert len(calls) == 1
+            assert report.rank_shifted == sol.rank_shifted == 1
 
     @pytest.mark.parametrize("make, expected", [
-        (lens_instance, (1, 1, Regime.CONVEX)),
-        (critical_instance, (2, 1, Regime.CONVEX)),
-        (disjoint_instance, (1, 1, Regime.CONVEX)),
-        (unsupported_instance, (2, 2, Regime.UNSUPPORTED)),
+        (lens_instance, (1, Regime.CONVEX)),
+        (critical_instance, (1, Regime.CONVEX)),
+        (disjoint_instance, (1, Regime.CONVEX)),
+        (unsupported_instance, (2, Regime.UNSUPPORTED)),
         (lambda: Instance.from_data(lens_instance().centers_matrix()
                                     + [0.0, 1e-3], lens_instance().radii()),
-         (2, 1, Regime.CONVEX)),
+         (1, Regime.CONVEX)),
     ])
     def test_known_regimes(self, make, expected):
         inst = make()
         report = regime_report(inst, solve_seb(inst))
-        assert (report.rank_centers, report.rank_shifted,
-                report.regime) == expected
+        assert report == classify(inst) == RankRegime(*expected)
 
 
 def certified_gap(inst, mu):
