@@ -3,14 +3,11 @@ quadratic program on the unit simplex, with multiplier certificates and an
 exact joint-numerical-range membership lab for verification."""
 
 from .geometry import (
-    Ball,
     Certificate,
     Instance,
     Solution,
     SolveStatus,
     UnitQuadratic,
-    ball_to_quadratic,
-    eval_quadratic,
 )
 from .numrange import MembershipVerdict, QuadraticMap
 from .solver import (
@@ -24,7 +21,6 @@ from .solver import (
 )
 
 __all__ = [
-    "Ball",
     "Certificate",
     "Instance",
     "MembershipVerdict",
@@ -34,11 +30,9 @@ __all__ = [
     "Solution",
     "SolveStatus",
     "UnitQuadratic",
-    "ball_to_quadratic",
     "build_certificate",
     "check_interior",
     "classify",
-    "eval_quadratic",
     "identity_residual",
     "solve_seb",
 ]

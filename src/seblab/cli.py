@@ -9,7 +9,7 @@ Subcommands:
     rank <file>                  the centers' affine rank and its regime,
                                  the gate `solve` reads before solving
 
-Exit codes: 0 success, 1 parse/validation error, 2 empty interior,
+Exit codes: 0 success, 1 bad arguments or input, 2 empty interior,
 3 unsupported regime (jnr operations that need the gating condition).
 """
 
@@ -22,11 +22,10 @@ import numpy as np
 from . import io, numrange, sampling
 from .errors import (CombinatorialBlowup, SebLabError, UnsupportedRegime,
                      ValidationError)
-from .geometry import SolveStatus, ball_to_quadratic
+from .geometry import SolveStatus
 from .numrange import QuadraticMap
 from .solver import (
     build_certificate,
-    check_interior,
     classify,
     identity_residual,
     regime_report,
@@ -83,7 +82,7 @@ def cmd_solve(args, out):
 
 def _target_quadratic(instance, target):
     if target is not None:
-        return ball_to_quadratic(target)
+        return target
     solution = solve_seb(instance)
     if solution.status is SolveStatus.EMPTY_INTERIOR:
         raise ValidationError(
@@ -211,8 +210,22 @@ def cmd_rank(args, out):
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 with a JSON error, not argparse's 2 (an empty
+    interior here); the subcommands' parsers are of this class too."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
+def _seed(text):
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {text}")
+    return int(text)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="seblab",
         description="Smallest enclosing ball of ball intersections and the "
                     "joint-numerical-range lab.")
@@ -226,7 +239,7 @@ def build_parser():
                    help="gap tolerance of Wolfe's finite method on the "
                         "simplex QP")
     p.add_argument("--max-iter", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--verify", type=int, default=0, metavar="N",
                    help="sample N feasible points and report max violation")
     p.set_defaults(func=cmd_solve)
@@ -235,7 +248,7 @@ def build_parser():
     p.add_argument("file")
     p.add_argument("action", choices=["sample", "member", "probe"])
     p.add_argument("--count", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--point", type=str, default=None,
                    help="comma-separated value vector for 'member'")
     p.add_argument("--out", type=str, default=None, help="CSV output path")
@@ -244,7 +257,7 @@ def build_parser():
     p = sub.add_parser("oracle", help="brute-force cross-checks")
     p.add_argument("file")
     p.add_argument("--cloud", type=int, default=0, metavar="N")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("rank", help="rank / regime classification")
@@ -255,9 +268,8 @@ def build_parser():
 
 def main(argv=None, out=None):
     out = out if out is not None else sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args, out)
     except UnsupportedRegime as exc:
         print(io.emit({"error": str(exc)}), file=out)

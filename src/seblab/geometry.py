@@ -31,29 +31,6 @@ def _require_finite(arr, what):
 
 
 @dataclass(frozen=True)
-class Ball:
-    """Closed Euclidean ball with center in R^n and radius > 0."""
-
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        center = _freeze(np.atleast_1d(self.center))
-        if center.ndim != 1 or center.size == 0:
-            raise ValidationError("ball center must be a nonempty vector")
-        _require_finite(center, "ball center")
-        radius = float(self.radius)
-        if not np.isfinite(radius) or radius <= 0.0:
-            raise ValidationError(f"ball radius must be finite and > 0, got {radius}")
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "radius", radius)
-
-    @property
-    def dimension(self):
-        return self.center.size
-
-
-@dataclass(frozen=True)
 class UnitQuadratic:
     """The function x -> |x - a|^2 - rho (identity leading form).
 
@@ -77,14 +54,6 @@ class UnitQuadratic:
     def dimension(self):
         return self.a.size
 
-    def __call__(self, x):
-        return eval_quadratic(self, x)
-
-
-def ball_to_quadratic(b: Ball) -> UnitQuadratic:
-    """Represent a ball as its defining unit quadratic: rho = r^2."""
-    return UnitQuadratic(a=b.center, rho=b.radius**2)
-
 
 def quadratic_values(X, centers, rho):
     """|x - c_i|^2 - rho_i for every row x of the (N, n) array X and every
@@ -99,16 +68,6 @@ def quadratic_values(X, centers, rho):
     B = centers - o
     return (np.einsum("ij,ij->i", Y, Y)[:, None] - 2.0 * (Y @ B.T)
             + (np.einsum("ij,ij->i", B, B) - rho))
-
-
-def eval_quadratic(q: UnitQuadratic, x) -> float:
-    """Evaluate |x - a|^2 - rho."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != q.a.shape:
-        raise DimensionMismatch(
-            f"point dimension {x.shape} does not match quadratic dimension {q.a.shape}"
-        )
-    return float(quadratic_values(x[None, :], q.a[None, :], q.rho)[0, 0])
 
 
 class Instance:

@@ -8,7 +8,9 @@ An instance file is a single JSON document:
       "target": {"center": [...], "radius": ...}   // optional
     }
 
-Unknown fields are rejected so that typos fail loudly.
+The optional target is parsed into the `UnitQuadratic` |x - c|^2 - r^2 of
+its ball and is not written back by `instance_to_doc`. Unknown fields are
+rejected so that typos fail loudly.
 """
 
 import json
@@ -16,7 +18,7 @@ import json
 import numpy as np
 
 from .errors import DimensionMismatch, ValidationError
-from .geometry import Ball, Instance
+from .geometry import Instance, UnitQuadratic
 
 _TOP_KEYS = {"dimension", "balls", "target"}
 _BALL_KEYS = {"center", "radius"}
@@ -33,20 +35,22 @@ def _ball_fields(obj, where):
     return obj["center"], obj["radius"]
 
 
-def _parse_ball(obj, where):
-    center, radius = _ball_fields(obj, where)
+def _parse_target(obj, dimension):
+    """The target ball B(c, r) as its quadratic |x - c|^2 - r^2."""
+    center, radius = _ball_fields(obj, "target")
     try:
-        return Ball(center=np.asarray(center, dtype=float),
-                    radius=float(radius))
+        center, radius = np.asarray(center, dtype=float), float(radius)
     except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{where}: {exc}") from exc
+        raise ValidationError(f"target: {exc}") from exc
+    if center.shape != (dimension,) or not np.isfinite(center).all():
+        raise ValidationError(f"target center needs {dimension} finite entries")
+    if not (radius > 0.0 and np.isfinite(radius * radius)):
+        raise ValidationError("target radius must be > 0, its square finite")
+    return UnitQuadratic(a=center, rho=radius * radius)
 
 
 def parse_instance(doc):
-    """Validate a parsed JSON document into (Instance, optional target Ball).
-
-    The balls go straight into the instance's arrays; no Ball is built.
-    """
+    """Validate a parsed JSON document into (Instance, target or None)."""
     if not isinstance(doc, dict):
         raise ValidationError("instance file must be a JSON object")
     unknown = set(doc) - _TOP_KEYS
@@ -72,9 +76,7 @@ def parse_instance(doc):
         raise ValidationError(f"'balls': {exc}") from exc
     target = None
     if "target" in doc:
-        target = _parse_ball(doc["target"], "target")
-        if target.dimension != dimension:
-            raise ValidationError("target dimension mismatch")
+        target = _parse_target(doc["target"], dimension)
     return instance, target
 
 
@@ -87,8 +89,8 @@ def load_instance(path):
     return parse_instance(doc)
 
 
-def instance_to_doc(instance: Instance, target: Ball = None):
-    doc = {
+def instance_to_doc(instance: Instance):
+    return {
         "dimension": instance.dimension,
         "balls": [
             {"center": center, "radius": radius}
@@ -96,15 +98,11 @@ def instance_to_doc(instance: Instance, target: Ball = None):
                                       instance.radii().tolist())
         ],
     }
-    if target is not None:
-        doc["target"] = {"center": [float(v) for v in target.center],
-                         "radius": target.radius}
-    return doc
 
 
-def dump_instance(instance: Instance, path, target: Ball = None):
+def dump_instance(instance: Instance, path):
     with open(path, "w") as fh:
-        json.dump(instance_to_doc(instance, target), fh, indent=2)
+        json.dump(instance_to_doc(instance), fh, indent=2)
         fh.write("\n")
 
 

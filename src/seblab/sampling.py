@@ -21,6 +21,9 @@ from .geometry import Instance, SolveStatus
 # kept. Between 1 % and that, rejection spends up to about 8 times the
 # chains' time to keep its points i.i.d. and exactly uniform.
 PILOT_ACCEPT_RATE = 0.01
+# Hit-and-run's chains all start at one point, which BURN_IN steps leave
+# before a point is kept; THIN steps between kept points decorrelate them.
+BURN_IN, THIN = 100, 5
 
 
 class SampleMethod(Enum):
@@ -125,50 +128,45 @@ def _ball_rejection(instance: Instance, count, rng, center, radius):
 
 
 def sample_intersection(instance: Instance, count: int, seed: int = 0,
-                        method=SampleMethod.REJECTION, start=None,
-                        burn_in=100, thin=5, solution=None) -> SampleCloud:
+                        start=None, solution=None) -> SampleCloud:
     """Draw `count` points of the ball intersection.
 
     `solution` is the solver's output for `instance`; when omitted the
     call solves once itself. Its multipliers alone give the enclosing ball
     B(a, r) of `_proposal_ball`, which holds the whole intersection
     whether or not the solve converged; its center and radius are not
-    used for the draws. Rejection (the default) draws i.i.d. uniform
-    points of that ball and keeps those inside every input ball, so the
-    cloud is i.i.d. and exactly uniform on the intersection. When the
-    first batch keeps too few draws (PILOT_ACCEPT_RATE), as in high
+    used for the draws. The input picks the path: rejection draws i.i.d.
+    uniform points of that ball and keeps those inside every input ball,
+    so the cloud is i.i.d. and exactly uniform on the intersection. When
+    the first batch keeps too few draws (PILOT_ACCEPT_RATE), as in high
     dimension, the call falls back to hit-and-run, which walks exact
     chords from `start`, or from the solution's center when `start` is
     omitted and that center lies strictly inside every ball: up to
-    `kernels.CHAINS` chains start there together, each runs `burn_in`
-    steps and then keeps every `thin`-th point. The cloud's `method` names
-    the path that ran. Both draw only from `np.random.default_rng(seed)`
-    or the kernel's own generator of that seed: the global `np.random`
-    state is left alone, and the same arguments give the same cloud.
+    `kernels.CHAINS` chains start there together, each runs BURN_IN steps
+    and then keeps every THIN-th point. The cloud's `method` names the
+    path that ran. Both draw only from `np.random.default_rng(seed)` or
+    the kernel's own generator of that seed: the global `np.random` state
+    is left alone, and each seed gives its own cloud.
     """
     if count < 0:
         raise ValidationError("count must be >= 0")
-    method = SampleMethod(method)
     if count == 0:
         return SampleCloud(points=np.empty((0, instance.dimension)),
-                           seed=seed, method=method)
+                           seed=seed, method=SampleMethod.REJECTION)
     if solution is None:
         solution = solver.solve_seb(instance)
     if solution.status in (SolveStatus.EMPTY_INTERIOR,
                            SolveStatus.DEGENERATE_POINT):
         raise EmptyInteriorError("ball intersection has empty interior")
-    if method is SampleMethod.REJECTION:
-        pts = _ball_rejection(instance, count, np.random.default_rng(seed),
-                              *_proposal_ball(instance, solution.multipliers))
-        if pts is not None:
-            return SampleCloud(points=pts, seed=seed, method=method)
+    pts = _ball_rejection(instance, count, np.random.default_rng(seed),
+                          *_proposal_ball(instance, solution.multipliers))
+    if pts is not None:
+        return SampleCloud(pts, seed, SampleMethod.REJECTION)
     if start is None:
         start = _slater_point(instance, solution)
-    pts = kernels.hit_and_run(
-        instance.centers_matrix(), instance.radii(),
-        np.asarray(start, dtype=float),
-        int(count), int(burn_in), int(thin), int(seed) % 2**31,
-    )
+    pts = kernels.hit_and_run(instance.centers_matrix(), instance.radii(),
+                              np.asarray(start, dtype=float), int(count),
+                              BURN_IN, THIN, seed)
     return SampleCloud(points=pts, seed=seed, method=SampleMethod.HIT_AND_RUN)
 
 
@@ -194,16 +192,14 @@ def cloud_meb(cloud: SampleCloud, iterations: int = 1000):
     return c, float(r)
 
 
-def default_box(instance: Instance, pad=0.0):
-    """Axis-aligned box covering every input ball (plus padding)."""
+def _default_box(instance: Instance):
+    """Axis-aligned box covering every input ball."""
     centers = instance.centers_matrix()
     radii = instance.radii()[:, None]
-    lo = (centers - radii).min(axis=0) - pad
-    hi = (centers + radii).max(axis=0) + pad
-    return lo, hi
+    return (centers - radii).min(axis=0), (centers + radii).max(axis=0)
 
 
-def grid_min_maxg(instance: Instance, resolution: int, box=None) -> float:
+def grid_min_maxg(instance: Instance, resolution: int) -> float:
     """Exhaustive grid minimum of max_i g_i(x) over a box (n <= 3 only).
 
     Independent oracle for the minimax identity min_x max_i g_i = -q*.
@@ -213,14 +209,11 @@ def grid_min_maxg(instance: Instance, resolution: int, box=None) -> float:
         raise DimensionTooLarge("grid oracle supports n <= 3")
     if resolution < 1:
         raise ValidationError("resolution must be >= 1")
-    lo, hi = box if box is not None else default_box(instance)
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
     return kernels.grid_min_maxg(instance.centers_matrix(), instance.radii(),
-                                 lo, hi, int(resolution))
+                                 *_default_box(instance), int(resolution))
 
 
-def grid_resolution_bound(instance: Instance, resolution: int, box=None) -> float:
+def grid_resolution_bound(instance: Instance, resolution: int) -> float:
     """Lipschitz error bound for grid_min_maxg at the given resolution.
 
     |grad g_i(x)| = 2|x - a_i| <= L = 2 max_i max_{x in box} |x - a_i|,
@@ -228,9 +221,7 @@ def grid_resolution_bound(instance: Instance, resolution: int, box=None) -> floa
     and the box move together. The grid minimum overshoots the true
     minimum by at most L * h * sqrt(n) / 2.
     """
-    lo, hi = box if box is not None else default_box(instance)
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
+    lo, hi = _default_box(instance)
     centers = instance.centers_matrix()
     far = np.maximum(np.abs(lo - centers), np.abs(hi - centers))
     L = 2.0 * float(np.linalg.norm(far, axis=1).max())

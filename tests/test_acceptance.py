@@ -18,7 +18,7 @@ from conftest import (
     random_supported_instance,
     unsupported_instance,
 )
-from seblab.geometry import Ball, Instance, SolveStatus, ball_to_quadratic
+from seblab.geometry import Instance, SolveStatus, UnitQuadratic
 from seblab.numrange import (
     QuadraticMap,
     convexity_probe,
@@ -192,7 +192,7 @@ def test_10_separation_probe(batch, clouds):
         rep = separation_probe(qm, CLOUD_SIZE, seed=10)
         ok = ok and not rep.range_hits and not rep.hull_hits
         if checked < 5:
-            shrunk = ball_to_quadratic(Ball(sol.center, 0.9 * sol.radius))
+            shrunk = UnitQuadratic(sol.center, (0.9 * sol.radius) ** 2)
             qm_s = QuadraticMap.from_instance(inst, shrunk)
             rep_s = separation_probe(qm_s, CLOUD_SIZE, seed=10,
                                      extra_points=cloud.points)

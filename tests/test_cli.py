@@ -12,7 +12,7 @@ import seblab
 from seblab import io as seblab_io
 from seblab.cli import main
 from seblab.errors import ValidationError
-from seblab.geometry import Instance
+from seblab.geometry import Instance, UnitQuadratic
 
 
 LENS = {"dimension": 2,
@@ -269,16 +269,79 @@ class TestRankCommand:
         assert solved["status"] == "CertifiedOptimal"
 
 
+class TestArguments:
+    @pytest.mark.parametrize("args", [
+        ["jnr", "{}", "probe", "--seed", "-1"],
+        ["jnr", "{}", "sample", "--seed", "-1"],
+        ["solve", "{}", "--verify", "10", "--seed", "-1"],
+        ["oracle", "{}", "--cloud", "10", "--seed", "-1"],
+    ])
+    def test_negative_seed(self, tmp_path, args):
+        path = write_doc(tmp_path, "lens.json", LENS)
+        code, text = run_cli([a.format(path) for a in args])
+        assert code == 1
+        assert "seed must be >= 0" in json.loads(text)["error"]
+
+    @pytest.mark.parametrize("args", [
+        ["solve", "{}", "--max-iter", "abc"],
+        ["solve", "{}", "--seed", "x"],
+        ["solve", "{}", "--no-such-flag"],
+        ["shrink", "{}"],
+        ["jnr", "{}", "walk"],
+        [],
+    ])
+    def test_usage_errors_exit_1(self, tmp_path, args):
+        # argparse's own exit code 2 would read as an empty interior
+        path = write_doc(tmp_path, "lens.json", LENS)
+        code, text = run_cli([a.format(path) for a in args])
+        assert code == 1
+        assert json.loads(text)["error"].startswith("seblab")
+
+    @pytest.mark.parametrize("args", [["--help"], ["solve", "--help"]])
+    def test_help_exits_0(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args)
+        assert exc.value.code == 0
+        assert "usage: seblab" in capsys.readouterr().out
+
+
 class TestIoRoundTrip:
     def test_instance_doc_round_trip(self):
+        # the target is parsed into its quadratic, and is not written back
         inst, target = seblab_io.parse_instance(EXAMPLE)
-        assert isinstance(inst, Instance) and target is not None
-        doc = seblab_io.instance_to_doc(inst, target)
+        assert isinstance(inst, Instance)
+        assert isinstance(target, UnitQuadratic)
+        assert np.array_equal(target.a, [1.0, 1.0])
+        assert target.rho == (2.0 ** 0.5) ** 2
+        doc = seblab_io.instance_to_doc(inst)
+        assert "target" not in doc
         inst2, target2 = seblab_io.parse_instance(doc)
+        assert target2 is None
         assert np.array_equal(inst2.centers_matrix(), inst.centers_matrix())
         assert np.array_equal(inst2.radii(), inst.radii())
-        assert target2.radius == target.radius
-        assert seblab_io.instance_to_doc(inst2, target2) == doc
+        assert seblab_io.instance_to_doc(inst2) == doc
+
+    @pytest.mark.parametrize("center, radius", [
+        ([1.0, 1.0], 0.0),
+        ([1.0, 1.0], -1.0),
+        ([1.0, 1.0], float("nan")),
+        ([1.0, 1.0], float("inf")),
+        ([float("nan"), 1.0], 1.0),
+        ([[0.0, 0.0]], 1.0),
+        ([1.0, 1.0, 1.0], 1.0),
+        ([1.0], 1.0),
+        ("far", 1.0),
+        ([1.0, 1.0], None),
+        ([1.0, 1.0], 1e200),
+    ])
+    def test_bad_target(self, tmp_path, center, radius):
+        doc = dict(EXAMPLE, target={"center": center, "radius": radius})
+        with pytest.raises(ValidationError):
+            seblab_io.parse_instance(doc)
+        path = write_doc(tmp_path, "target.json", doc)
+        code, text = run_cli(["jnr", path, "member", "--point", "1,0,0"])
+        assert code == 1
+        assert "target" in json.loads(text)["error"]
 
     def test_bad_ball_field(self):
         doc = {"dimension": 2,

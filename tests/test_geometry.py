@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,46 +7,55 @@ import pytest
 
 from seblab import geometry, io
 from seblab.errors import DimensionMismatch, ValidationError
-from seblab.geometry import (
-    Ball,
-    Instance,
-    UnitQuadratic,
-    ball_to_quadratic,
-    eval_quadratic,
-)
+from seblab.geometry import Instance, UnitQuadratic
+
+
+def target_of(center, radius):
+    """The quadratic that `io` parses from an instance file's target ball."""
+    center = np.asarray(center, dtype=float)
+    doc = {"dimension": center.size,
+           "balls": [{"center": [0.0] * center.size, "radius": 1.0}],
+           "target": {"center": center.tolist(), "radius": radius}}
+    return io.parse_instance(doc)[1]
+
+
+def evaluate(q, x):
+    return float(geometry.quadratic_values(np.asarray(x, dtype=float)[None, :],
+                                           q.a[None, :], q.rho)[0, 0])
 
 
 def test_ball_to_quadratic_examples():
-    q = ball_to_quadratic(Ball(center=[0.0, 1.0], radius=2.0))
+    q = target_of([0.0, 1.0], 2.0)
+    assert isinstance(q, UnitQuadratic)
     assert np.array_equal(q.a, [0.0, 1.0]) and q.rho == 4.0
 
-    q = ball_to_quadratic(Ball(center=[1.0, 1.0], radius=math.sqrt(2.0)))
+    q = target_of([1.0, 1.0], math.sqrt(2.0))
     assert np.array_equal(q.a, [1.0, 1.0])
     assert q.rho == pytest.approx(2.0, rel=1e-15)
 
-    q = ball_to_quadratic(Ball(center=np.zeros(4), radius=1.0))
+    q = target_of(np.zeros(4), 1.0)
     assert np.array_equal(q.a, np.zeros(4)) and q.rho == 1.0
 
 
 def test_round_trip_is_identity(rng):
     for _ in range(50):
         n = rng.integers(1, 8)
-        b = Ball(center=rng.standard_normal(n) * 10, radius=rng.uniform(0.1, 20))
-        q = ball_to_quadratic(b)
+        center, radius = rng.standard_normal(n) * 10, rng.uniform(0.1, 20)
+        q = target_of(center, radius)
         # the ball back from its quadratic: center a, radius sqrt(rho)
-        assert np.array_equal(q.a, b.center)
-        assert math.sqrt(q.rho) == pytest.approx(b.radius, rel=1e-15)
+        assert np.array_equal(q.a, center)
+        assert math.sqrt(q.rho) == pytest.approx(radius, rel=1e-15)
 
 
 def test_eval_quadratic_examples():
     q = UnitQuadratic(a=[1.0, 1.0], rho=2.0)
-    assert eval_quadratic(q, [1.0, 0.0]) == -1.0
+    assert evaluate(q, [1.0, 0.0]) == -1.0
 
     q2 = UnitQuadratic(a=[3.0, -2.0], rho=12.3)
-    assert eval_quadratic(q2, [3.0, -2.0]) == -12.3
+    assert evaluate(q2, [3.0, -2.0]) == -12.3
 
     q3 = UnitQuadratic(a=[0.0, 1.0], rho=1.0)
-    assert eval_quadratic(q3, [0.0, 1.0]) == -1.0
+    assert evaluate(q3, [0.0, 1.0]) == -1.0
 
 
 @pytest.mark.parametrize("t", [0.0, 1e4, 1e8])
@@ -63,30 +73,24 @@ def test_quadratic_values_moved_far(rng, t):
     assert np.abs(got - want).max() <= 1e-12 + 1e3 * np.spacing(t)
 
 
-def test_eval_quadratic_dimension_mismatch():
-    q = UnitQuadratic(a=[1.0, 1.0], rho=2.0)
-    with pytest.raises(DimensionMismatch):
-        eval_quadratic(q, [1.0, 0.0, 0.0])
-
-
 def test_sublevel_set_matches_ball(rng):
-    b = Ball(center=rng.standard_normal(3) * 5, radius=rng.uniform(0.5, 3))
-    q = ball_to_quadratic(b)
+    center, radius = rng.standard_normal(3) * 5, rng.uniform(0.5, 3)
+    q = target_of(center, radius)
     for _ in range(200):
         x = rng.standard_normal(3) * 6
         band = 1e-10 * (1.0 + float(x @ x))
-        val = eval_quadratic(q, x)
+        val = evaluate(q, x)
         if abs(val) <= band:
             continue  # boundary band, either verdict acceptable
-        inside = float(np.dot(x - b.center, x - b.center)) <= b.radius**2
+        inside = float(np.dot(x - center, x - center)) <= radius**2
         assert (val < 0) == inside
 
 
 def test_validation_rejects_bad_input():
     with pytest.raises(ValidationError):
-        Ball(center=[0.0, 0.0], radius=0.0)
+        target_of([0.0, 0.0], 0.0)
     with pytest.raises(ValidationError):
-        Ball(center=[np.nan, 0.0], radius=1.0)
+        target_of([np.nan, 0.0], 1.0)
     with pytest.raises(ValidationError):
         Instance.from_data(np.zeros((0, 2)), [])
     with pytest.raises(ValidationError):
@@ -94,26 +98,14 @@ def test_validation_rejects_bad_input():
 
 
 def test_types_are_immutable():
-    b = Ball(center=[1.0, 2.0], radius=1.0)
+    q = target_of([1.0, 2.0], 1.0)
     with pytest.raises(ValueError):
-        b.center[0] = 0.0
-    inst = Instance.from_data([b.center], [b.radius])
+        q.a[0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        q.rho = 2.0
+    inst = Instance.from_data([q.a], [1.0])
     assert inst.m == 1
     assert inst.scale() >= 1.0
-
-
-def test_from_data_builds_no_ball(monkeypatch):
-    made = []
-    post_init = Ball.__post_init__
-
-    def counting(self):
-        made.append(1)
-        post_init(self)
-
-    monkeypatch.setattr(geometry.Ball, "__post_init__", counting)
-    inst = Instance.from_data(np.ones((50, 3)), np.full(50, 2.0))
-    inst.centers_matrix(), inst.radii(), inst.scale()
-    assert made == []
 
 
 def test_accessors_are_read_only_and_stored():

@@ -170,7 +170,7 @@ class TestGridMinMaxG:
             inst = item.instance
             resolution = bench["workloads"].GRID_RESOLUTION[inst.dimension]
             case = (inst.centers_matrix(), inst.radii(),
-                    *sampling.default_box(inst))
+                    *sampling._default_box(inst))
             assert (kernels.grid_min_maxg(*case, resolution)
                     == untiled_grid(*case, resolution)), item.label
 

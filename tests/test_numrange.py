@@ -346,12 +346,11 @@ class TestSeparationProbe:
         assert report.implication_holds
 
     def test_shrunk_target_is_hit(self, rng):
-        from seblab.geometry import Ball, ball_to_quadratic
         from seblab.sampling import sample_intersection
 
         inst = lens_instance()
         sol = solve_seb(inst)
-        shrunk = ball_to_quadratic(Ball(sol.center, 0.9 * sol.radius))
+        shrunk = UnitQuadratic(sol.center, (0.9 * sol.radius) ** 2)
         qm = QuadraticMap.from_instance(inst, shrunk)
         cloud = sample_intersection(inst, 2000, seed=5, start=sol.center)
         report = separation_probe(qm, 2000, seed=5,

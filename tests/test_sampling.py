@@ -19,12 +19,15 @@ from seblab.errors import (
 from seblab import kernels
 from seblab.geometry import Instance
 from seblab.sampling import (
+    BURN_IN,
+    THIN,
     SampleCloud,
     SampleMethod,
+    _default_box,
     _feasible_rows,
     _proposal_ball,
+    _slater_point,
     cloud_meb,
-    default_box,
     farthest_distance,
     grid_min_maxg,
     grid_resolution_bound,
@@ -50,10 +53,20 @@ def max_violation(instance, points):
     return float((d2 - radii2[None, :]).max())
 
 
-def fallback_instance():
-    """16 balls centered at the unit vectors of R^16, radius 1.2: the
-    solver's ball keeps about 4 in 10,000 of its uniform draws."""
-    return Instance.from_data(np.eye(16), np.full(16, 1.2))
+def fallback_instance(shift=0.0, scale=1.0):
+    """16 balls centered at the unit vectors of R^16, radius 1.2, scaled and
+    then moved by `shift`: the solver's ball keeps about 4 in 10,000 of its
+    uniform draws, so the sampler falls back to hit-and-run. The origin
+    (moved by `shift`) lies strictly inside every ball."""
+    return Instance.from_data(np.eye(16) * scale + shift,
+                              np.full(16, 1.2 * scale))
+
+
+def chains(instance, count, seed, start, burn_in=BURN_IN, thin=THIN):
+    """Hit-and-run points of the instance, the sampler's fallback."""
+    return kernels.hit_and_run(instance.centers_matrix(), instance.radii(),
+                               np.asarray(start, dtype=float), count,
+                               burn_in, thin, seed)
 
 
 def rejection_stream(instance, seed, rows):
@@ -78,25 +91,38 @@ def rejection_stream(instance, seed, rows):
 class TestSampleIntersection:
     @pytest.mark.parametrize("method", list(SampleMethod))
     def test_points_are_feasible(self, method):
-        lens, far = lens_instance(), moved_lens()
-        # the moved lens's chains start at its known center, which keeps
+        # the input picks the path: the lens takes rejection, the
+        # 16-dimensional instance falls back to hit-and-run. The moved
+        # instance's chains start at a known interior point, which keeps
         # this a check of the sampler alone; its tolerance is relative to
         # the balls, since |center|^2 ~ 1e12 would hide misses
+        if method is SampleMethod.REJECTION:
+            near, far, far_start = lens_instance(), moved_lens(), SHIFT
+        else:
+            far_start = np.full(16, 1e6)
+            near, far = fallback_instance(), fallback_instance(far_start)
+        n = near.dimension
         for inst, start, tol in (
-                (lens, None, 1e-9 * lens.scale()),
-                (far, SHIFT, 1e-9 * float((far.radii() ** 2).max()))):
-            cloud = sample_intersection(inst, 500, seed=3, method=method,
-                                        start=start)
+                (near, None, 1e-9 * near.scale()),
+                (far, far_start, 1e-9 * float((far.radii() ** 2).max()))):
+            cloud = sample_intersection(inst, 500, seed=3, start=start)
             assert cloud.method is method
             assert len(cloud) == 500
-            assert cloud.points.shape == (500, 2)
+            assert cloud.points.shape == (500, n)
             assert max_violation(inst, cloud.points) <= tol
 
     def test_moved_lens_slater_point(self):
-        # without `start` the chains begin at the solver's Slater point
+        # without `start` the chains begin at the solver's Slater point:
+        # on the lens moved by 1e6 (taken to the chains directly, as
+        # rejection serves the lens) and on the fallback instance moved by
+        # 1e6, which the sampler hands to the chains itself
         far = moved_lens()
-        cloud = sample_intersection(far, 5, seed=3,
-                                    method=SampleMethod.HIT_AND_RUN)
+        pts = chains(far, 5, 3, _slater_point(far, solve_seb(far)))
+        assert max_violation(far, pts) <= 1e-9 * float(
+            (far.radii() ** 2).max())
+        far = fallback_instance(np.full(16, 1e6))
+        cloud = sample_intersection(far, 5, seed=3)
+        assert cloud.method is SampleMethod.HIT_AND_RUN
         assert len(cloud) == 5
         assert max_violation(far, cloud.points) <= 1e-9 * float(
             (far.radii() ** 2).max())
@@ -106,11 +132,15 @@ class TestSampleIntersection:
         lens = lens_instance()
         scaled = Instance.from_data(lens.centers_matrix() * s,
                                     lens.radii() * s)
-        cloud = sample_intersection(scaled, 5, seed=3,
-                                    method=SampleMethod.HIT_AND_RUN)
+        pts = chains(scaled, 5, 3, _slater_point(scaled, solve_seb(scaled)))
+        assert max_violation(scaled, pts) <= 1e-9 * 2.0 * s * s
+        assert np.sqrt(np.einsum("ij,ij->i", pts, pts).max()) <= s * (
+            1.0 + 1e-12)
+        scaled = fallback_instance(scale=s)
+        cloud = sample_intersection(scaled, 5, seed=3)
+        assert cloud.method is SampleMethod.HIT_AND_RUN
         assert len(cloud) == 5
-        assert max_violation(scaled, cloud.points) <= 1e-9 * 2.0 * s * s
-        assert farthest_distance(cloud, [0.0, 0.0]) <= s * (1.0 + 1e-12)
+        assert max_violation(scaled, cloud.points) <= 1e-9 * 1.44 * s * s
 
     def test_rejection_single_ball_moments(self):
         # uniform on B(c, r) in R^3: mean c, and E|x - c|^2 = 3 r^2 / 5
@@ -137,8 +167,8 @@ class TestSampleIntersection:
             assert radius == pytest.approx(r, rel=1e-15)
         for n in (2, 3, 4):
             inst = random_supported_instance(rng, n)
-            cloud = sample_intersection(inst, 500, seed=n,
-                                        method=SampleMethod.HIT_AND_RUN)
+            cloud = SampleCloud(chains(inst, 500, n, solve_seb(inst).center),
+                                n, SampleMethod.HIT_AND_RUN)
             for _ in range(5):
                 a, radius = _proposal_ball(inst, rng.dirichlet(
                     np.ones(inst.m)))
@@ -159,22 +189,21 @@ class TestSampleIntersection:
 
     def test_held_solution_saves_the_solve(self, monkeypatch):
         # a caller that holds the solution gets the cloud the call would
-        # draw after its own solve, without a second solve
-        lens = lens_instance()
-        sol = solve_seb(lens)
-        own = sample_intersection(lens, 500, seed=3)
+        # draw after its own solve, without a second solve, on either path
+        cases = [(inst, method, solve_seb(inst),
+                  sample_intersection(inst, 500, 3))
+                 for inst, method in (
+                     (lens_instance(), SampleMethod.REJECTION),
+                     (fallback_instance(), SampleMethod.HIT_AND_RUN))]
 
         def no_solve(*args, **kwargs):
             raise AssertionError("sample_intersection solved again")
 
         monkeypatch.setattr(solver, "solve_seb", no_solve)
-        for method in SampleMethod:
-            held = sample_intersection(lens, 500, seed=3, method=method,
-                                       solution=sol)
-            assert held.method is method
-        assert np.array_equal(
-            sample_intersection(lens, 500, seed=3, solution=sol).points,
-            own.points)
+        for inst, method, sol, own in cases:
+            held = sample_intersection(inst, 500, seed=3, solution=sol)
+            assert own.method is held.method is method
+            assert np.array_equal(held.points, own.points)
 
     def test_filter_rejects_points_just_outside(self):
         # |x - a|^2 = r^2 (1 + 5e-10) lies outside: a 1e-9 r^2 slack let it
@@ -212,9 +241,9 @@ class TestSampleIntersection:
         count = 200_000
         output_mb = count * 3 * 8 / 1e6
         # the first draw of a process imports modules (0.7 MB); not counted
-        sample_intersection(inst, 1, 4, SampleMethod.REJECTION)
-        peak = traced_peak_mb(sample_intersection, inst, count, 4,
-                              SampleMethod.REJECTION)
+        assert sample_intersection(inst, 1, 4).method is (
+            SampleMethod.REJECTION)
+        peak = traced_peak_mb(sample_intersection, inst, count, 4)
         assert peak < output_mb + 1.5
 
     def test_rejection_working_set_on_lens(self):
@@ -229,10 +258,9 @@ class TestSampleIntersection:
 
     def test_hit_and_run_reaches_both_lobes(self):
         # the lens is symmetric about x2 = 0; a mixing chain covers both sides
-        cloud = sample_intersection(lens_instance(), 2000, seed=7,
-                                    method=SampleMethod.HIT_AND_RUN)
-        assert (cloud.points[:, 1] > 0.1).sum() > 200
-        assert (cloud.points[:, 1] < -0.1).sum() > 200
+        pts = chains(lens_instance(), 2000, 7, np.zeros(2))
+        assert (pts[:, 1] > 0.1).sum() > 200
+        assert (pts[:, 1] < -0.1).sum() > 200
 
     def test_rejection_reaches_both_lobes(self):
         # each side of the strip |x2| <= 0.1 holds 43 % of the lens's area:
@@ -252,27 +280,25 @@ class TestSampleIntersection:
         assert max_violation(inst, cloud.points) <= 1e-9 * inst.scale()
 
     def test_seed_reproducibility(self):
-        # one seed gives one cloud on either path
+        # one seed gives one cloud on either path, and seeds apart by 2^31
+        # give different clouds: the chains take the seed as given
         for inst, method in ((critical_instance(), SampleMethod.REJECTION),
                              (fallback_instance(), SampleMethod.HIT_AND_RUN)):
             c1 = sample_intersection(inst, 100, seed=42)
             c2 = sample_intersection(inst, 100, seed=42)
-            c3 = sample_intersection(inst, 100, seed=43)
             assert c1.method is method
             assert np.array_equal(c1.points, c2.points)
-            assert not np.array_equal(c1.points, c3.points)
+            for other in (43, 42 + 2**31):
+                c3 = sample_intersection(inst, 100, seed=other)
+                assert c3.method is method and c3.seed == other
+                assert not np.array_equal(c1.points, c3.points)
 
     def test_hit_and_run_translation_equivariant(self):
         # chords are computed relative to the start point, so moving the
         # balls and the start by 1e6 moves the cloud and nothing else
-        near = sample_intersection(lens_instance(), 500, seed=3,
-                                   method=SampleMethod.HIT_AND_RUN,
-                                   start=np.zeros(2))
-        moved = sample_intersection(moved_lens(), 500, seed=3,
-                                    method=SampleMethod.HIT_AND_RUN,
-                                    start=SHIFT)
-        assert np.allclose(moved.points - SHIFT, near.points, rtol=0,
-                           atol=1e-9)
+        near = chains(lens_instance(), 500, 3, np.zeros(2))
+        moved = chains(moved_lens(), 500, 3, SHIFT)
+        assert np.allclose(moved - SHIFT, near, rtol=0, atol=1e-9)
 
     def test_rejection_translation_equivariant(self):
         # draws and filter are taken about the solver's center, so moving
@@ -296,20 +322,15 @@ class TestSampleIntersection:
         # below, between and above multiples of the chain count
         inst = critical_instance()
         start = solve_seb(inst).center
-        c1 = sample_intersection(inst, count, seed=4,
-                                 method=SampleMethod.HIT_AND_RUN,
-                                 start=start, burn_in=0, thin=1)
-        c2 = sample_intersection(inst, count, seed=4,
-                                 method=SampleMethod.HIT_AND_RUN,
-                                 start=start, burn_in=0, thin=1)
-        assert c1.points.shape == (count, 2)
-        assert max_violation(inst, c1.points) <= 1e-9 * inst.scale()
-        assert np.array_equal(c1.points, c2.points)
+        c1 = chains(inst, count, 4, start, burn_in=0, thin=1)
+        c2 = chains(inst, count, 4, start, burn_in=0, thin=1)
+        assert c1.shape == (count, 2)
+        assert max_violation(inst, c1) <= 1e-9 * inst.scale()
+        assert np.array_equal(c1, c2)
 
     def test_disjoint_raises(self):
-        for method in SampleMethod:
-            with pytest.raises(EmptyInteriorError):
-                sample_intersection(disjoint_instance(), 10, method=method)
+        with pytest.raises(EmptyInteriorError):
+            sample_intersection(disjoint_instance(), 10)
 
     def test_zero_count(self):
         cloud = sample_intersection(lens_instance(), 0)
@@ -471,8 +492,8 @@ class TestGridMinMaxG:
 
 
 def test_default_box_covers_all_balls():
-    lo, hi = default_box(lens_instance())
+    lo, hi = _default_box(lens_instance())
     assert np.array_equal(lo, [-2.0 - np.sqrt(2) + 1, -np.sqrt(2)])
-    lo, hi = default_box(disjoint_instance(), pad=0.5)
-    assert np.array_equal(lo, [-6.5, -1.5])
-    assert np.array_equal(hi, [6.5, 1.5])
+    lo, hi = _default_box(disjoint_instance())
+    assert np.array_equal(lo, [-6.0, -1.0])
+    assert np.array_equal(hi, [6.0, 1.0])

@@ -16,8 +16,6 @@ from seblab.geometry import (
     Instance,
     Solution,
     SolveStatus,
-    UnitQuadratic,
-    eval_quadratic,
 )
 from seblab.linalg import numerical_rank
 from seblab.sampling import sample_intersection
@@ -260,10 +258,11 @@ class TestIdentityResidual:
         sol = solve_seb(inst)
         X = rng.standard_normal((50, 4)) * 5
         target = sol.target_quadratic()
-        loop = [sum(w * eval_quadratic(UnitQuadratic(a, r * r), x)
+        loop = [sum(w * (float((x - a) @ (x - a)) - r * r)
                     for w, a, r in zip(sol.multipliers, inst.centers_matrix(),
                                        inst.radii()))
-                - eval_quadratic(target, x) for x in X]
+                - (float((x - target.a) @ (x - target.a)) - target.rho)
+                for x in X]
         batch = identity_residual(inst, sol, X)
         assert batch.shape == (50,)
         assert np.all(np.abs(batch - loop)
