@@ -14,9 +14,7 @@ from .solver import (
     RankRegime,
     Regime,
     build_certificate,
-    check_interior,
     classify,
-    identity_residual,
     solve_seb,
 )
 
@@ -31,9 +29,7 @@ __all__ = [
     "SolveStatus",
     "UnitQuadratic",
     "build_certificate",
-    "check_interior",
     "classify",
-    "identity_residual",
     "solve_seb",
 ]
 

@@ -24,13 +24,7 @@ from .errors import (CombinatorialBlowup, SebLabError, UnsupportedRegime,
                      ValidationError)
 from .geometry import SolveStatus
 from .numrange import QuadraticMap
-from .solver import (
-    build_certificate,
-    classify,
-    identity_residual,
-    regime_report,
-    solve_seb,
-)
+from .solver import build_certificate, classify, regime_report, solve_seb
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -64,14 +58,10 @@ def cmd_solve(args, out):
         cloud = sampling.sample_intersection(
             instance, args.verify, seed=args.seed, solution=solution)
         worst = sampling.farthest_distance(cloud, solution.center)
-        rng = np.random.default_rng(args.seed)
-        xs = rng.standard_normal((min(args.verify, 1000), instance.dimension))
         diagnostics["verify_points"] = args.verify
         diagnostics["sample_method"] = cloud.method.value
         diagnostics["max_containment_violation"] = max(
             0.0, worst - solution.radius)
-        diagnostics["identity_residual_max"] = float(
-            np.abs(identity_residual(instance, solution, xs)).max())
     report = io.solution_report(instance, solution, regime, certificate,
                                 diagnostics)
     print(io.emit(report, compact=args.compact), file=out)
@@ -218,9 +208,10 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(f"{self.prog}: {message}")
 
 
-def _seed(text):
+def _nonnegative(text):
+    """A seed or a count; argparse names the flag in the error."""
     if int(text) < 0:
-        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {text}")
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
     return int(text)
 
 
@@ -239,16 +230,16 @@ def build_parser():
                    help="gap tolerance of Wolfe's finite method on the "
                         "simplex QP")
     p.add_argument("--max-iter", type=int, default=None)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--verify", type=int, default=0, metavar="N",
+    p.add_argument("--seed", type=_nonnegative, default=0)
+    p.add_argument("--verify", type=_nonnegative, default=0, metavar="N",
                    help="sample N feasible points and report max violation")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("jnr", help="joint-numerical-range lab")
     p.add_argument("file")
     p.add_argument("action", choices=["sample", "member", "probe"])
-    p.add_argument("--count", type=int, default=1000)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--count", type=_nonnegative, default=1000)
+    p.add_argument("--seed", type=_nonnegative, default=0)
     p.add_argument("--point", type=str, default=None,
                    help="comma-separated value vector for 'member'")
     p.add_argument("--out", type=str, default=None, help="CSV output path")
@@ -256,8 +247,8 @@ def build_parser():
 
     p = sub.add_parser("oracle", help="brute-force cross-checks")
     p.add_argument("file")
-    p.add_argument("--cloud", type=int, default=0, metavar="N")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--cloud", type=_nonnegative, default=0, metavar="N")
+    p.add_argument("--seed", type=_nonnegative, default=0)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("rank", help="rank / regime classification")

@@ -27,7 +27,3 @@ class EmptyInteriorError(SebLabError):
 
 class DimensionTooLarge(SebLabError):
     """Grid oracle guard: exhaustive search only supported in low dimension."""
-
-
-class ValidationFailure(SebLabError):
-    """A solver self-check identity failed beyond tolerance (likely a bug)."""

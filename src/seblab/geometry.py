@@ -13,9 +13,9 @@ import numpy as np
 
 from .errors import DimensionMismatch, ValidationError
 
-#: Base relative tolerance; every use scales it by a magnitude of the balls
-#: (Instance.scale(), or the largest squared radius in the sampler), with no
-#: absolute floor, so each threshold follows a uniform scaling of the input.
+#: Relative tolerance: solve_seb certifies a ball when its duality bracket
+#: closes to BASE_TOL q(mu), and build_certificate's PSD test applies it to
+#: blocks taken over Instance.scale(); no status is read from it.
 BASE_TOL = 1e-9
 
 
@@ -93,8 +93,12 @@ class Instance:
             raise ValidationError("ball radii must be finite and > 0")
         # measured from the smallest ball, the scale ignores translation;
         # with no floor it follows a uniform scaling of the balls exactly
-        D = centers - centers[np.argmin(radii)]
-        scale = float((np.einsum("ij,ij->i", D, D) + radii * radii).max())
+        with np.errstate(over="ignore"):
+            D = centers - centers[np.argmin(radii)]
+            scale = float((np.einsum("ij,ij->i", D, D) + radii * radii).max())
+        if not np.isfinite(scale):
+            raise ValidationError("the balls' squared sizes overflow: "
+                                  "|a_i - o|^2 + r_i^2 must be finite")
         centers.setflags(write=False)
         radii.setflags(write=False)
         instance = object.__new__(cls)
@@ -117,10 +121,10 @@ class Instance:
         return self._radii
 
     def scale(self):
-        """Magnitude used for relative tolerances:
-        max_i |a_i - o|^2 + r_i^2, o the center of the smallest ball. It is
-        positive (every radius is), moves with no translation and scales
-        with the square of a uniform scaling."""
+        """Magnitude of the whole instance: max_i |a_i - o|^2 + r_i^2, o
+        the center of the smallest ball. It is positive and finite (from_data
+        refuses balls whose squares overflow), moves with no translation and
+        scales with the square of a uniform scaling."""
         return self._scale
 
 

@@ -46,17 +46,6 @@ class SampleCloud:
         return self.points.shape[0]
 
 
-def _slater_point(instance: Instance, solution):
-    """The solution's center, when it lies strictly inside every ball."""
-    nonempty, point = solver.check_interior(instance, solution)
-    if not nonempty:
-        raise EmptyInteriorError("ball intersection has empty interior")
-    if point is None:
-        raise EmptyInteriorError(
-            "the unconverged solve found no point inside every ball")
-    return point
-
-
 def _feasible_rows(centers, radii, X):
     """Indices of the rows of X inside every ball, filtered ball by ball.
 
@@ -141,7 +130,8 @@ def sample_intersection(instance: Instance, count: int, seed: int = 0,
     the first batch keeps too few draws (PILOT_ACCEPT_RATE), as in high
     dimension, the call falls back to hit-and-run, which walks exact
     chords from `start`, or from the solution's center when `start` is
-    omitted and that center lies strictly inside every ball: up to
+    omitted; a start that does not lie strictly inside every ball raises
+    EmptyInteriorError. Up to
     `kernels.CHAINS` chains start there together, each runs BURN_IN steps
     and then keeps every THIN-th point. The cloud's `method` names the
     path that ran. Both draw only from `np.random.default_rng(seed)` or
@@ -162,11 +152,14 @@ def sample_intersection(instance: Instance, count: int, seed: int = 0,
                           *_proposal_ball(instance, solution.multipliers))
     if pts is not None:
         return SampleCloud(pts, seed, SampleMethod.REJECTION)
-    if start is None:
-        start = _slater_point(instance, solution)
+    start = np.asarray(solution.center if start is None else start,
+                       dtype=float)
+    D = instance.centers_matrix() - start
+    if not (np.einsum("ij,ij->i", D, D) < instance.radii() ** 2).all():
+        raise EmptyInteriorError(
+            "the hit-and-run start lies on or outside an input ball")
     pts = kernels.hit_and_run(instance.centers_matrix(), instance.radii(),
-                              np.asarray(start, dtype=float), int(count),
-                              BURN_IN, THIN, seed)
+                              start, int(count), BURN_IN, THIN, seed)
     return SampleCloud(points=pts, seed=seed, method=SampleMethod.HIT_AND_RUN)
 
 

@@ -87,16 +87,18 @@ def solve(qp: SimplexQP, tol_gap=None, max_iter=None):
     The returned gap upper-bounds value - q* by convexity. If the
     major-cycle budget runs out, or rounding stops progress, above tol_gap
     the result is still returned with converged=False. The default tol_gap
-    is 1e-10 max_i(2|b_i|^2 - c_i): for a ball program that is
-    max_i |b_i|^2 + r_i^2, the instance's scale(), so the stopping rule
-    follows a uniform scaling of the balls. A tol_gap that is negative or
-    not finite, or a negative max_iter, raises ValidationError.
+    is 16 (n + m) eps max_i(2|b_i|^2 - c_i), where for a ball program
+    max_i(2|b_i|^2 - c_i) = max_i |b_i|^2 + r_i^2 is the instance's
+    scale(): a rounding-level stop that follows a uniform scaling of the
+    balls, so a small answer beside a large ball runs until its own gap
+    nears that rounding. A tol_gap that is negative or not finite, or a
+    negative max_iter, raises ValidationError.
     """
-    m = qp.m
+    m, n = qp.centers.shape
     if tol_gap is None:
         B = qp.centers
-        tol_gap = 1e-10 * float((2.0 * np.einsum("ij,ij->i", B, B)
-                                 - qp.linear).max())
+        tol_gap = 16 * (n + m) * np.finfo(float).eps * float(
+            (2.0 * np.einsum("ij,ij->i", B, B) - qp.linear).max())
     elif not (math.isfinite(tol_gap) and tol_gap >= 0.0):
         raise ValidationError(
             f"tol_gap must be finite and >= 0, got {tol_gap}")

@@ -1,9 +1,9 @@
 """Enclosing-ball pipeline: regime gating, QP solve, recovery, certificates.
 
 The center is recovered as the multiplier combination of the input centers
-and the radius as the square root of the QP optimum; the affine rank of the
-centers and the convergence of the solve decide whether minimality is
-certified.
+and the radius as the square root of the QP optimum; one duality bracket at
+the returned multipliers, with the affine rank of the centers, decides every
+status.
 """
 
 from dataclasses import dataclass
@@ -11,14 +11,12 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ValidationFailure
 from .geometry import (
     BASE_TOL,
     Certificate,
     Instance,
     Solution,
     SolveStatus,
-    quadratic_values,
 )
 from .linalg import arrowhead_psd, numerical_rank
 from .simplex_qp import build_qp, solve
@@ -60,35 +58,55 @@ def classify(instance: Instance) -> RankRegime:
 def solve_seb(instance: Instance, tol_gap=None, max_iter=None):
     """Solve the simplex QP and recover the enclosing ball.
 
-    The center is o + B^T mu in the program's frame about the smallest
-    ball o. q* > 0: ball of radius sqrt(q*), certified when the solve
-    converged and the centers' rank, read once by classify before the
-    solve and kept on the solution, satisfies the gating condition.
-    |q*| ~ 0: the intersection is a single touching point (radius 0).
-    q* < 0: empty interior.
+    Every status is read from one duality bracket at the returned
+    multipliers mu, in the program's frame about the smallest ball o
+    (x = B^T mu, the center is o + x): every simplex mu has
+    sum_i mu_i g_i(y) = |y - x|^2 - q(mu), so -max_i g_i(x) <= q* <= q(mu).
+    g_i(x) = |x|^2 - 2 b_i.x + c_i is a few n-term dot products, each
+    rounded by at most about n eps (|x|^2 + |b_i|^2 + r_i^2) (Higham), so
+    e_i = 8(n + 4) eps (|x|^2 + |b_i|^2 + r_i^2) bounds its rounding with
+    room to spare; q(mu) also sums over the m balls, and its bound e_q
+    takes 8(n + m + 4) eps times the mu-weighted mean of those sizes. With
+    lb = -max_i(g_i + e_i) and ub = q(mu):
+
+    - lb > 0: x lies strictly inside every ball, so the interior is
+      nonempty; radius sqrt(ub), CertifiedOptimal when the centers' rank
+      (read once by classify before the solve and kept on the solution)
+      passes the gate and ub - lb <= BASE_TOL ub, else UpperBoundOnly;
+    - ub < -e_q: max_i g_i(y) >= -q(mu) > 0 at every y, EmptyInterior;
+    - ub <= e_q with x in every ball up to e_i: DegeneratePoint;
+    - otherwise UpperBoundOnly with radius sqrt(max(ub, 0)), which
+      encloses the intersection for any simplex mu.
+
+    The bounds follow the balls that hold x or carry weight, not the
+    largest ball. `converged` says whether the solve met tol_gap; it
+    decides no status.
     """
     gate = classify(instance)
     qp = build_qp(instance)
     res = solve(qp, tol_gap=tol_gap, max_iter=max_iter)
-    mu = res.minimizer
-    q_star = res.value
+    mu, ub = res.minimizer, res.value
     x = qp.centers.T @ mu
-    tol = BASE_TOL * instance.scale()
+    xx = float(x @ x)
+    # |x|^2 + |b_i|^2 + r_i^2, with c_i = |b_i|^2 - r_i^2
+    size = xx + qp.linear + 2.0 * instance.radii() ** 2
+    eps = np.finfo(float).eps
+    n, m = qp.centers.shape[1], mu.size
+    g = xx - 2.0 * (qp.centers @ x) + qp.linear
+    e = 8 * (n + 4) * eps * size
+    e_q = 8 * (n + m + 4) * eps * float(mu @ size)
+    lb = -float((g + e).max())
 
-    if q_star < -tol:
-        status = SolveStatus.EMPTY_INTERIOR
-        radius = 0.0
-    elif q_star <= tol:
-        status = SolveStatus.DEGENERATE_POINT
-        radius = 0.0  # sqrt of noise-level q* clamps to 0
-    else:
-        if res.converged and gate.regime in (Regime.CONVEX, Regime.CRITICAL):
+    status, radius = SolveStatus.UPPER_BOUND_ONLY, float(np.sqrt(max(ub, 0.0)))
+    if lb > 0.0:
+        if gate.regime is not Regime.UNSUPPORTED and ub - lb <= BASE_TOL * ub:
             status = SolveStatus.CERTIFIED_OPTIMAL
-        else:
-            status = SolveStatus.UPPER_BOUND_ONLY
-        radius = float(np.sqrt(q_star))
+    elif ub < -e_q:
+        status, radius = SolveStatus.EMPTY_INTERIOR, 0.0
+    elif ub <= e_q and float((g - e).max()) <= 0.0:
+        status, radius = SolveStatus.DEGENERATE_POINT, 0.0
     return Solution(center=qp.origin + x, radius=radius, multipliers=mu,
-                    qp_value=q_star, status=status, fw_gap=res.gap,
+                    qp_value=ub, status=status, fw_gap=res.gap,
                     fw_iterations=res.iterations, converged=res.converged,
                     rank_shifted=gate.rank_shifted)
 
@@ -98,28 +116,6 @@ def regime_report(instance: Instance, solution: Solution) -> RankRegime:
     return RankRegime(rank_shifted=solution.rank_shifted,
                       regime=_regime_of(solution.rank_shifted,
                                         instance.dimension, instance.m))
-
-
-def check_interior(instance: Instance, solution: Solution):
-    """Slater check via the minimax identity min_x max_i g_i(x) = -q*.
-
-    The intersection has nonempty interior iff q* > 0. For any simplex mu
-    with center a, max_i g_i(a) = fw_gap - q(mu), so a larger value means
-    the reported gap is understated; that raises ValidationFailure.
-    Returns (nonempty, slater_point_or_None), the point being the center
-    when it lies strictly inside every ball.
-    """
-    tol = BASE_TOL * instance.scale()
-    a = solution.center
-    worst = float(quadratic_values(a[None, :], instance.centers_matrix(),
-                                   instance.radii() ** 2).max())
-    if worst > -solution.qp_value + solution.fw_gap + tol:
-        raise ValidationFailure(
-            f"max_i g_i(center) = {worst} exceeds -q(mu) + gap = "
-            f"{-solution.qp_value + solution.fw_gap}"
-        )
-    nonempty = solution.qp_value > tol
-    return nonempty, (a if nonempty and worst < 0.0 else None)
 
 
 def build_certificate(instance: Instance, solution: Solution) -> Certificate:
@@ -143,20 +139,3 @@ def build_certificate(instance: Instance, solution: Solution) -> Certificate:
                                      beta / scale, tol=BASE_TOL)
     return Certificate(multipliers=mu, alpha=alpha, offdiag=offdiag, beta=beta,
                        psd_ok=psd_ok, residual=residual)
-
-
-def identity_residual(instance: Instance, solution: Solution, x):
-    """sum_i mu_i g_i(x) - g_solution(x) at the point x (a float) or at each
-    row of an (N, n) array x (an array); identically 0 at a QP optimum.
-
-    The identity needs only sum(mu) = 1, a = sum(mu_i a_i) and
-    r^2 = sum(mu_i (r_i^2 - |a_i - a|^2)); it does not depend on the rank
-    condition. The g_i and the target are evaluated in one array pass.
-    """
-    x = np.asarray(x, dtype=float)
-    G = quadratic_values(
-        np.atleast_2d(x),
-        np.vstack([instance.centers_matrix(), solution.center]),
-        np.append(instance.radii() ** 2, solution.radius ** 2))
-    residual = G[:, :-1] @ solution.multipliers - G[:, -1]
-    return float(residual[0]) if x.ndim == 1 else residual

@@ -61,8 +61,18 @@ class TestSolveCommand:
         assert report["regime"]["regime"] == "ConvexCase"
         assert report["certificate"]["psd_ok"] is True
         assert report["diagnostics"]["max_containment_violation"] == 0.0
-        assert report["diagnostics"]["identity_residual_max"] < 1e-9
         assert report["diagnostics"]["converged"] is True
+        # the duality bracket from the report and the balls: q(mu) =
+        # radius^2, q(mu) + max_i g_i(center) is the gap and closes to 1e-9,
+        # and a radius shrunk by 1 % falls below -max_i g_i(center)
+        q, gap = report["qp_value"], report["diagnostics"]["fw_gap"]
+        lb = -max(float(np.sum((np.array(report["center"])
+                                - ball["center"]) ** 2)) - ball["radius"] ** 2
+                  for ball in LENS["balls"])
+        assert report["radius"] ** 2 == pytest.approx(q, rel=1e-12)
+        assert q - lb <= 1e-9 * q and gap <= 1e-9 * q
+        assert q - lb == pytest.approx(gap, abs=1e-12)
+        assert (0.99 * report["radius"]) ** 2 < lb
 
     def test_verify_reports_sample_method(self, tmp_path):
         for doc, method in ((LENS, "Rejection"), (HIGH_DIM, "HitAndRun")):
@@ -130,6 +140,18 @@ class TestSolveCommand:
         code, text = run_cli(["solve", path, "--tol", tol])
         assert code == 1
         assert "tol_gap" in json.loads(text)["error"]
+
+    def test_overflowing_squares_refused(self, tmp_path):
+        # the radii are finite, their squares are not: refused at load,
+        # not solved to a NaN radius
+        huge = {"dimension": 2,
+                "balls": [{"center": [1e200, 0.0], "radius": 1.5e200},
+                          {"center": [-1e200, 0.0], "radius": 1.5e200}]}
+        path = write_doc(tmp_path, "huge.json", huge)
+        for args in (["solve", path], ["rank", path]):
+            code, text = run_cli(args)
+            assert code == 1
+            assert "overflow" in json.loads(text)["error"]
 
     def test_compact_single_line(self, tmp_path):
         path = write_doc(tmp_path, "lens.json", LENS)
@@ -280,7 +302,19 @@ class TestArguments:
         path = write_doc(tmp_path, "lens.json", LENS)
         code, text = run_cli([a.format(path) for a in args])
         assert code == 1
-        assert "seed must be >= 0" in json.loads(text)["error"]
+        assert "argument --seed: must be >= 0" in json.loads(text)["error"]
+
+    @pytest.mark.parametrize("args, flag", [
+        (["solve", "{}", "--verify", "-2"], "--verify"),
+        (["oracle", "{}", "--cloud", "-3"], "--cloud"),
+        (["jnr", "{}", "sample", "--count", "-1"], "--count"),
+        (["jnr", "{}", "probe", "--count", "-1"], "--count"),
+    ])
+    def test_negative_count_names_its_flag(self, tmp_path, args, flag):
+        path = write_doc(tmp_path, "lens.json", LENS)
+        code, text = run_cli([a.format(path) for a in args])
+        assert code == 1
+        assert f"argument {flag}: must be >= 0" in json.loads(text)["error"]
 
     @pytest.mark.parametrize("args", [
         ["solve", "{}", "--max-iter", "abc"],

@@ -95,6 +95,12 @@ def test_validation_rejects_bad_input():
         Instance.from_data(np.zeros((0, 2)), [])
     with pytest.raises(ValidationError):
         UnitQuadratic(a=[0.0, 0.0], rho=np.inf)
+    # finite balls whose squares overflow: radii, or centers far apart
+    for centers, radii in (([[1e200, 0.0], [-1e200, 0.0]], [1.5e200] * 2),
+                           ([[1e300, 0.0], [-1e300, 0.0]], [1.0, 1.0]),
+                           ([[0.0, 0.0]], [1e160])):
+        with pytest.raises(ValidationError, match="overflow"):
+            Instance.from_data(centers, radii)
 
 
 def test_types_are_immutable():

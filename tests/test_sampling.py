@@ -26,7 +26,6 @@ from seblab.sampling import (
     _default_box,
     _feasible_rows,
     _proposal_ball,
-    _slater_point,
     cloud_meb,
     farthest_distance,
     grid_min_maxg,
@@ -112,12 +111,14 @@ class TestSampleIntersection:
             assert max_violation(inst, cloud.points) <= tol
 
     def test_moved_lens_slater_point(self):
-        # without `start` the chains begin at the solver's Slater point:
-        # on the lens moved by 1e6 (taken to the chains directly, as
-        # rejection serves the lens) and on the fallback instance moved by
-        # 1e6, which the sampler hands to the chains itself
+        # without `start` the chains begin at the solver's center, a
+        # Slater point: on the lens moved by 1e6 (taken to the chains
+        # directly, as rejection serves the lens) and on the fallback
+        # instance moved by 1e6, which the sampler hands to the chains
         far = moved_lens()
-        pts = chains(far, 5, 3, _slater_point(far, solve_seb(far)))
+        center = solve_seb(far).center
+        assert max_violation(far, center[None]) < 0.0
+        pts = chains(far, 5, 3, center)
         assert max_violation(far, pts) <= 1e-9 * float(
             (far.radii() ** 2).max())
         far = fallback_instance(np.full(16, 1e6))
@@ -132,7 +133,9 @@ class TestSampleIntersection:
         lens = lens_instance()
         scaled = Instance.from_data(lens.centers_matrix() * s,
                                     lens.radii() * s)
-        pts = chains(scaled, 5, 3, _slater_point(scaled, solve_seb(scaled)))
+        center = solve_seb(scaled).center
+        assert max_violation(scaled, center[None]) < 0.0
+        pts = chains(scaled, 5, 3, center)
         assert max_violation(scaled, pts) <= 1e-9 * 2.0 * s * s
         assert np.sqrt(np.einsum("ij,ij->i", pts, pts).max()) <= s * (
             1.0 + 1e-12)
@@ -331,6 +334,19 @@ class TestSampleIntersection:
     def test_disjoint_raises(self):
         with pytest.raises(EmptyInteriorError):
             sample_intersection(disjoint_instance(), 10)
+
+    def test_hit_and_run_start_is_tested(self):
+        # the chains start only strictly inside every ball: a given start
+        # on a sphere or outside, or a solution center outside a ball (no
+        # cycle run on the disjoint pair), raises before any step
+        inst = fallback_instance()
+        for start in (np.eye(16)[0] * -0.2, np.full(16, 1.0)):
+            with pytest.raises(EmptyInteriorError, match="start"):
+                sample_intersection(inst, 10, start=start)
+        disjoint = disjoint_instance()
+        sol = solve_seb(disjoint, max_iter=0)
+        with pytest.raises(EmptyInteriorError, match="start"):
+            sample_intersection(disjoint, 10, solution=sol)
 
     def test_zero_count(self):
         cloud = sample_intersection(lens_instance(), 0)

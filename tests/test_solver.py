@@ -1,17 +1,17 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from conftest import (
+    SQRT2,
     critical_instance,
     disjoint_instance,
     lens_instance,
     random_supported_instance,
     unsupported_instance,
 )
-from seblab.errors import ValidationFailure
+from seblab.errors import EmptyInteriorError
 from seblab.geometry import (
     Instance,
     Solution,
@@ -19,13 +19,12 @@ from seblab.geometry import (
 )
 from seblab.linalg import numerical_rank
 from seblab.sampling import sample_intersection
+from seblab.simplex_qp import build_qp, support_oracle
 from seblab.solver import (
     RankRegime,
     Regime,
     build_certificate,
-    check_interior,
     classify,
-    identity_residual,
     regime_report,
     solve_seb,
 )
@@ -162,46 +161,195 @@ class TestSolveSeb:
                 assert rank < n or (rank == n and inst.m == n)
 
 
+def moved(inst, shift=0.0, rotation=None):
+    """The instance rotated about the origin, then moved by `shift`."""
+    A = inst.centers_matrix()
+    if rotation is not None:
+        A = A @ rotation.T
+    return Instance.from_data(A + shift, inst.radii())
+
+
+def rotation_2d(angle=0.7):
+    return np.array([[math.cos(angle), -math.sin(angle)],
+                     [math.sin(angle), math.cos(angle)]])
+
+
+def small_lens(t):
+    """A lens of two balls of radius t sqrt(2) at (+-t, 0), optimal ball
+    B(0, t), beside (inside) the ball B((5, 0), 10)."""
+    return Instance.from_data([[-t, 0.0], [t, 0.0], [5.0, 0.0]],
+                              [t * SQRT2, t * SQRT2, 10.0])
+
+
 class TestCheckInterior:
+    """The interior decision, read with every other status from the bracket
+    -max_i g_i(a) <= q* <= q(mu) at the returned center."""
+
     def test_lens(self):
         inst = lens_instance()
         sol = solve_seb(inst)
-        nonempty, point = check_interior(inst, sol)
-        assert nonempty and np.allclose(point, [0.0, 0.0], atol=1e-10)
-        assert g_values(inst, point).max() == pytest.approx(-sol.qp_value,
-                                                            abs=1e-9)
+        assert sol.status is SolveStatus.CERTIFIED_OPTIMAL
+        assert np.allclose(sol.center, [0.0, 0.0], atol=1e-10)
+        assert g_values(inst, sol.center).max() == pytest.approx(
+            -sol.qp_value, abs=1e-9)
 
     def test_disjoint(self):
         inst = disjoint_instance()
         sol = solve_seb(inst)
-        nonempty, point = check_interior(inst, sol)
-        assert not nonempty and point is None
+        assert sol.status is SolveStatus.EMPTY_INTERIOR
+        assert sol.qp_value < 0.0
+        assert g_values(inst, sol.center).max() > 0.0
 
     def test_single_ball(self):
         inst = Instance.from_data([[1.0, 2.0]], [0.5])
-        nonempty, point = check_interior(inst, solve_seb(inst))
-        assert nonempty and np.allclose(point, [1.0, 2.0])
-
-    def test_validation_failure_on_corrupted_solution(self):
-        inst = lens_instance()
         sol = solve_seb(inst)
-        bad = Solution(center=sol.center + 5.0, radius=sol.radius,
-                       multipliers=sol.multipliers, qp_value=sol.qp_value,
-                       status=sol.status)
-        with pytest.raises(ValidationFailure):
-            check_interior(inst, bad)
+        assert sol.status is SolveStatus.CERTIFIED_OPTIMAL
+        assert np.array_equal(sol.center, [1.0, 2.0])
+        assert g_values(inst, sol.center).max() < 0.0
+
+    def test_gap_is_the_bracket_width(self):
+        # the reported gap is q(mu) + max_i g_i(center), converged or not;
+        # a center moved off the multipliers opens the bracket past it
+        lens = lens_instance()
+        big = random_supported_instance(np.random.default_rng(1), 12)
+        for inst, sol in ((lens, solve_seb(lens)),
+                          (big, solve_seb(big, max_iter=2))):
+            q, gap = certified_gap(inst, sol.multipliers)
+            assert sol.fw_gap == pytest.approx(gap, rel=1e-9, abs=1e-12)
+            assert q + g_values(inst, sol.center).max() == pytest.approx(
+                gap, rel=1e-9, abs=1e-12)
+            moved_gap = q + g_values(inst, sol.center + 5.0).max()
+            assert moved_gap > sol.fw_gap + 1.0
 
     def test_unconverged_solve(self):
+        # two major cycles leave the bracket 86 % open: the ball of q(mu)
+        # still encloses, and is not certified
         inst = random_supported_instance(np.random.default_rng(1), 12)
         sol = solve_seb(inst, max_iter=2)
         assert not sol.converged
-        nonempty, point = check_interior(inst, sol)
-        assert nonempty
-        if point is not None:
-            assert g_values(inst, point).max() < 0.0
-        understated = dataclasses.replace(sol, fw_gap=0.5 * sol.fw_gap)
-        with pytest.raises(ValidationFailure):
-            check_interior(inst, understated)
+        assert sol.status is SolveStatus.UPPER_BOUND_ONLY
+        q, gap = certified_gap(inst, sol.multipliers)
+        assert sol.radius == pytest.approx(math.sqrt(q), rel=1e-12)
+        assert gap > 1e-9 * q
+        assert g_values(inst, sol.center).max() < 0.0
+
+    def test_disjoint_unconverged(self):
+        # no cycle run: mu is the smallest ball's vertex, whose ball is
+        # valid for the empty set; the sampler's start test then refuses
+        inst = disjoint_instance()
+        sol = solve_seb(inst, max_iter=0)
+        assert sol.status is SolveStatus.UPPER_BOUND_ONLY
+        assert sol.radius == 1.0
+        with pytest.raises(EmptyInteriorError):
+            sample_intersection(inst, 10, solution=sol)
+
+    @pytest.mark.parametrize("ratio", [10.0 ** -k for k in range(1, 8)])
+    def test_small_ball_inside_a_large_one(self, ratio):
+        # the bounds follow the balls that carry weight or hold the center,
+        # not the largest ball: radius t at every t / R, moved and rotated
+        t = 10.0 * ratio
+        base = Instance.from_data([[0.0, 0.0], [5.0, 0.0]], [t, 10.0])
+        for inst in (base, moved(base, 1e6, rotation_2d())):
+            sol = solve_seb(inst)
+            assert sol.status is SolveStatus.CERTIFIED_OPTIMAL
+            assert sol.radius == pytest.approx(t, rel=1e-12)
+        cloud = sample_intersection(base, 50, seed=1)
+        assert np.abs(cloud.points).max() <= t
+
+    @pytest.mark.parametrize("ratio", [10.0 ** -k for k in range(1, 7)])
+    def test_small_lens_matches_the_oracle(self, ratio):
+        base = small_lens(10.0 * ratio)
+        for inst in (base, moved(base, 1e6, rotation_2d())):
+            sol = solve_seb(inst)
+            q_exact, _ = support_oracle(build_qp(inst))
+            assert sol.status is SolveStatus.CERTIFIED_OPTIMAL
+            assert abs(sol.qp_value - q_exact) <= 1e-9 * q_exact
+
+    @pytest.mark.parametrize("ratio, status", [
+        (1e-7, SolveStatus.CERTIFIED_OPTIMAL),
+        (1e-8, SolveStatus.UPPER_BOUND_ONLY),
+    ])
+    def test_smaller_lens_is_never_understated(self, ratio, status):
+        # at 1e-8 the default stop, which the large ball sets, ends at the
+        # first vertex, whose q is twice q*: the bracket stays open, so the
+        # ball is not certified, and it is still no smaller than optimal
+        base = small_lens(10.0 * ratio)
+        for inst in (base, moved(base, 1e6, rotation_2d())):
+            sol = solve_seb(inst)
+            q_exact, _ = support_oracle(build_qp(inst))
+            assert sol.status is status
+            assert sol.qp_value >= q_exact * (1.0 - 1e-12)
+            if status is SolveStatus.CERTIFIED_OPTIMAL:
+                assert sol.qp_value <= q_exact * (1.0 + 1e-9)
+
+
+CORPUS_FAMILIES = ("nested", "lens", "tangent", "disjoint", "random")
+
+
+def corpus_case(rng, family, n):
+    """Centers and radii of one case of the family, before it is moved."""
+    e1 = np.eye(n)[0]
+    if family == "nested":
+        t = 10.0 ** rng.uniform(-7, -1)
+        return np.array([np.zeros(n), 0.5 * e1]), np.array([t, 1.0])
+    if family == "lens":
+        t = 10.0 ** rng.uniform(-7, -1)
+        return (np.array([-t * e1, t * e1, 0.5 * e1]),
+                np.array([t * SQRT2, t * SQRT2, 1.0]))
+    r = rng.uniform(0.5, 2.0, 2)
+    if family == "tangent":
+        return np.array([np.zeros(n), (r[0] + r[1]) * e1]), r
+    if family == "disjoint":
+        d = (r[0] + r[1]) * (1.0 + 10.0 ** rng.uniform(-6, 0))
+        return np.array([np.zeros(n), d * e1]), r
+    m = int(rng.integers(n, n + 3))
+    C = rng.standard_normal((m, n))
+    p = 0.3 * rng.standard_normal(n)
+    return C, np.linalg.norm(C - p, axis=1) + rng.uniform(0.01, 1.0, m)
+
+
+def corpus(family, count=120):
+    """Seeded cases of a family in R^2 and R^3: a small ball inside a large
+    one and a tiny lens beside it (sizes 1e-7 to 1e-1 of the large ball),
+    tangent pairs, pairs apart by 1e-6 to 1 of their radii, and random
+    supported balls; each rotated, moved by up to 1e6 and scaled by
+    1e-6 to 1e6, with its balls permuted."""
+    rng = np.random.default_rng([2029, CORPUS_FAMILIES.index(family)])
+    for _ in range(count):
+        n = int(rng.integers(2, 4))
+        C, r = corpus_case(rng, family, n)
+        Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        shift = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(0, 6)
+        s = 10.0 ** rng.uniform(-6, 6)
+        perm = rng.permutation(r.size)
+        yield Instance.from_data((s * (C @ Q.T + shift))[perm], s * r[perm])
+
+
+@pytest.mark.parametrize("family", CORPUS_FAMILIES)
+def test_stress_corpus_against_the_oracle(family):
+    # against the exact q*: a certified ball is within 1e-9 of it, no ball
+    # is smaller, no point or empty set hides an interior, and only an
+    # empty intersection is reported empty
+    statuses = []
+    for inst in corpus(family):
+        sol = solve_seb(inst)
+        q_exact, _ = support_oracle(build_qp(inst))
+        r2_min = float(inst.radii().min()) ** 2
+        statuses.append(sol.status)
+        if sol.status is SolveStatus.CERTIFIED_OPTIMAL:
+            assert abs(sol.qp_value - q_exact) <= 1e-9 * q_exact
+        if sol.status in (SolveStatus.CERTIFIED_OPTIMAL,
+                          SolveStatus.UPPER_BOUND_ONLY):
+            assert sol.radius ** 2 >= q_exact - 1e-12 * r2_min
+        else:
+            assert q_exact <= 1e-6 * r2_min
+        if sol.status is SolveStatus.EMPTY_INTERIOR:
+            assert q_exact < 0.0
+    expected = {"nested": SolveStatus.CERTIFIED_OPTIMAL,
+                "lens": SolveStatus.CERTIFIED_OPTIMAL,
+                "disjoint": SolveStatus.EMPTY_INTERIOR}.get(family)
+    if expected is not None:
+        assert set(statuses) == {expected}
 
 
 class TestCertificate:
@@ -243,38 +391,20 @@ class TestCertificate:
 
 class TestIdentityResidual:
     def test_vanishes_everywhere(self, rng):
-        inst = lens_instance()
-        sol = solve_seb(inst)
-        assert abs(identity_residual(inst, sol, [7.0, -3.0])) < 1e-9
-        assert abs(identity_residual(inst, sol, sol.center)) < 1e-9
-        for _ in range(50):
-            x = rng.standard_normal(2) * 10
-            assert abs(identity_residual(inst, sol, x)) <= 1e-9 * (
-                1.0 + float(x @ x))
-
-    def test_batch_matches_per_point(self):
-        rng = np.random.default_rng(7)
-        inst = random_supported_instance(rng, 4)
-        sol = solve_seb(inst)
-        X = rng.standard_normal((50, 4)) * 5
-        target = sol.target_quadratic()
-        loop = [sum(w * (float((x - a) @ (x - a)) - r * r)
-                    for w, a, r in zip(sol.multipliers, inst.centers_matrix(),
-                                       inst.radii()))
-                - (float((x - target.a) @ (x - target.a)) - target.rho)
-                for x in X]
-        batch = identity_residual(inst, sol, X)
-        assert batch.shape == (50,)
-        assert np.all(np.abs(batch - loop)
-                      <= 1e-12 * (1.0 + np.einsum("ij,ij->i", X, X)))
-
-    def test_unsupported_regime_identity_still_holds(self, rng):
-        inst = unsupported_instance()
-        sol = solve_seb(inst)
-        for _ in range(50):
-            x = rng.standard_normal(2) * 5
-            assert abs(identity_residual(inst, sol, x)) <= 1e-9 * (
-                1.0 + float(x @ x))
+        # sum_i mu_i g_i(x) = |x - a|^2 - r^2 at every x, in every regime:
+        # it needs only sum(mu) = 1, a = sum(mu_i a_i) and r^2 = q(mu)
+        for inst in (lens_instance(),
+                     random_supported_instance(np.random.default_rng(7), 4),
+                     unsupported_instance()):
+            sol = solve_seb(inst)
+            n = inst.dimension
+            X = np.vstack([sol.center, np.full(n, 7.0),
+                           rng.standard_normal((50, n)) * 10])
+            for x in X:
+                d = x - sol.center
+                residual = (sol.multipliers @ g_values(inst, x)
+                            - (float(d @ d) - sol.radius ** 2))
+                assert abs(residual) <= 1e-9 * (1.0 + float(x @ x))
 
 
 class TestEquivariance:
@@ -471,8 +601,7 @@ class TestConvergence:
         sol = solve_seb(inst)
         assert sol.radius == pytest.approx(1.0, abs=1e-9)
         assert sol.status is SolveStatus.CERTIFIED_OPTIMAL and sol.converged
-        nonempty, _ = check_interior(inst, sol)
-        assert nonempty
+        assert g_values(inst, sol.center).max() < 0.0
         assert len(sample_intersection(inst, 10, seed=1)) == 10
 
     @pytest.mark.parametrize("seed, n", [(0, 96), (5001, 64), (5019, 64)])

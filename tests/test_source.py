@@ -7,8 +7,8 @@ import pytest
 
 import seblab
 
-MODULES = sorted(p for p in Path(seblab.__file__).resolve().parent.glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = Path(seblab.__file__).resolve().parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
 def unused_imports(source):
@@ -36,3 +36,29 @@ def test_finds_an_unused_import():
 def test_no_unused_imports(path):
     # __init__.py imports to re-export, which `__all__` lists as strings
     assert unused_imports(path.read_text()) == []
+
+
+def exports_and_imports(source):
+    """(the names `__all__` lists, the names the imports bind)."""
+    tree = ast.parse(source)
+    exported = next(ast.literal_eval(node.value) for node in tree.body
+                    if isinstance(node, ast.Assign)
+                    and [t.id for t in node.targets] == ["__all__"])
+    imported = [alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    return exported, imported
+
+
+def test_finds_a_lingering_export():
+    source = ('from .a import f, g\nfrom .b import h as k\n'
+              '__all__ = ["f", "k", "gone"]\n')
+    assert exports_and_imports(source) == (["f", "k", "gone"], ["f", "g", "k"])
+
+
+def test_all_lists_exactly_the_imports():
+    # a deleted function cannot linger as an export, nor an import go
+    # unexported
+    exported, imported = exports_and_imports(
+        (PACKAGE / "__init__.py").read_text())
+    assert len(exported) == len(set(exported))
+    assert set(exported) == set(imported)
