@@ -390,21 +390,32 @@ class TestCertificate:
 
 
 class TestIdentityResidual:
+    # sum_i mu_i g_i(x) = |x - a|^2 - r^2 at every x, in every regime:
+    # it needs only sum(mu) = 1, a = sum(mu_i a_i) and r^2 = q(mu)
+    @staticmethod
+    def residual(inst, sol, x):
+        d = x - sol.center
+        return (sol.multipliers @ g_values(inst, x)
+                - (float(d @ d) - sol.radius ** 2))
+
     def test_vanishes_everywhere(self, rng):
-        # sum_i mu_i g_i(x) = |x - a|^2 - r^2 at every x, in every regime:
-        # it needs only sum(mu) = 1, a = sum(mu_i a_i) and r^2 = q(mu)
         for inst in (lens_instance(),
-                     random_supported_instance(np.random.default_rng(7), 4),
-                     unsupported_instance()):
+                     random_supported_instance(np.random.default_rng(7), 4)):
             sol = solve_seb(inst)
             n = inst.dimension
             X = np.vstack([sol.center, np.full(n, 7.0),
                            rng.standard_normal((50, n)) * 10])
             for x in X:
-                d = x - sol.center
-                residual = (sol.multipliers @ g_values(inst, x)
-                            - (float(d @ d) - sol.radius ** 2))
-                assert abs(residual) <= 1e-9 * (1.0 + float(x @ x))
+                assert abs(self.residual(inst, sol, x)) <= 1e-9 * (
+                    1.0 + float(x @ x))
+
+    def test_unsupported_regime_identity_still_holds(self, rng):
+        inst = unsupported_instance()
+        sol = solve_seb(inst)
+        for _ in range(50):
+            x = rng.standard_normal(2) * 5
+            assert abs(self.residual(inst, sol, x)) <= 1e-9 * (
+                1.0 + float(x @ x))
 
 
 class TestEquivariance:
