@@ -209,10 +209,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _nonnegative(text):
-    """A seed or a count; argparse names the flag in the error."""
-    if int(text) < 0:
+    """A seed or a count, an integer >= 0; argparse names the flag in the
+    error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 0, got {text!r}") from None
+    if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
-    return int(text)
+    return value
 
 
 def build_parser():

@@ -3,7 +3,12 @@
 `fw_minimize` (Wolfe's finite method on the centers, no Gram matrix) is
 the one simplex-QP solver: the ball solver calls it, and `cloud_meb` calls
 it for the exact minimum enclosing ball of a point cloud, started at a
-diameter pair. `grid_min_maxg` is the brute-force grid scan, which adds
+diameter pair. It carries the inverse Cholesky factor of its support from
+one major cycle to the next and borders it with each point that joins,
+so only a drop, or a step on an affinely dependent support, refactors
+the support from scratch. Its default stop, `rounding_stop`, is weighted
+by the points that carry weight, not set by the largest one.
+`grid_min_maxg` is the brute-force grid scan, which adds
 per-axis tables into the grid by broadcasting, one ball at a time, and
 scans its slabs best first, skipping those whose lower bound shows they
 cannot hold the minimum. `hit_and_run` is the sampler's fallback for
@@ -44,69 +49,164 @@ def fw_minimize(A, c, tol_gap, max_iter, support=None):
     O(mn) and no m x m matrix is formed. The start is the best vertex,
     argmin |a_i|^2 - c_i, or, when `support` (row indices) is given, the
     minimum of q over the convex hull of those rows. Each major cycle adds
-    the Frank-Wolfe vertex (smallest gradient) to T, and `_minor_cycles`
-    moves to the minimum of q over the convex hull of T. The loop stops at
-    gap <= tol_gap, after max_iter major cycles, or when a cycle fails to
-    lower q (rounding).
+    the Frank-Wolfe vertex s (smallest gradient) to T, and `_minor_cycles`
+    moves to the minimum of q over the convex hull of T + s.
+
+    The factor of the support (`_factor`) is carried from cycle to cycle:
+    `_border` extends it with s in O(kn + k^2), k = |T|, so a cycle that
+    adds s and drops nothing refactors nothing. Only after a drop, or a
+    step on an affinely dependent support, is the factor of the new
+    support built from scratch. Memory is O(mn + k^2).
+
+    The loop stops at gap <= tol_gap, after max_iter major cycles, when s
+    is already in T (the gap is then at rounding), or when a cycle fails
+    to lower q (rounding). tol_gap None stops at `rounding_stop`, which
+    the points that carry weight set, not the largest one.
 
     Returns (mu, major cycles, gap), gap being the Frank-Wolfe gap
     grad^T mu - min_i grad_i over all m vertices at the returned mu.
     """
+    if tol_gap is None:
+        unit, sizes = rounding_stop(A, c)
     if support is None:
         T = np.array([int(np.argmin(np.einsum("ij,ij->i", A, A) - c))])
-        w = np.ones(1)
+        w, factor = np.ones(1), None
     else:
-        T, w = _minor_cycles(A, c, support,
-                             np.full(support.size, 1.0 / support.size))
+        T, w, factor = _minor_cycles(
+            A, c, support, np.full(support.size, 1.0 / support.size))
     last = np.inf
     for it in range(max_iter + 1):
-        x = A[T].T @ w
-        grad = 2.0 * (A @ x) - c
-        s = int(np.argmin(grad))
-        gap = float(grad[T] @ w) - grad[s]
-        value = float(x @ x - c[T] @ w)
-        if gap <= tol_gap or it == max_iter or value >= last:
-            mu = np.zeros(A.shape[0])
-            mu[T] = w
-            return mu, it, gap
+        # ndarray.dot, not @, in the cycle: on operands this small the
+        # dispatch of @ costs about as much as the product, and the
+        # results are the same
+        x = A[T].T.dot(w)
+        grad = 2.0 * A.dot(x) - c
+        s = int(grad.argmin())
+        gap = float(grad[T].dot(w)) - grad[s]
+        xx = float(x.dot(x))
+        value = xx - float(c[T].dot(w))
+        tol = tol_gap if tol_gap is not None else unit * xx + sizes[T].dot(w)
+        if gap <= tol or it == max_iter or value >= last:
+            break
         last = value
-        T, w = _minor_cycles(A, c, np.append(T, s), np.append(w, 0.0))
+        factor = _border(A, c, T, factor, s)
+        # s already in T: the gap is at rounding (tested on a list,
+        # which is faster than the array's == and allocates no array)
+        if factor is None and s in T.tolist():
+            break
+        T, w, factor = _minor_cycles(A, c, np.concatenate((T, [s])),
+                                     np.concatenate((w, [0.0])), factor)
+    mu = np.zeros(A.shape[0])
+    mu[T] = w
+    return mu, it, gap
 
 
-def _minor_cycles(A, c, T, w):
-    """Minimum of q over the convex hull of the points T: (support, weights).
+def rounding_stop(A, c):
+    """The default stop of `fw_minimize`, (u, s): stop at
+    u |x|^2 + sum_{j in T} w_j s_j, that is at
+    16 (n + m) eps (|x|^2 + sum_{j in T} w_j (2|a_j|^2 - c_j)), where
+    2|a_j|^2 - c_j = |b_j|^2 + r_j^2 in a ball program. s is computed
+    once, so the stop costs O(k) a cycle, and it follows the points that
+    carry weight: a small answer beside a large ball runs until its own
+    gap nears its own rounding."""
+    m, n = A.shape
+    unit = 16 * (n + m) * np.finfo(float).eps
+    return unit, unit * (2.0 * np.einsum("ij,ij->i", A, A) - c)
 
-    The minimum of q on the affine hull b_0 + D^T z of T (rows
-    D = b_j - b_0) solves (D D^T) z = (c_j - c_0)/2 - D b_0. Move from w
-    toward it until a weight reaches zero, drop that point, and repeat
-    until the minimum lies inside the hull. When T holds more than n + 1
-    points, or the Cholesky factor of D D^T shows T (nearly) affinely
-    dependent, move instead along a null vector v of [A_T^T; 1^T],
-    oriented so that c_T . v >= 0: x stays put and q does not rise, and
-    the point whose weight reaches zero is dropped (a Caratheodory
-    reduction).
+
+def _factor(A, c, T):
+    """The factor of the support T from scratch, or None when T fails the
+    independence test.
+
+    With a_0 = A[T[0]] and D the rows d_j = a_j - a_0 of T[1:], the factor
+    is (R, u, pivot, diag): R the inverse Cholesky factor of D D^T (lower
+    triangular, R D D^T R^T = I), u = R rhs with
+    rhs_j = (c_j - c_0)/2 - d_j . a_0, pivot the least Cholesky pivot and
+    diag the largest |d_j|^2. T passes when pivot > 1e-6 sqrt(diag). The
+    minimum of q on the affine hull of T is then y = (1 - sum z, z) with
+    z = R^T u, the solution of (D D^T) z = rhs.
+    """
+    if T.size == 1:
+        return np.empty((0, 0)), np.empty(0), np.inf, 0.0
+    a0 = A[T[0]]
+    D = A[T[1:]] - a0
+    diag = float(np.einsum("ij,ij->i", D, D).max())
+    rhs = 0.5 * (c[T[1:]] - c[T[0]]) - D @ a0
+    try:
+        L = np.linalg.cholesky(D @ D.T)
+    except np.linalg.LinAlgError:
+        return None
+    pivot = float(L.diagonal().min())
+    if not pivot > 1e-6 * diag ** 0.5:
+        return None
+    R = np.linalg.inv(L)
+    return R, R @ rhs, pivot, diag
+
+
+def _border(A, c, T, factor, s):
+    """The factor of T + s, extended from the factor of T (built by
+    `_factor` when None), or None when T + s holds more than n + 1 points
+    or fails the independence test.
+
+    With d = a_s - a_0 and l = R D d, the new pivot is
+    p = sqrt(|d|^2 - |l|^2), the new row of R is [-(l R)/p, 1/p] and the
+    new entry of u is (rhs_s - l . u)/p. The rows D are gathered once,
+    and no copy of A_T is held beside the factors.
+    """
+    if T.size > A.shape[1]:  # more points are dependent by count
+        return None
+    factor = factor or _factor(A, c, T)
+    if factor is None:
+        return None
+    R, u, pivot, diag = factor
+    a0 = A[T[0]]
+    d = A[s] - a0
+    D = A[T[1:]]
+    D -= a0
+    l = R.dot(D.dot(d))
+    dd = float(d.dot(d))
+    p = max(dd - float(l.dot(l)), 0.0) ** 0.5
+    pivot, diag = min(pivot, p), max(diag, dd)
+    if not pivot > 1e-6 * diag ** 0.5:
+        return None
+    k = T.size - 1
+    grown = np.zeros((k + 1, k + 1))
+    grown[:k, :k] = R
+    grown[k, :k] = l.dot(R) / -p
+    grown[k, k] = 1.0 / p
+    rhs = 0.5 * (c[s] - c[T[0]]) - d.dot(a0)
+    u = np.concatenate((u, [(rhs - l.dot(u)) / p]))
+    return grown, u, pivot, diag
+
+
+def _minor_cycles(A, c, T, w, factor=None):
+    """Minimum of q over the convex hull of the points T, from the weights
+    w: (support, weights, factor of the support or None).
+
+    `factor` is the factor of T, or None to build it. Move from w toward
+    the minimum y of q on the affine hull of T until a weight reaches
+    zero, drop that point, and repeat until y lies inside the hull. When T
+    holds more than n + 1 points, or fails the independence test, move
+    instead along a null vector v of [A_T^T; 1^T], oriented so that
+    c_T . v >= 0: x stays put and q does not rise, and the point whose
+    weight reaches zero is dropped (a Caratheodory reduction). After a
+    drop the factor of the smaller support is built from scratch.
     """
     while T.size > 1:
-        D = A[T[1:]] - A[T[0]]
-        independent = False
-        if T.size <= A.shape[1] + 1:  # more points are dependent by count
-            G = D @ D.T
-            try:
-                L = np.linalg.cholesky(G)
-                independent = (L.diagonal().min()
-                               > 1e-6 * np.sqrt(G.diagonal().max()))
-            except np.linalg.LinAlgError:
-                pass
-        if independent:
-            z = np.linalg.solve(G, 0.5 * (c[T[1:]] - c[T[0]]) - D @ A[T[0]])
-            y = np.append(1.0 - z.sum(), z)
-            if y.min() >= 0.0:
-                w = y
-                break
+        if factor is None and T.size <= A.shape[1] + 1:
+            factor = _factor(A, c, T)
+        if factor is not None:
+            R, u, _, _ = factor
+            z = u.dot(R)
+            y = np.concatenate(([1.0 - z.sum()], z))
+            if y.min() > 0.0:
+                return T, y, factor
+            if y.min() == 0.0:  # on a face of the hull
+                return T[y > 0.0], y[y > 0.0], None
             step = y - w
         else:
-            u = np.linalg.svd(D.T)[2][-1]  # D^T u = 0
-            step = np.append(-u.sum(), u)
+            v = np.linalg.svd((A[T[1:]] - A[T[0]]).T)[2][-1]  # D^T v = 0
+            step = np.append(-v.sum(), v)
             if c[T] @ step < 0.0:
                 step = -step
         neg = np.flatnonzero(step < 0.0)
@@ -114,9 +214,8 @@ def _minor_cycles(A, c, T, w):
         j = int(np.argmin(ratios))
         w = np.maximum(w + ratios[j] * step, 0.0)
         w[neg[j]] = 0.0
-        T, w = T[w > 0.0], w[w > 0.0]
-    keep = w > 0.0
-    return T[keep], w[keep] / w[keep].sum()
+        T, w, factor = T[w > 0.0], w[w > 0.0], None
+    return T, np.ones(1), None
 
 
 # ---------------------------------------------------------------------------

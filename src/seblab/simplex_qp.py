@@ -82,32 +82,36 @@ def build_qp(instance: Instance) -> SimplexQP:
 
 
 def solve(qp: SimplexQP, tol_gap=None, max_iter=None):
-    """Wolfe's finite method on the program.
+    """Wolfe's finite method (`kernels.fw_minimize`) on the program.
 
-    The returned gap upper-bounds value - q* by convexity. If the
-    major-cycle budget runs out, or rounding stops progress, above tol_gap
-    the result is still returned with converged=False. The default tol_gap
-    is 16 (n + m) eps max_i(2|b_i|^2 - c_i), where for a ball program
-    max_i(2|b_i|^2 - c_i) = max_i |b_i|^2 + r_i^2 is the instance's
-    scale(): a rounding-level stop that follows a uniform scaling of the
+    The kernel carries the support's factor between major cycles and
+    refactors it only after a drop or an affinely dependent support. The
+    returned gap upper-bounds value - q* by convexity. If the major-cycle
+    budget runs out, or rounding stops progress, above tol_gap the result
+    is still returned with converged=False. The default tol_gap is
+    `kernels.rounding_stop`, 16 (n + m) eps (|x|^2 + sum_j mu_j s_j) with
+    s_j = 2|b_j|^2 - c_j = |b_j|^2 + r_j^2: a rounding-level stop set by
+    the balls that carry weight, which follows a uniform scaling of the
     balls, so a small answer beside a large ball runs until its own gap
-    nears that rounding. A tol_gap that is negative or not finite, or a
-    negative max_iter, raises ValidationError.
+    nears its own rounding; `converged` reads it at the returned mu. An
+    explicit tol_gap is an absolute gap; one that is negative or not
+    finite, or a negative max_iter, raises ValidationError.
     """
-    m, n = qp.centers.shape
-    if tol_gap is None:
-        B = qp.centers
-        tol_gap = 16 * (n + m) * np.finfo(float).eps * float(
-            (2.0 * np.einsum("ij,ij->i", B, B) - qp.linear).max())
-    elif not (math.isfinite(tol_gap) and tol_gap >= 0.0):
+    if tol_gap is not None and not (math.isfinite(tol_gap)
+                                    and tol_gap >= 0.0):
         raise ValidationError(
             f"tol_gap must be finite and >= 0, got {tol_gap}")
     if max_iter is None:
-        max_iter = 200 * m + 10**4
+        max_iter = 200 * qp.m + 10**4
     elif max_iter < 0:
         raise ValidationError(f"max_iter must be >= 0, got {max_iter}")
-    mu, iters, gap = kernels.fw_minimize(qp.centers, qp.linear,
-                                         float(tol_gap), int(max_iter))
+    mu, iters, gap = kernels.fw_minimize(
+        qp.centers, qp.linear, None if tol_gap is None else float(tol_gap),
+        int(max_iter))
+    if tol_gap is None:
+        unit, sizes = kernels.rounding_stop(qp.centers, qp.linear)
+        x = qp.centers.T @ mu
+        tol_gap = unit * float(x @ x) + sizes @ mu
     return QPResult(minimizer=mu, value=qp.value(mu),
                     gap=max(gap, 0.0), iterations=int(iters),
                     converged=gap <= tol_gap)

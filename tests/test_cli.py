@@ -316,6 +316,23 @@ class TestArguments:
         assert code == 1
         assert f"argument {flag}: must be >= 0" in json.loads(text)["error"]
 
+    @pytest.mark.parametrize("args, flag, value", [
+        (["solve", "{}", "--verify", "x"], "--verify", "x"),
+        (["jnr", "{}", "sample", "--count", "1.5"], "--count", "1.5"),
+        (["oracle", "{}", "--seed", "abc"], "--seed", "abc"),
+    ])
+    def test_non_integer_count_names_its_flag(self, tmp_path, args, flag,
+                                              value):
+        # the error names the flag and what it expects, not the parser's
+        # type function
+        path = write_doc(tmp_path, "lens.json", LENS)
+        code, text = run_cli([a.format(path) for a in args])
+        assert code == 1
+        error = json.loads(text)["error"]
+        assert (f"argument {flag}: expected an integer >= 0, got '{value}'"
+                in error)
+        assert "_nonnegative" not in error
+
     @pytest.mark.parametrize("args", [
         ["solve", "{}", "--max-iter", "abc"],
         ["solve", "{}", "--seed", "x"],

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import (critical_instance, disjoint_instance, lens_instance,
-                      traced_peak_mb, unsupported_instance)
-from seblab import Instance, kernels, sampling, solver
+                      random_supported_instance, traced_peak_mb,
+                      unsupported_instance)
+from seblab import Instance, kernels, sampling, simplex_qp, solver
 
 
 def brute_force_grid(centers, radii, lo, hi, resolution):
@@ -259,29 +260,25 @@ class TestHitAndRun:
         assert peak < 1.0
 
 
-def minor_cycles_factoring_every_support(A, c, T, w):
-    """`kernels._minor_cycles` with a Cholesky attempt on every support,
+def minor_cycles_factoring_every_support(A, c, T, w, factor=None):
+    """`kernels._minor_cycles` with a factor attempt on every support,
     however many points it holds: the reference for the kernel's
     dimension-count test, which skips the attempt above n + 1 points."""
     while T.size > 1:
-        D = A[T[1:]] - A[T[0]]
-        G = D @ D.T
-        try:
-            L = np.linalg.cholesky(G)
-            independent = (L.diagonal().min()
-                           > 1e-6 * np.sqrt(G.diagonal().max()))
-        except np.linalg.LinAlgError:
-            independent = False
-        if independent:
-            z = np.linalg.solve(G, 0.5 * (c[T[1:]] - c[T[0]]) - D @ A[T[0]])
-            y = np.append(1.0 - z.sum(), z)
-            if y.min() >= 0.0:
-                w = y
-                break
+        if factor is None:
+            factor = kernels._factor(A, c, T)
+        if factor is not None:
+            R, u, _, _ = factor
+            z = u.dot(R)
+            y = np.concatenate(([1.0 - z.sum()], z))
+            if y.min() > 0.0:
+                return T, y, factor
+            if y.min() == 0.0:
+                return T[y > 0.0], y[y > 0.0], None
             step = y - w
         else:
-            u = np.linalg.svd(D.T)[2][-1]
-            step = np.append(-u.sum(), u)
+            v = np.linalg.svd((A[T[1:]] - A[T[0]]).T)[2][-1]
+            step = np.append(-v.sum(), v)
             if c[T] @ step < 0.0:
                 step = -step
         neg = np.flatnonzero(step < 0.0)
@@ -289,9 +286,8 @@ def minor_cycles_factoring_every_support(A, c, T, w):
         j = int(np.argmin(ratios))
         w = np.maximum(w + ratios[j] * step, 0.0)
         w[neg[j]] = 0.0
-        T, w = T[w > 0.0], w[w > 0.0]
-    keep = w > 0.0
-    return T[keep], w[keep] / w[keep].sum()
+        T, w, factor = T[w > 0.0], w[w > 0.0], None
+    return T, np.ones(1), None
 
 
 def default_start_meb(points, iterations=1000):
@@ -314,7 +310,7 @@ class TestMinorCycles:
     def test_dimension_count_keeps_supports_and_weights(self, monkeypatch,
                                                         verify_clouds):
         # more than n + 1 points are affinely dependent: skipping their
-        # Cholesky attempt must change no support and no weight
+        # factor attempt must change no support and no weight
         rng = np.random.default_rng(700)
         instances = [lens_instance(), critical_instance(),
                      disjoint_instance(), unsupported_instance()]
@@ -333,15 +329,95 @@ class TestMinorCycles:
         shortcut = results()
         oversized = []
 
-        def reference(A, c, T, w):
+        def reference(A, c, T, w, factor=None):
             oversized.append(T.size > A.shape[1] + 1)
-            return minor_cycles_factoring_every_support(A, c, T, w)
+            return minor_cycles_factoring_every_support(A, c, T, w, factor)
 
         monkeypatch.setattr(kernels, "_minor_cycles", reference)
         factored = results()
         assert any(oversized)
         for got, want in zip(shortcut, factored):
             assert np.array_equal(got, want)
+
+
+def count_rebuilds(monkeypatch):
+    """Wrap the kernel's from-scratch work: a factor built for a support of
+    more than one point (after a drop) and the minor cycles on supports of
+    more than n + 1 points (the dependent, SVD, branch). Returns the calls:
+    the supports of each, and of every minor-cycle call."""
+    calls = {"factor": [], "dependent": [], "minor": []}
+    factor, minor_cycles = kernels._factor, kernels._minor_cycles
+
+    def counted_factor(A, c, T):
+        if T.size > 1:
+            calls["factor"].append(T.copy())
+        return factor(A, c, T)
+
+    def counted_minor_cycles(A, c, T, w, factor=None):
+        calls["minor"].append(T.copy())
+        if T.size > A.shape[1] + 1:
+            calls["dependent"].append(T.copy())
+        return minor_cycles(A, c, T, w, factor)
+
+    monkeypatch.setattr(kernels, "_factor", counted_factor)
+    monkeypatch.setattr(kernels, "_minor_cycles", counted_minor_cycles)
+    return calls
+
+
+class TestCarriedFactor:
+    def test_growing_support_builds_nothing_from_scratch(self, monkeypatch,
+                                                         bench):
+        # the unit vectors of R^n (every weight 1/n at the optimum) and the
+        # known-answer cross family: each major cycle adds a ball and drops
+        # none, so the factor is only ever bordered
+        calls = count_rebuilds(monkeypatch)
+        for n in (6, 12, 24):
+            sol = solver.solve_seb(Instance.from_data(np.eye(n),
+                                                      np.full(n, 1.2)))
+            assert sol.status is solver.SolveStatus.CERTIFIED_OPTIMAL
+            assert sol.fw_iterations == n - 1
+            assert np.allclose(sol.multipliers, 1.0 / n, rtol=1e-12)
+        rng = np.random.default_rng(900)
+        for n, k in ((2, 1), (8, 3), (16, 6), (48, 20)):
+            item = bench["workloads"].known_item(rng, n, k)
+            sol = solver.solve_seb(item.instance)
+            assert sol.status is solver.SolveStatus.CERTIFIED_OPTIMAL
+            assert sol.radius == pytest.approx(1.0, rel=1e-12)
+        assert calls["factor"] == calls["dependent"] == []
+        assert calls["minor"]
+
+    def test_drops_and_dependent_supports_match_the_oracle(self,
+                                                           monkeypatch):
+        # random radii give drops; equal radii with m > n + 1 give supports
+        # of n + 2 points, which take the dependent (SVD) branch; after
+        # either the factor is rebuilt, and q still matches the oracle
+        calls = count_rebuilds(monkeypatch)
+        rng = np.random.default_rng(901)
+        for n, m in ((2, 6), (3, 8), (4, 10), (6, 6), (8, 8), (2, 30),
+                     (3, 12)) * 4:
+            centers = rng.standard_normal((m, n))
+            if m > 2 * n:
+                radii = np.full(m, 3.0)
+            else:
+                p = 0.3 * rng.standard_normal(n)
+                radii = (np.linalg.norm(centers - p, axis=1)
+                         + rng.uniform(0.5, 1.0, m))
+            qp = simplex_qp.build_qp(Instance.from_data(centers, radii))
+            res = simplex_qp.solve(qp)
+            q_exact, _ = simplex_qp.support_oracle(qp)
+            assert abs(res.value - q_exact) <= 1e-9 * abs(q_exact)
+        assert calls["dependent"] and calls["factor"]
+
+    def test_working_memory_is_support_sized(self):
+        # a 48 x 48 program: the factor grows with the support, never to
+        # (n + 1) x (n + 1) buffers, and no copy of A_T is kept beside it
+        qp = simplex_qp.build_qp(
+            random_supported_instance(np.random.default_rng(48), 48))
+        A, c = qp.centers, qp.linear
+        mu, _, _ = kernels.fw_minimize(A, c, None, 10**4)
+        assert np.count_nonzero(mu) >= 12
+        peak = traced_peak_mb(kernels.fw_minimize, A, c, None, 10**4)
+        assert peak * 1e6 <= 2.0 * A.nbytes
 
 
 class TestCloudMeb:
@@ -406,6 +482,33 @@ class TestCloudMeb:
         assert np.count_nonzero(mu) == 3
         d = np.linalg.norm(triangle - center, axis=1)
         assert d.max() - d.min() <= 1e-14 * d.max()
+
+    def test_no_confirming_cycle(self, monkeypatch):
+        # the last Frank-Wolfe vertex of a cloud MEB is usually already in
+        # the support: the kernel stops there, where it used to run one
+        # more cycle through the dependent (SVD) branch on the repeated
+        # point; the ball is still exact: every support point lies on its
+        # sphere, and the center is their convex combination
+        calls = count_rebuilds(monkeypatch)
+        results = []
+        fw_minimize = kernels.fw_minimize
+
+        def kept(*args):
+            results.append(fw_minimize(*args))
+            return results[-1]
+
+        monkeypatch.setattr(kernels, "fw_minimize", kept)
+        cloud = sampling.sample_intersection(lens_instance(), 2000, seed=904)
+        center, radius = kernels.cloud_meb(cloud.points, 1000)
+        assert calls["minor"]
+        assert all(np.unique(T).size == T.size for T in calls["minor"])
+        mu = results[-1][0]
+        support = cloud.points[mu > 0.0]
+        assert np.allclose(center, mu[mu > 0.0] @ support, rtol=0.0,
+                           atol=1e-12)
+        d = np.linalg.norm(support - center, axis=1)
+        assert np.abs(d - radius).max() <= 1e-12 * radius
+        assert radius == sampling.farthest_distance(cloud, center)
 
     def test_radius_matches_default_start(self, verify_clouds):
         rng = np.random.default_rng(802)
