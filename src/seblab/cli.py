@@ -62,8 +62,7 @@ def cmd_solve(args, out):
         diagnostics["sample_method"] = cloud.method.value
         diagnostics["max_containment_violation"] = max(
             0.0, worst - solution.radius)
-    report = io.solution_report(instance, solution, regime, certificate,
-                                diagnostics)
+    report = io.solution_report(solution, regime, certificate, diagnostics)
     print(io.emit(report, compact=args.compact), file=out)
     if solution.status is SolveStatus.EMPTY_INTERIOR:
         return EXIT_EMPTY

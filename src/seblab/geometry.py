@@ -2,8 +2,8 @@
 
 All types are immutable after construction (arrays are frozen), so they are
 safe to share between threads. An `Instance` holds its balls as read-only
-arrays (centers, radii and the scale), built once. Every quadratic is held
-in vertex form |x - c|^2 - rho and evaluated by `quadratic_values`.
+arrays (centers, radii, scale and frame), built once. Every quadratic is
+held in vertex form |x - c|^2 - rho and evaluated by `quadratic_values`.
 """
 
 from dataclasses import dataclass
@@ -20,6 +20,11 @@ BASE_TOL = 1e-9
 
 
 def _freeze(arr):
+    """arr as a read-only float array, copied unless it is one that owns
+    its data, so that no write to the caller's data reaches it."""
+    if (isinstance(arr, np.ndarray) and arr.dtype == float
+            and arr.flags.owndata and not arr.flags.writeable):
+        return arr
     a = np.array(arr, dtype=float)
     a.setflags(write=False)
     return a
@@ -74,8 +79,10 @@ class Instance:
     """A collection of m >= 1 balls in a common ambient dimension n.
 
     The balls are held as read-only arrays built once by `from_data`: the
-    (m, n) centers, the radii and the scale. The accessors return these
-    arrays without copying, and writing to one raises.
+    (m, n) centers, the radii, the scale and `frame` = (o, B, c), the
+    balls about the center o of the smallest ball (rows b_i = a_i - o and
+    c_i = |b_i|^2 - r_i^2, differenced before squaring) that the solver's
+    program and rank gate read. None is copied, and writing to one raises.
     """
 
     @classmethod
@@ -93,17 +100,21 @@ class Instance:
             raise ValidationError("ball radii must be finite and > 0")
         # measured from the smallest ball, the scale ignores translation;
         # with no floor it follows a uniform scaling of the balls exactly
+        origin = centers[int(np.argmin(radii))].copy()
         with np.errstate(over="ignore"):
-            D = centers - centers[np.argmin(radii)]
-            scale = float((np.einsum("ij,ij->i", D, D) + radii * radii).max())
+            B = centers - origin
+            BB = np.einsum("ij,ij->i", B, B)
+            scale = float((BB + radii * radii).max())
         if not np.isfinite(scale):
             raise ValidationError("the balls' squared sizes overflow: "
                                   "|a_i - o|^2 + r_i^2 must be finite")
-        centers.setflags(write=False)
-        radii.setflags(write=False)
+        linear = BB - radii * radii
+        for arr in (centers, radii, origin, B, linear):
+            arr.setflags(write=False)
         instance = object.__new__(cls)
         instance.__dict__.update(dimension=centers.shape[1], _centers=centers,
-                                 _radii=radii, _scale=scale)
+                                 _radii=radii, _scale=scale,
+                                 frame=(origin, B, linear))
         return instance
 
     def __setattr__(self, name, value):

@@ -106,8 +106,7 @@ def dump_instance(instance: Instance, path):
         fh.write("\n")
 
 
-def solution_report(instance, solution, regime, certificate=None,
-                    diagnostics=None):
+def solution_report(solution, regime, certificate=None, diagnostics=None):
     """JSON-ready report mirroring the Solution/Certificate invariants."""
     report = {
         "center": [float(v) for v in solution.center],

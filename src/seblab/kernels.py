@@ -119,28 +119,26 @@ def _factor(A, c, T):
     independence test.
 
     With a_0 = A[T[0]] and D the rows d_j = a_j - a_0 of T[1:], the factor
-    is (R, u, pivot, diag): R the inverse Cholesky factor of D D^T (lower
-    triangular, R D D^T R^T = I), u = R rhs with
-    rhs_j = (c_j - c_0)/2 - d_j . a_0, pivot the least Cholesky pivot and
-    diag the largest |d_j|^2. T passes when pivot > 1e-6 sqrt(diag). The
-    minimum of q on the affine hull of T is then y = (1 - sum z, z) with
-    z = R^T u, the solution of (D D^T) z = rhs.
+    is (R, u): R the inverse Cholesky factor of D D^T (lower triangular,
+    R D D^T R^T = I) and u = R rhs with rhs_j = (c_j - c_0)/2 - d_j . a_0.
+    T passes when every Cholesky pivot L_jj exceeds 1e-6 |d_j|, its own
+    row's length, so a far point cannot make a near one look dependent.
+    The minimum of q on the affine hull of T is then y = (1 - sum z, z)
+    with z = R^T u, the solution of (D D^T) z = rhs.
     """
     if T.size == 1:
-        return np.empty((0, 0)), np.empty(0), np.inf, 0.0
+        return np.empty((0, 0)), np.empty(0)
     a0 = A[T[0]]
     D = A[T[1:]] - a0
-    diag = float(np.einsum("ij,ij->i", D, D).max())
     rhs = 0.5 * (c[T[1:]] - c[T[0]]) - D @ a0
     try:
         L = np.linalg.cholesky(D @ D.T)
     except np.linalg.LinAlgError:
         return None
-    pivot = float(L.diagonal().min())
-    if not pivot > 1e-6 * diag ** 0.5:
+    if not np.all(L.diagonal() > 1e-6 * np.sqrt(np.einsum("ij,ij->i", D, D))):
         return None
     R = np.linalg.inv(L)
-    return R, R @ rhs, pivot, diag
+    return R, R @ rhs
 
 
 def _border(A, c, T, factor, s):
@@ -148,17 +146,17 @@ def _border(A, c, T, factor, s):
     `_factor` when None), or None when T + s holds more than n + 1 points
     or fails the independence test.
 
-    With d = a_s - a_0 and l = R D d, the new pivot is
-    p = sqrt(|d|^2 - |l|^2), the new row of R is [-(l R)/p, 1/p] and the
-    new entry of u is (rhs_s - l . u)/p. The rows D are gathered once,
-    and no copy of A_T is held beside the factors.
+    With d = a_s - a_0 and l = R D d, the new pivot p = sqrt(|d|^2 - |l|^2)
+    is tested against |d|, the new row of R is [-(l R)/p, 1/p] and the new
+    entry of u is (rhs_s - l . u)/p. The rows D are gathered once, and no
+    copy of A_T is held beside the factors.
     """
     if T.size > A.shape[1]:  # more points are dependent by count
         return None
     factor = factor or _factor(A, c, T)
     if factor is None:
         return None
-    R, u, pivot, diag = factor
+    R, u = factor
     a0 = A[T[0]]
     d = A[s] - a0
     D = A[T[1:]]
@@ -166,8 +164,7 @@ def _border(A, c, T, factor, s):
     l = R.dot(D.dot(d))
     dd = float(d.dot(d))
     p = max(dd - float(l.dot(l)), 0.0) ** 0.5
-    pivot, diag = min(pivot, p), max(diag, dd)
-    if not pivot > 1e-6 * diag ** 0.5:
+    if not p > 1e-6 * dd ** 0.5:
         return None
     k = T.size - 1
     grown = np.zeros((k + 1, k + 1))
@@ -176,7 +173,7 @@ def _border(A, c, T, factor, s):
     grown[k, k] = 1.0 / p
     rhs = 0.5 * (c[s] - c[T[0]]) - d.dot(a0)
     u = np.concatenate((u, [(rhs - l.dot(u)) / p]))
-    return grown, u, pivot, diag
+    return grown, u
 
 
 def _minor_cycles(A, c, T, w, factor=None):
@@ -196,7 +193,7 @@ def _minor_cycles(A, c, T, w, factor=None):
         if factor is None and T.size <= A.shape[1] + 1:
             factor = _factor(A, c, T)
         if factor is not None:
-            R, u, _, _ = factor
+            R, u = factor
             z = u.dot(R)
             y = np.concatenate(([1.0 - z.sum()], z))
             if y.min() > 0.0:

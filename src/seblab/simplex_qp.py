@@ -1,9 +1,9 @@
 """Convex quadratic minimization over the unit simplex.
 
 Minimizes q(mu) = |A^T mu|^2 - c^T mu with A the (m, n) matrix of ball
-centers and c_i = |a_i|^2 - r_i^2, built about the center o of the
-smallest ball: the program's points are b_i = a_i - o and its linear term
-|b_i|^2 - r_i^2, which give the same q on the simplex. No m x m Gram matrix
+centers and c_i = |a_i|^2 - r_i^2, taken about the center o of the
+smallest ball (`Instance.frame`): the points b_i = a_i - o and the linear
+term |b_i|^2 - r_i^2 give the same q on the simplex. No m x m Gram matrix
 is formed: memory is O(mn). Wolfe's finite method adds one ball per major
 cycle and moves to the exact minimum over the hull of the support (at most
 n + 1 balls at an optimum of a ball instance), so it ends at a
@@ -35,13 +35,12 @@ class SimplexQP:
     origin: np.ndarray | None = None
 
     def __post_init__(self):
-        A = np.asarray(self.centers, dtype=float)
-        c = np.asarray(self.linear, dtype=float)
+        A, c = _freeze(self.centers), _freeze(self.linear)
         if A.ndim != 2 or A.shape[0] != c.size:
             raise ValueError("centers/linear shape mismatch")
         origin = np.zeros(A.shape[1]) if self.origin is None else self.origin
-        object.__setattr__(self, "centers", _freeze(A))
-        object.__setattr__(self, "linear", _freeze(c))
+        object.__setattr__(self, "centers", A)
+        object.__setattr__(self, "linear", c)
         object.__setattr__(self, "origin", _freeze(origin))
 
     @property
@@ -69,16 +68,11 @@ def build_qp(instance: Instance) -> SimplexQP:
     """The program about the center o of the smallest ball: points
     b_i = a_i - o and linear term c_i = |b_i|^2 - r_i^2.
 
-    Taking differences before squaring keeps the gradient from being
-    rounded at the scale of |a_i|^2, however far the balls sit from the
-    origin; the center is recovered as o + B^T mu.
+    These are the arrays of `Instance.frame`, formed once by
+    `Instance.from_data` and not copied; the center is o + B^T mu.
     """
-    A = instance.centers_matrix()
-    radii = instance.radii()
-    o = A[int(np.argmin(radii))]
-    B = A - o
-    linear = np.einsum("ij,ij->i", B, B) - radii * radii
-    return SimplexQP(centers=B, linear=linear, origin=o)
+    origin, B, linear = instance.frame
+    return SimplexQP(centers=B, linear=linear, origin=origin)
 
 
 def solve(qp: SimplexQP, tol_gap=None, max_iter=None):
@@ -108,11 +102,16 @@ def solve(qp: SimplexQP, tol_gap=None, max_iter=None):
     mu, iters, gap = kernels.fw_minimize(
         qp.centers, qp.linear, None if tol_gap is None else float(tol_gap),
         int(max_iter))
+    x = qp.centers.T @ mu
+    xx = float(x @ x)
     if tol_gap is None:
-        unit, sizes = kernels.rounding_stop(qp.centers, qp.linear)
-        x = qp.centers.T @ mu
-        tol_gap = unit * float(x @ x) + sizes @ mu
-    return QPResult(minimizer=mu, value=qp.value(mu),
+        # kernels.rounding_stop at mu, from the balls that carry weight
+        S = np.flatnonzero(mu)
+        B = qp.centers[S]
+        unit = 16 * (mu.size + x.size) * np.finfo(float).eps
+        sizes = unit * (2.0 * np.einsum("ij,ij->i", B, B) - qp.linear[S])
+        tol_gap = unit * xx + sizes @ mu[S]
+    return QPResult(minimizer=mu, value=xx - float(qp.linear @ mu),
                     gap=max(gap, 0.0), iterations=int(iters),
                     converged=gap <= tol_gap)
 

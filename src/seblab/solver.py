@@ -45,12 +45,12 @@ def _regime_of(rank, n, m):
 def classify(instance: Instance) -> RankRegime:
     """The rank gate, read before the solve: rank{a_i - a} at the solver's
     center a = sum mu_i a_i is rank{a_i - a_j} for every simplex mu (a lies
-    in the centers' affine hull), the affine rank of the centers. It is
-    taken about the smallest ball, the frame of build_qp, so it moves with
-    no translation, and it is at most m - 1: the gate never reads
+    in the centers' affine hull), the affine rank of the centers: the rank
+    of the rows b_i = a_i - o that `Instance.from_data` forms about the
+    smallest ball o (`Instance.frame`, the points of build_qp). It moves
+    with no translation and is at most m - 1: the gate never reads
     CriticalCase (rank = n = m) for the solver."""
-    A = instance.centers_matrix()
-    rank = numerical_rank(A - A[int(np.argmin(instance.radii()))])
+    rank = numerical_rank(instance.frame[1])
     return RankRegime(rank_shifted=rank,
                       regime=_regime_of(rank, instance.dimension, instance.m))
 

@@ -268,7 +268,7 @@ def minor_cycles_factoring_every_support(A, c, T, w, factor=None):
         if factor is None:
             factor = kernels._factor(A, c, T)
         if factor is not None:
-            R, u, _, _ = factor
+            R, u = factor
             z = u.dot(R)
             y = np.concatenate(([1.0 - z.sum()], z))
             if y.min() > 0.0:
@@ -407,6 +407,16 @@ class TestCarriedFactor:
             q_exact, _ = simplex_qp.support_oracle(qp)
             assert abs(res.value - q_exact) <= 1e-9 * abs(q_exact)
         assert calls["dependent"] and calls["factor"]
+
+    def test_far_point_leaves_near_points_independent(self):
+        # each pivot is tested against its own row's length: a point 1e10
+        # away does not make the two near points, 2 apart, look dependent,
+        # whether the support is factored from scratch or bordered
+        A = np.array([[-1.0, 0.0], [0.0, 1e10], [1.0, 0.0]])
+        c = np.zeros(3)
+        assert kernels._factor(A, c, np.array([0, 1, 2])) is not None
+        assert kernels._border(A, c, np.array([0, 1]), None, 2) is not None
+        assert kernels._factor(A[[0, 0]], c[:2], np.array([0, 1])) is None
 
     def test_working_memory_is_support_sized(self):
         # a 48 x 48 program: the factor grows with the support, never to

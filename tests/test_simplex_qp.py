@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import critical_instance, lens_instance
+from conftest import (
+    critical_instance,
+    lens_instance,
+    random_supported_instance,
+)
 from seblab import kernels, simplex_qp
 from seblab.errors import CombinatorialBlowup, ValidationError
 from seblab.geometry import Instance
@@ -13,6 +17,7 @@ from seblab.simplex_qp import (
     solve,
     support_oracle,
 )
+from seblab.solver import solve_seb
 
 
 def absolute_value(instance, mu):
@@ -55,6 +60,31 @@ class TestBuildQP:
                                                  rel=1e-12, abs=1e-12)
             assert np.allclose(qp.origin + qp.centers.T @ mu,
                                centers.T @ mu, rtol=0, atol=1e-12)
+
+    def test_program_is_the_instances_frame(self):
+        # every program of one instance hands out the read-only frame that
+        # from_data formed: nothing is subtracted, squared or copied again
+        inst = lens_instance()
+        first, second = build_qp(inst), build_qp(inst)
+        frame = inst.frame
+        for arr, qp_arr in zip(frame, (first.origin, first.centers,
+                                       first.linear)):
+            assert qp_arr is arr
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        assert np.shares_memory(first.centers, second.centers)
+        assert np.shares_memory(first.linear, second.linear)
+
+    def test_writable_or_borrowed_input_is_copied(self):
+        # a program built by hand keeps its own copy of anything its
+        # caller could still write to
+        A, c = np.eye(2), np.array([-3.0, -3.0])
+        qp = SimplexQP(centers=A, linear=c)
+        A[0, 0], c[0] = 5.0, 0.0
+        assert qp.centers[0, 0] == 1.0 and qp.linear[0] == -3.0
+        view = build_qp(lens_instance()).centers[:1]
+        assert not np.shares_memory(SimplexQP(centers=view,
+                                              linear=[0.0]).centers, view)
 
 
 class TestSolve:
@@ -118,6 +148,24 @@ class TestSolve:
         with pytest.raises(ValidationError):
             solve(qp, max_iter=-1)
         assert solve(qp, max_iter=0).iterations == 0
+
+    def test_one_rounding_stop_pass_per_solve(self, monkeypatch):
+        # the default stop's sizes are computed over all m rows once, in
+        # the kernel; `converged` reads the stop from the support's rows
+        calls = []
+        rounding_stop = kernels.rounding_stop
+
+        def counted(A, c):
+            calls.append(A.shape[0])
+            return rounding_stop(A, c)
+
+        monkeypatch.setattr(kernels, "rounding_stop", counted)
+        for inst in (lens_instance(), critical_instance(),
+                     random_supported_instance(np.random.default_rng(3), 12)):
+            calls.clear()
+            sol = solve_seb(inst)
+            assert sol.converged
+            assert calls == [inst.m]
 
     @pytest.mark.parametrize("tol_gap", [-1.0, math.nan, math.inf])
     def test_bad_tol_gap_rejected(self, tol_gap):

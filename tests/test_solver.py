@@ -9,6 +9,7 @@ from conftest import (
     disjoint_instance,
     lens_instance,
     random_supported_instance,
+    traced_peak_mb,
     unsupported_instance,
 )
 from seblab.errors import EmptyInteriorError
@@ -285,6 +286,8 @@ class TestCheckInterior:
 
 
 CORPUS_FAMILIES = ("nested", "lens", "tangent", "disjoint", "random")
+# checked by its known q*, not by support_oracle (see TestFarBall)
+FAR_BALL = "far ball"
 
 
 def corpus_case(rng, family, n):
@@ -303,6 +306,10 @@ def corpus_case(rng, family, n):
     if family == "disjoint":
         d = (r[0] + r[1]) * (1.0 + 10.0 ** rng.uniform(-6, 0))
         return np.array([np.zeros(n), d * e1]), r
+    if family == FAR_BALL:
+        D = 10.0 ** rng.uniform(8, 12)
+        return (np.array([-e1, e1, D * np.eye(n)[1]]),
+                np.array([SQRT2, SQRT2, D - 0.5]))
     m = int(rng.integers(n, n + 3))
     C = rng.standard_normal((m, n))
     p = 0.3 * rng.standard_normal(n)
@@ -312,10 +319,12 @@ def corpus_case(rng, family, n):
 def corpus(family, count=120):
     """Seeded cases of a family in R^2 and R^3: a small ball inside a large
     one and a tiny lens beside it (sizes 1e-7 to 1e-1 of the large ball),
-    tangent pairs, pairs apart by 1e-6 to 1 of their radii, and random
-    supported balls; each rotated, moved by up to 1e6 and scaled by
-    1e-6 to 1e6, with its balls permuted."""
-    rng = np.random.default_rng([2029, CORPUS_FAMILIES.index(family)])
+    tangent pairs, pairs apart by 1e-6 to 1 of their radii, random
+    supported balls, and a unit lens cut by a ball 1e8 to 1e12 away; each
+    rotated, moved by up to 1e6 and scaled by 1e-6 to 1e6, with its balls
+    permuted."""
+    rng = np.random.default_rng(
+        [2029, (CORPUS_FAMILIES + (FAR_BALL,)).index(family)])
     for _ in range(count):
         n = int(rng.integers(2, 4))
         C, r = corpus_case(rng, family, n)
@@ -351,6 +360,33 @@ def test_stress_corpus_against_the_oracle(family):
                 "disjoint": SolveStatus.EMPTY_INTERIOR}.get(family)
     if expected is not None:
         assert set(statuses) == {expected}
+
+
+class TestFarBall:
+    """The lens (+-t, 0) of radii sqrt(2) t beside B((0, D), D - t/2),
+    D/t = 1e8 to 1e12: the far ball cuts the lens at y = t/2, so
+    q* = 3/4 t^2. Its length must not make the lens's own points look
+    affinely dependent to Wolfe's method."""
+
+    @pytest.mark.parametrize("D", [1e8, 1e10, 1e12])
+    def test_matches_the_oracle(self, D):
+        inst = Instance.from_data([[-1.0, 0.0], [1.0, 0.0], [0.0, D]],
+                                  [SQRT2, SQRT2, D - 0.5])
+        sol = solve_seb(inst)
+        q_exact, _ = support_oracle(build_qp(inst))
+        assert sol.converged
+        assert abs(sol.qp_value - q_exact) <= 1e-9 * q_exact
+
+    def test_moved_copies_reach_three_quarters(self):
+        # against 3/4 (s t)^2, (s t)^2 = r_min^2 / 2, not against
+        # support_oracle: the oracle skips only singular systems, so on
+        # some moved copies it misses the ill-conditioned three-ball
+        # support and returns about (s t)^2
+        for inst in corpus(FAR_BALL):
+            sol = solve_seb(inst)
+            st2 = float(inst.radii().min()) ** 2 / 2.0
+            assert sol.converged
+            assert abs(sol.qp_value - 0.75 * st2) <= 1e-3 * st2
 
 
 class TestCertificate:
@@ -623,6 +659,20 @@ class TestConvergence:
         assert sol.converged
         q, gap = certified_gap(inst, sol.multipliers)
         assert gap <= 1e-9 * q
+
+    @pytest.mark.parametrize("n, m", [(6, 300), (48, 48)])
+    def test_solve_keeps_no_copy_of_the_program(self, n, m):
+        # the program is the instance's frame: beside it a solve holds
+        # m-vectors and the support's factor, no (m, n) copy
+        rng = np.random.default_rng([n, m])
+        centers = rng.standard_normal((m, n))
+        p = 0.3 * rng.standard_normal(n)
+        radii = (np.linalg.norm(centers - p, axis=1) + 0.5
+                 + rng.uniform(0.0, 0.5, m))
+        inst = Instance.from_data(centers, radii)
+        solve_seb(inst)
+        peak = traced_peak_mb(solve_seb, inst)
+        assert peak * 1e6 <= 1.5 * centers.nbytes
 
     def test_tall_support_at_most_n_plus_one(self):
         rng = np.random.default_rng(1)
