@@ -10,9 +10,16 @@ against the level -z_0. The range needs a point fibre to hit the level
 exactly (a fibre with free directions reaches every level above its
 minimum). In the critical regime (rank A = n = m) the pair hull of the
 range is the epigraph of g over the point fibres, so it only needs the
-minimum at or below the level. The randomized probes of convexity and
-separation run on the same query. Nothing is computed from an absolute
+minimum at or below the level. Nothing is computed from an absolute
 coordinate, so the verdicts do not move when the map is translated.
+
+The probes do only the work their answer needs. By the paper's rank
+theorem the range is convex if and only if rank A < n, which the map reads
+once when it is built, so in that regime the convexity probe returns the
+theorem's verdict with samples=0 and draws nothing; only when rank A = n
+does it draw segments and test their points with the exact membership
+query. The separation probe draws range and pair-hull points and tests
+the negative orthant one column at a time, on the rows still standing.
 """
 
 from dataclasses import dataclass
@@ -209,11 +216,19 @@ class ConvexityReport:
 
 def convexity_probe(qmap: QuadraticMap, samples: int,
                     seed=0) -> ConvexityReport:
-    """Randomized search for segment points leaving the range.
+    """Segment points of the range that leave it.
 
-    Membership is exact, so each recorded counterexample proves
-    non-convexity; an empty report is (only) evidence of convexity.
+    When rank A < n (the convex regime) the range is convex by the paper's
+    rank theorem: the report is that verdict, with samples=0, and nothing
+    is drawn. When rank A = n, `samples` random segments are drawn and
+    their points tested by the exact membership query, so each recorded
+    counterexample proves non-convexity; an empty report is (only)
+    evidence of convexity.
     """
+    if samples < 0:
+        raise ValidationError(f"samples must be >= 0, got {samples}")
+    if qmap.null.shape[1] > 0:
+        return ConvexityReport(samples=0, counterexamples=())
     rng = np.random.default_rng(seed)
     X = sample_inputs(qmap, samples, rng)
     Y = sample_inputs(qmap, samples, rng)
@@ -225,6 +240,20 @@ def convexity_probe(qmap: QuadraticMap, samples: int,
         samples=samples,
         counterexamples=tuple((X[i], Y[i], float(lams[i]), Z[i])
                               for i in np.flatnonzero(~member)))
+
+
+def _orthant_rows(m, column):
+    """The ascending indices of the rows in the negative orthant (entries
+    1..m <= 0, entry 0 < 0). column(j, rows) gives entry j of the rows
+    `rows` (a slice of all of them for the first column); each column is
+    read only on the rows that passed the ones before it."""
+    rows = np.flatnonzero(column(1, slice(None)) <= 0.0)
+    for j in (*range(2, m + 1), 0):
+        if rows.size == 0:
+            break
+        values = column(j, rows)
+        rows = rows[values < 0.0 if j == 0 else values <= 0.0]
+    return rows
 
 
 @dataclass(frozen=True)
@@ -256,15 +285,20 @@ def separation_probe(qmap: QuadraticMap, samples: int, seed=0,
     if X.shape[0] == 0:
         return SeparationReport(samples=0, range_hits=(), hull_hits=())
     G = eval_map(qmap, X)
-    in_orthant = (G[:, 0] < 0.0) & np.all(G[:, 1:] <= 0.0, axis=1)
-    range_hits = tuple(G[i] for i in np.flatnonzero(in_orthant))
+    columns = G.T
+    range_rows = _orthant_rows(qmap.m, lambda j, rows: columns[j][rows])
     # pair hull: random pairs of the sampled range points
     N = G.shape[0]
     idx_u = rng.integers(0, N, size=N)
     idx_v = rng.integers(0, N, size=N)
     lams = rng.uniform(0.0, 1.0, size=N)
-    H = lams[:, None] * G[idx_u] + (1.0 - lams[:, None]) * G[idx_v]
-    hull_mask = (H[:, 0] < 0.0) & np.all(H[:, 1:] <= 0.0, axis=1)
-    hull_hits = tuple(H[i] for i in np.flatnonzero(hull_mask))
-    return SeparationReport(samples=int(N), range_hits=range_hits,
-                            hull_hits=hull_hits)
+    rests = 1.0 - lams
+    hull_rows = _orthant_rows(
+        qmap.m, lambda j, rows: (lams[rows] * columns[j][idx_u[rows]]
+                                 + rests[rows] * columns[j][idx_v[rows]]))
+    # whole hull rows, only for the hits
+    H = (lams[hull_rows, None] * G[idx_u[hull_rows]]
+         + rests[hull_rows, None] * G[idx_v[hull_rows]])
+    return SeparationReport(samples=int(N),
+                            range_hits=tuple(G[range_rows]),
+                            hull_hits=tuple(H))

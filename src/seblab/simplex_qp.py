@@ -54,7 +54,11 @@ class SimplexQP:
 
 @dataclass(frozen=True)
 class QPResult:
+    """The returned multipliers mu and their point B^T mu (the center less
+    the program's origin), with q(mu), the gap and the major cycles."""
+
     minimizer: np.ndarray
+    point: np.ndarray
     value: float
     gap: float
     iterations: int
@@ -62,6 +66,7 @@ class QPResult:
 
     def __post_init__(self):
         object.__setattr__(self, "minimizer", _freeze(self.minimizer))
+        object.__setattr__(self, "point", _freeze(self.point))
 
 
 def build_qp(instance: Instance) -> SimplexQP:
@@ -111,7 +116,7 @@ def solve(qp: SimplexQP, tol_gap=None, max_iter=None):
         unit = 16 * (mu.size + x.size) * np.finfo(float).eps
         sizes = unit * (2.0 * np.einsum("ij,ij->i", B, B) - qp.linear[S])
         tol_gap = unit * xx + sizes @ mu[S]
-    return QPResult(minimizer=mu, value=xx - float(qp.linear @ mu),
+    return QPResult(minimizer=mu, point=x, value=xx - float(qp.linear @ mu),
                     gap=max(gap, 0.0), iterations=int(iters),
                     converged=gap <= tol_gap)
 
@@ -123,10 +128,14 @@ def support_oracle(qp: SimplexQP):
     Some optimum has a support S of at most n + 1 affinely independent
     points, where w is the stationary point of q on their affine hull:
     w = (1 - sum z, z), (D D^T) z = (c_S' - c_0)/2 - D b_0, D the rows
-    b_j - b_0 (b_0 the first point of S). Each such w >= 0 is a simplex
-    point, so q(w) >= q*, and the least is q*. A singular system is
-    skipped (a smaller support covers it). More than SUPPORT_GUARD
-    supports raise CombinatorialBlowup before any is solved.
+    b_j - b_0 (b_0 the base point of S). Each such w >= 0 is a simplex
+    point, so q(w) >= q*, and the least is q*. S is independent when the
+    Cholesky factor L of D D^T has every pivot L_jj above 1e-6 |d_j|, its
+    own row's length (the scale-free test of Wolfe's method). Each point
+    of S is tried as the base in turn, since a base far from the others
+    makes their differences nearly parallel; a support that fails with
+    every base is skipped (a smaller support covers it). More than
+    SUPPORT_GUARD supports raise CombinatorialBlowup before any is solved.
     """
     m, n = qp.centers.shape
     sizes = range(1, min(m, n + 1) + 1)
@@ -137,17 +146,33 @@ def support_oracle(qp: SimplexQP):
     best_val, best_w = math.inf, None
     for s in sizes:
         for S in itertools.combinations(range(m), s):
-            first, rest = S[0], list(S[1:])
-            D = qp.centers[rest] - qp.centers[first]
-            rhs = (0.5 * (qp.linear[rest] - qp.linear[first])
-                   - D @ qp.centers[first])
-            try:
-                z = np.linalg.solve(D @ D.T, rhs)
-            except np.linalg.LinAlgError:
-                continue
-            w = np.zeros(m)
-            w[list(S)] = np.append(1.0 - z.sum(), z)
-            val = qp.value(w) if w.min() >= 0.0 else math.inf
+            w = _stationary_weights(qp, S)
+            val = qp.value(w) if w is not None and w.min() >= 0.0 else math.inf
             if val < best_val:
                 best_val, best_w = val, w
     return best_val, best_w
+
+
+def _stationary_weights(qp: SimplexQP, S):
+    """The weights on all m points of the stationary point of q on the
+    affine hull of the points S, from the first base point of S that
+    passes the pivot test, or None when none does."""
+    for k, first in enumerate(S):
+        rest = list(S[:k] + S[k + 1:])
+        D = qp.centers[rest] - qp.centers[first]
+        G = D @ D.T
+        rhs = (0.5 * (qp.linear[rest] - qp.linear[first])
+               - D @ qp.centers[first])
+        try:
+            L = np.linalg.cholesky(G)
+            if not np.all(L.diagonal()
+                          > 1e-6 * np.sqrt(np.einsum("ij,ij->i", D, D))):
+                continue
+            z = np.linalg.solve(G, rhs)
+        except np.linalg.LinAlgError:
+            continue
+        w = np.zeros(qp.m)
+        w[rest] = z
+        w[first] = 1.0 - z.sum()
+        return w
+    return None

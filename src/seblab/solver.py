@@ -60,8 +60,9 @@ def solve_seb(instance: Instance, tol_gap=None, max_iter=None):
 
     Every status is read from one duality bracket at the returned
     multipliers mu, in the program's frame about the smallest ball o
-    (x = B^T mu, the center is o + x): every simplex mu has
-    sum_i mu_i g_i(y) = |y - x|^2 - q(mu), so -max_i g_i(x) <= q* <= q(mu).
+    (x = B^T mu, formed once by `simplex_qp.solve`; the center is o + x):
+    every simplex mu has sum_i mu_i g_i(y) = |y - x|^2 - q(mu), so
+    -max_i g_i(x) <= q* <= q(mu).
     g_i(x) = |x|^2 - 2 b_i.x + c_i is a few n-term dot products, each
     rounded by at most about n eps (|x|^2 + |b_i|^2 + r_i^2) (Higham), so
     e_i = 8(n + 4) eps (|x|^2 + |b_i|^2 + r_i^2) bounds its rounding with
@@ -85,8 +86,7 @@ def solve_seb(instance: Instance, tol_gap=None, max_iter=None):
     gate = classify(instance)
     qp = build_qp(instance)
     res = solve(qp, tol_gap=tol_gap, max_iter=max_iter)
-    mu, ub = res.minimizer, res.value
-    x = qp.centers.T @ mu
+    mu, x, ub = res.minimizer, res.point, res.value
     xx = float(x @ x)
     # |x|^2 + |b_i|^2 + r_i^2, with c_i = |b_i|^2 - r_i^2
     size = xx + qp.linear + 2.0 * instance.radii() ** 2

@@ -210,6 +210,18 @@ class TestJnrCommand:
         assert report["convexity"]["convex_evidence"] is True
         assert report["separation"]["implication_holds"] is True
 
+    def test_probe_convexity_is_the_rank_theorem(self, tmp_path):
+        # the lens map has rank A < n: its convexity block is the theorem's
+        # verdict and does not depend on the seed
+        path = write_doc(tmp_path, "lens.json", LENS)
+        blocks = []
+        for seed in ("1", "2"):
+            code, text = run_cli(["jnr", path, "probe", "--seed", seed])
+            assert code == 0
+            blocks.append(json.loads(text)["convexity"])
+        assert blocks[0] == blocks[1] == {"counterexamples": 0,
+                                          "convex_evidence": True}
+
     def test_probe_unsupported_regime(self, tmp_path):
         path = write_doc(tmp_path, "unsupported.json", UNSUPPORTED)
         code, text = run_cli(["jnr", path, "probe", "--count", "10"])

@@ -5,20 +5,25 @@ from conftest import (
     example_map,
     lens_instance,
     random_rank_deficient_map,
+    random_supported_instance,
     unsupported_instance,
 )
 from seblab import numrange
-from seblab.errors import DimensionMismatch, UnsupportedRegime
+from seblab.errors import DimensionMismatch, UnsupportedRegime, ValidationError
 from seblab.geometry import Instance, UnitQuadratic
 from seblab.linalg import numerical_rank
 from seblab.numrange import (
+    ConvexityReport,
     QuadraticMap,
+    SeparationReport,
     convexity_probe,
     eval_map,
     in_pair_hull,
     in_range,
+    sample_inputs,
     separation_probe,
 )
+from seblab.sampling import sample_intersection
 from seblab.solver import Regime, solve_seb
 
 
@@ -316,6 +321,131 @@ class TestPairHullMembership:
             in_pair_hull(qm, np.zeros(4))
 
 
+def convexity_search(qmap, samples, seed=0):
+    """The convexity probe as a random search in every regime: segment
+    points of `samples` random pairs tested by exact range membership
+    (`convexity_probe` before it read the rank theorem)."""
+    rng = np.random.default_rng(seed)
+    X = sample_inputs(qmap, samples, rng)
+    Y = sample_inputs(qmap, samples, rng)
+    lams = rng.uniform(0.0, 1.0, size=samples)
+    Z = (lams[:, None] * eval_map(qmap, X)
+         + (1.0 - lams[:, None]) * eval_map(qmap, Y))
+    member, _, _ = numrange._range_members(qmap, Z)
+    return ConvexityReport(
+        samples=samples,
+        counterexamples=tuple((X[i], Y[i], float(lams[i]), Z[i])
+                              for i in np.flatnonzero(~member)))
+
+
+def separation_on_full_arrays(qmap, samples, seed=0, extra_points=None):
+    """The separation probe on whole (N, m + 1) arrays: every hull row
+    formed and every orthant test taken over all columns at once
+    (`separation_probe` before it tested one column at a time)."""
+    if qmap.regime() is Regime.UNSUPPORTED:
+        raise UnsupportedRegime("separation probe needs a supported regime")
+    rng = np.random.default_rng(seed)
+    X = sample_inputs(qmap, samples, rng)
+    if extra_points is not None and len(extra_points) > 0:
+        X = np.vstack([X, np.atleast_2d(np.asarray(extra_points, dtype=float))])
+    if X.shape[0] == 0:
+        return SeparationReport(samples=0, range_hits=(), hull_hits=())
+    G = eval_map(qmap, X)
+    in_orthant = (G[:, 0] < 0.0) & np.all(G[:, 1:] <= 0.0, axis=1)
+    range_hits = tuple(G[i] for i in np.flatnonzero(in_orthant))
+    N = G.shape[0]
+    idx_u = rng.integers(0, N, size=N)
+    idx_v = rng.integers(0, N, size=N)
+    lams = rng.uniform(0.0, 1.0, size=N)
+    H = lams[:, None] * G[idx_u] + (1.0 - lams[:, None]) * G[idx_v]
+    hull_mask = (H[:, 0] < 0.0) & np.all(H[:, 1:] <= 0.0, axis=1)
+    hull_hits = tuple(H[i] for i in np.flatnonzero(hull_mask))
+    return SeparationReport(samples=int(N), range_hits=range_hits,
+                            hull_hits=hull_hits)
+
+
+def hit_bytes(hits, m):
+    return np.array(hits, dtype=float).reshape(-1, m + 1).tobytes()
+
+
+def probe_corpus():
+    """Seeded (map, extra points) pairs: rank-deficient maps and m = n
+    full-rank maps with m up to 8, the lens cut by a ball 1e6 to 1e12
+    away, and m = n instances targeted at the solver's ball and at 0.9
+    and 0.5 of its radius with their sampled intersection as extra
+    points; each moved by up to 1e8 and scaled by 1e-8 to 1e8."""
+    rng = np.random.default_rng(20261020)
+    cases = []
+    for m in range(1, 9):
+        n = int(rng.integers(2, 5))
+        cases.append((random_rank_deficient_map(rng, n=n, m=m), None))
+        C = rng.standard_normal((m, m))
+        cases.append((QuadraticMap(
+            centers=C, rho=rng.uniform(0.5, 2.0, m) ** 2,
+            target=UnitQuadratic(a=0.3 * rng.standard_normal(m),
+                                 rho=rng.uniform(0.5, 2.0) ** 2)), None))
+    for D in (1e6, 1e8, 1e10, 1e12):
+        inst = Instance.from_data([[0.0, 0.0], [1.0, 0.0], [0.5, D]],
+                                  [1.0, 1.0, D + 0.846])
+        sol = solve_seb(inst)
+        cases.append((QuadraticMap.from_instance(
+            inst, sol.target_quadratic()), None))
+    for n in (2, 3, 5, 8):
+        inst = random_supported_instance(rng, n)
+        sol = solve_seb(inst)
+        cloud = sample_intersection(inst, 500, seed=n, start=sol.center)
+        for shrink in (1.0, 0.9, 0.5):
+            target = UnitQuadratic(sol.center, (shrink * sol.radius) ** 2)
+            cases.append((QuadraticMap.from_instance(inst, target),
+                          cloud.points))
+    moved = []
+    for qm, extra in cases:
+        n = qm.dimension
+        shift = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(0, 8)
+        s = 10.0 ** rng.uniform(-8, 8)
+        moved.append((QuadraticMap(
+            centers=s * (qm.centers + shift), rho=s * s * qm.rho,
+            target=UnitQuadratic(a=s * (qm.target.a + shift),
+                                 rho=s * s * qm.target.rho)),
+            None if extra is None else s * (extra + shift)))
+    return cases + moved
+
+
+def test_probes_match_their_references():
+    # the convex regime draws nothing; every other verdict, counterexample
+    # and hit is the reference's, bit for bit
+    totals = {"range": 0, "hull": 0, "convex": 0, "drawn": 0, "long": 0}
+    for k, (qm, extra) in enumerate(probe_corpus()):
+        conv = convexity_probe(qm, 400, seed=k)
+        ref = convexity_search(qm, 400, seed=k)
+        assert len(conv.counterexamples) == len(ref.counterexamples)
+        for got, want in zip(conv.counterexamples, ref.counterexamples):
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        if qm.regime() is Regime.CONVEX:
+            assert conv.samples == 0 and ref.counterexamples == ()
+            totals["convex"] += 1
+        else:
+            assert conv.samples == 400
+            totals["drawn"] += 1
+        if qm.regime() is Regime.UNSUPPORTED:
+            with pytest.raises(UnsupportedRegime):
+                separation_probe(qm, 400, seed=k, extra_points=extra)
+            continue
+        sep = separation_probe(qm, 400, seed=k, extra_points=extra)
+        ref = separation_on_full_arrays(qm, 400, seed=k, extra_points=extra)
+        assert sep.samples == ref.samples
+        assert (hit_bytes(sep.range_hits, qm.m)
+                == hit_bytes(ref.range_hits, qm.m))
+        assert (hit_bytes(sep.hull_hits, qm.m)
+                == hit_bytes(ref.hull_hits, qm.m))
+        totals["range"] += len(sep.range_hits)
+        totals["hull"] += len(sep.hull_hits)
+        totals["long"] += qm.m >= 6 and bool(sep.hull_hits)
+    assert totals["convex"] >= 20 and totals["drawn"] >= 20
+    assert totals["range"] >= 1000 and totals["hull"] >= 1000
+    assert totals["long"] >= 2
+
+
 class TestConvexityProbe:
     def test_rank_deficient_maps_have_no_counterexamples(self, rng):
         for _ in range(3):
@@ -335,6 +465,24 @@ class TestConvexityProbe:
     def test_zero_samples(self):
         assert convexity_probe(example_map(), 0).counterexamples == ()
 
+    def test_convex_regime_draws_nothing(self, monkeypatch, rng):
+        # rank A < n: the verdict is the rank theorem's, with no draw and
+        # no map evaluation
+        def broken(*args, **kwargs):
+            raise AssertionError("the convex regime drew inputs")
+
+        monkeypatch.setattr(numrange, "sample_inputs", broken)
+        monkeypatch.setattr(numrange, "eval_map", broken)
+        qm = random_rank_deficient_map(rng)
+        report = convexity_probe(qm, 2000, seed=3)
+        assert report.samples == 0 and report.counterexamples == ()
+        assert report.convex_evidence
+
+    def test_negative_samples_refused(self, rng):
+        for qm in (random_rank_deficient_map(rng), example_map()):
+            with pytest.raises(ValidationError):
+                convexity_probe(qm, -1)
+
 
 class TestSeparationProbe:
     def test_optimal_solution_has_no_hits(self):
@@ -346,8 +494,6 @@ class TestSeparationProbe:
         assert report.implication_holds
 
     def test_shrunk_target_is_hit(self, rng):
-        from seblab.sampling import sample_intersection
-
         inst = lens_instance()
         sol = solve_seb(inst)
         shrunk = UnitQuadratic(sol.center, (0.9 * sol.radius) ** 2)

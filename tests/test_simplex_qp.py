@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -235,6 +236,50 @@ class TestSupportOracle:
         qp = SimplexQP(centers=np.eye(16), linear=np.zeros(16))
         with pytest.raises(CombinatorialBlowup):
             support_oracle(qp)
+
+    def test_skipped_supports_never_beat_the_kept_minimum(self):
+        # m > n programs with nearly dependent supports: a point within
+        # 1e-12..1e-8 of a segment between two others, and a unit lens
+        # beside a ball 1e8..1e12 away, listed first, plus a containing
+        # ball. On every face the oracle skips, Wolfe's method finds no
+        # value below the oracle's q* by more than rounding.
+        rng = np.random.default_rng([2033, 12])
+        programs = []
+        for _ in range(30):
+            n = int(rng.integers(2, 4))
+            m = int(rng.integers(n + 1, n + 5))
+            C = rng.standard_normal((m, n))
+            i, j, k = rng.choice(m, 3, replace=False)
+            lam = rng.uniform(0.2, 0.8)
+            C[k] = (lam * C[i] + (1.0 - lam) * C[j]
+                    + 10.0 ** rng.uniform(-12, -8) * rng.standard_normal(n))
+            p = 0.3 * rng.standard_normal(n)
+            r = np.linalg.norm(C - p, axis=1) + rng.uniform(0.01, 1.0, m)
+            programs.append(build_qp(Instance.from_data(C, r)))
+        for _ in range(30):
+            n = int(rng.integers(2, 4))
+            e1, e2 = np.eye(n)[:2]
+            D = 10.0 ** rng.uniform(8, 12)
+            C = np.array([D * e2, -e1, e1, np.zeros(n)])
+            Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            shift = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(0, 6)
+            programs.append(build_qp(Instance.from_data(
+                C @ Q.T + shift, [D - 0.5, math.sqrt(2.0), math.sqrt(2.0),
+                                  10.0])))
+        skipped = 0
+        for qp in programs:
+            best, _ = support_oracle(qp)
+            m, n = qp.centers.shape
+            for size in range(2, min(m, n + 1) + 1):
+                for S in itertools.combinations(range(m), size):
+                    if simplex_qp._stationary_weights(qp, S) is not None:
+                        continue
+                    skipped += 1
+                    face = solve(SimplexQP(centers=qp.centers[list(S)],
+                                           linear=qp.linear[list(S)]))
+                    assert face.converged
+                    assert face.value >= best - 1e-9 * abs(best)
+        assert skipped > 0
 
     def test_independent_of_the_kernels(self, rng, monkeypatch):
         qps = [SimplexQP(centers=rng.standard_normal((6, 3)),

@@ -20,7 +20,7 @@ from seblab.geometry import (
 )
 from seblab.linalg import numerical_rank
 from seblab.sampling import sample_intersection
-from seblab.simplex_qp import build_qp, support_oracle
+from seblab.simplex_qp import build_qp, solve, support_oracle
 from seblab.solver import (
     RankRegime,
     Regime,
@@ -362,6 +362,18 @@ def test_stress_corpus_against_the_oracle(family):
         assert set(statuses) == {expected}
 
 
+def test_center_is_the_solves_point():
+    # solve_seb reads x = B^T mu from the solve that formed it: the center
+    # is the origin plus that point, bit for bit
+    for family in CORPUS_FAMILIES + (FAR_BALL,):
+        for inst in corpus(family):
+            qp = build_qp(inst)
+            res = solve(qp)
+            assert np.array_equal(res.point, qp.centers.T @ res.minimizer)
+            assert np.array_equal(solve_seb(inst).center,
+                                  qp.origin + res.point)
+
+
 class TestFarBall:
     """The lens (+-t, 0) of radii sqrt(2) t beside B((0, D), D - t/2),
     D/t = 1e8 to 1e12: the far ball cuts the lens at y = t/2, so
@@ -378,15 +390,17 @@ class TestFarBall:
         assert abs(sol.qp_value - q_exact) <= 1e-9 * q_exact
 
     def test_moved_copies_reach_three_quarters(self):
-        # against 3/4 (s t)^2, (s t)^2 = r_min^2 / 2, not against
-        # support_oracle: the oracle skips only singular systems, so on
-        # some moved copies it misses the ill-conditioned three-ball
-        # support and returns about (s t)^2
+        # the solver and support_oracle both reach 3/4 (s t)^2,
+        # (s t)^2 = r_min^2 / 2; with the far ball listed first, the
+        # oracle's differences from it are nearly parallel, so it must try
+        # another base to keep the three-ball support
         for inst in corpus(FAR_BALL):
             sol = solve_seb(inst)
+            q_exact, _ = support_oracle(build_qp(inst))
             st2 = float(inst.radii().min()) ** 2 / 2.0
             assert sol.converged
             assert abs(sol.qp_value - 0.75 * st2) <= 1e-3 * st2
+            assert abs(q_exact - 0.75 * st2) <= 1e-3 * st2
 
 
 class TestCertificate:
