@@ -24,6 +24,7 @@ from .errors import (CombinatorialBlowup, SebLabError, UnsupportedRegime,
                      ValidationError)
 from .geometry import SolveStatus
 from .numrange import QuadraticMap
+from .simplex_qp import build_qp, support_oracle
 from .solver import build_certificate, classify, regime_report, solve_seb
 
 EXIT_OK = 0
@@ -46,7 +47,7 @@ def _parse_point(text):
 
 def cmd_solve(args, out):
     instance, _target = io.load_instance(args.file)
-    solution = solve_seb(instance, tol_gap=args.tol, max_iter=args.max_iter)
+    solution = solve_seb(instance, max_iter=args.max_iter)
     regime = regime_report(instance, solution)
     certificate = None
     if solution.status in (SolveStatus.CERTIFIED_OPTIMAL,
@@ -140,8 +141,6 @@ def cmd_jnr(args, out):
 
 
 def cmd_oracle(args, out):
-    from .simplex_qp import build_qp, support_oracle
-
     instance, _ = io.load_instance(args.file)
     solution = solve_seb(instance)
     report = {
@@ -231,9 +230,6 @@ def build_parser():
 
     p = sub.add_parser("solve", help="solve an instance file")
     p.add_argument("file")
-    p.add_argument("--tol", type=float, default=None,
-                   help="gap tolerance of Wolfe's finite method on the "
-                        "simplex QP")
     p.add_argument("--max-iter", type=int, default=None)
     p.add_argument("--seed", type=_nonnegative, default=0)
     p.add_argument("--verify", type=_nonnegative, default=0, metavar="N",
@@ -270,9 +266,7 @@ def main(argv=None, out=None):
     except UnsupportedRegime as exc:
         print(io.emit({"error": str(exc)}), file=out)
         return EXIT_UNSUPPORTED
-    except (ValidationError, OSError) as exc:
-        return _fail(str(exc), out)
-    except SebLabError as exc:
+    except (SebLabError, OSError) as exc:
         return _fail(str(exc), out)
 
 

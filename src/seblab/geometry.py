@@ -153,7 +153,7 @@ class Solution:
     center/radius define the returned ball, multipliers the simplex weights
     recovering it, qp_value the simplex-QP optimum (= radius^2 for nonempty
     interior); fw_gap bounds qp_value - q*, and converged says whether it
-    met the solve's tolerance. rank_shifted is rank{a_i - center}, the
+    met the rounding stop. rank_shifted is rank{a_i - center}, the
     affine rank of the centers, which solve_seb reads before the solve and
     keeps for every status (a hand-built Solution may leave it None).
     """

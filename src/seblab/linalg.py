@@ -9,14 +9,13 @@ import numpy as np
 DEFAULT_RANK_TOL = 1e-10
 
 
-def numerical_rank(vectors):
-    """Rank of a list of vectors: the count of singular values above
-    DEFAULT_RANK_TOL*s_max*max(n,m); the one rank rule of the package."""
-    V = np.atleast_2d(np.asarray(vectors, dtype=float))
-    s = np.linalg.svd(V, compute_uv=False)
+def numerical_rank(s, shape):
+    """Rank of a matrix of the given shape from its singular values s, in
+    descending order as np.linalg.svd returns them: the count above
+    DEFAULT_RANK_TOL*s[0]*max(shape); the one rank rule of the package."""
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > DEFAULT_RANK_TOL * s[0] * max(V.shape)))
+    return int(np.count_nonzero(s > DEFAULT_RANK_TOL * s[0] * max(shape)))
 
 
 def arrowhead_psd(alpha, b, beta, tol=1e-9):

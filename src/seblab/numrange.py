@@ -73,8 +73,8 @@ class QuadraticMap:
         a = self.target.a
         B = centers - a
         A = _freeze(-2.0 * B)
-        rank = numerical_rank(A)
         U, s, Vt = np.linalg.svd(A)
+        rank = numerical_rank(s, A.shape)
         points = np.vstack([centers, a])
         spread = np.linalg.norm(points - points.mean(axis=0), axis=1).max()
         self.__dict__.update(

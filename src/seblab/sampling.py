@@ -8,7 +8,7 @@ import numpy as np
 
 from . import kernels, solver
 from .errors import DimensionTooLarge, EmptyInteriorError, ValidationError
-from .geometry import Instance, SolveStatus
+from .geometry import Instance, SolveStatus, _freeze
 
 # A first batch of ball draws that keeps fewer than this share of its rows
 # hands the call to hit-and-run: the ball's volume outgrows the
@@ -38,9 +38,8 @@ class SampleCloud:
     method: SampleMethod
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points",
+                           _freeze(np.atleast_2d(self.points)))
 
     def __len__(self):
         return self.points.shape[0]
@@ -151,6 +150,7 @@ def sample_intersection(instance: Instance, count: int, seed: int = 0,
     pts = _ball_rejection(instance, count, np.random.default_rng(seed),
                           *_proposal_ball(instance, solution.multipliers))
     if pts is not None:
+        pts.setflags(write=False)  # read-only and owned: kept uncopied
         return SampleCloud(pts, seed, SampleMethod.REJECTION)
     start = np.asarray(solution.center if start is None else start,
                        dtype=float)
@@ -160,6 +160,7 @@ def sample_intersection(instance: Instance, count: int, seed: int = 0,
             "the hit-and-run start lies on or outside an input ball")
     pts = kernels.hit_and_run(instance.centers_matrix(), instance.radii(),
                               start, int(count), BURN_IN, THIN, seed)
+    pts.setflags(write=False)
     return SampleCloud(points=pts, seed=seed, method=SampleMethod.HIT_AND_RUN)
 
 

@@ -80,45 +80,38 @@ def build_qp(instance: Instance) -> SimplexQP:
     return SimplexQP(centers=B, linear=linear, origin=origin)
 
 
-def solve(qp: SimplexQP, tol_gap=None, max_iter=None):
+def solve(qp: SimplexQP, max_iter=None):
     """Wolfe's finite method (`kernels.fw_minimize`) on the program.
 
     The kernel carries the support's factor between major cycles and
     refactors it only after a drop or an affinely dependent support. The
-    returned gap upper-bounds value - q* by convexity. If the major-cycle
-    budget runs out, or rounding stops progress, above tol_gap the result
-    is still returned with converged=False. The default tol_gap is
+    returned gap upper-bounds value - q* by convexity. The solve stops at
     `kernels.rounding_stop`, 16 (n + m) eps (|x|^2 + sum_j mu_j s_j) with
     s_j = 2|b_j|^2 - c_j = |b_j|^2 + r_j^2: a rounding-level stop set by
     the balls that carry weight, which follows a uniform scaling of the
     balls, so a small answer beside a large ball runs until its own gap
-    nears its own rounding; `converged` reads it at the returned mu. An
-    explicit tol_gap is an absolute gap; one that is negative or not
-    finite, or a negative max_iter, raises ValidationError.
+    nears its own rounding; `converged` reads it at the returned mu. If
+    the major-cycle budget max_iter runs out, or rounding stops progress,
+    above that stop the result is still returned with converged=False. A
+    negative max_iter raises ValidationError.
     """
-    if tol_gap is not None and not (math.isfinite(tol_gap)
-                                    and tol_gap >= 0.0):
-        raise ValidationError(
-            f"tol_gap must be finite and >= 0, got {tol_gap}")
     if max_iter is None:
         max_iter = 200 * qp.m + 10**4
     elif max_iter < 0:
         raise ValidationError(f"max_iter must be >= 0, got {max_iter}")
-    mu, iters, gap = kernels.fw_minimize(
-        qp.centers, qp.linear, None if tol_gap is None else float(tol_gap),
-        int(max_iter))
+    mu, iters, gap = kernels.fw_minimize(qp.centers, qp.linear, None,
+                                         int(max_iter))
     x = qp.centers.T @ mu
     xx = float(x @ x)
-    if tol_gap is None:
-        # kernels.rounding_stop at mu, from the balls that carry weight
-        S = np.flatnonzero(mu)
-        B = qp.centers[S]
-        unit = 16 * (mu.size + x.size) * np.finfo(float).eps
-        sizes = unit * (2.0 * np.einsum("ij,ij->i", B, B) - qp.linear[S])
-        tol_gap = unit * xx + sizes @ mu[S]
+    # kernels.rounding_stop at mu, from the balls that carry weight
+    S = np.flatnonzero(mu)
+    B = qp.centers[S]
+    unit = 16 * (mu.size + x.size) * np.finfo(float).eps
+    sizes = unit * (2.0 * np.einsum("ij,ij->i", B, B) - qp.linear[S])
+    stop = unit * xx + sizes @ mu[S]
     return QPResult(minimizer=mu, point=x, value=xx - float(qp.linear @ mu),
                     gap=max(gap, 0.0), iterations=int(iters),
-                    converged=gap <= tol_gap)
+                    converged=gap <= stop)
 
 
 def support_oracle(qp: SimplexQP):

@@ -50,12 +50,13 @@ def classify(instance: Instance) -> RankRegime:
     smallest ball o (`Instance.frame`, the points of build_qp). It moves
     with no translation and is at most m - 1: the gate never reads
     CriticalCase (rank = n = m) for the solver."""
-    rank = numerical_rank(instance.frame[1])
+    B = instance.frame[1]
+    rank = numerical_rank(np.linalg.svd(B, compute_uv=False), B.shape)
     return RankRegime(rank_shifted=rank,
                       regime=_regime_of(rank, instance.dimension, instance.m))
 
 
-def solve_seb(instance: Instance, tol_gap=None, max_iter=None):
+def solve_seb(instance: Instance, max_iter=None):
     """Solve the simplex QP and recover the enclosing ball.
 
     Every status is read from one duality bracket at the returned
@@ -80,12 +81,13 @@ def solve_seb(instance: Instance, tol_gap=None, max_iter=None):
       encloses the intersection for any simplex mu.
 
     The bounds follow the balls that hold x or carry weight, not the
-    largest ball. `converged` says whether the solve met tol_gap; it
-    decides no status.
+    largest ball. `converged` says whether the solve met its rounding stop
+    (`simplex_qp.solve`) within max_iter major cycles; it decides no
+    status.
     """
     gate = classify(instance)
     qp = build_qp(instance)
-    res = solve(qp, tol_gap=tol_gap, max_iter=max_iter)
+    res = solve(qp, max_iter=max_iter)
     mu, x, ub = res.minimizer, res.point, res.value
     xx = float(x @ x)
     # |x|^2 + |b_i|^2 + r_i^2, with c_i = |b_i|^2 - r_i^2

@@ -9,11 +9,18 @@ import numpy as np
 import pytest
 
 from seblab import Instance, UnitQuadratic
+from seblab.linalg import numerical_rank
 from seblab.numrange import QuadraticMap
 
 SQRT2 = math.sqrt(2.0)
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 BENCH_MODULES = ("checks", "run", "spans", "workloads")
+
+
+def matrix_rank(vectors):
+    """`numerical_rank` of a list of vectors, from its singular values."""
+    V = np.atleast_2d(np.asarray(vectors, dtype=float))
+    return numerical_rank(np.linalg.svd(V, compute_uv=False), V.shape)
 
 
 def lens_instance():

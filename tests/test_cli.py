@@ -134,12 +134,24 @@ class TestSolveCommand:
         assert code == 1
         assert "max_iter" in json.loads(text)["error"]
 
-    @pytest.mark.parametrize("tol", ["-1", "nan"])
-    def test_bad_tol(self, tmp_path, tol):
+    def test_gap_tolerance_flag_refused(self, tmp_path):
+        # the solve has one stop, set by the balls; an old script that
+        # still passes a gap tolerance fails loudly instead of being ignored
         path = write_doc(tmp_path, "lens.json", LENS)
-        code, text = run_cli(["solve", path, "--tol", tol])
+        code, text = run_cli(["solve", path, "--tol", "1e-9"])
         assert code == 1
-        assert "tol_gap" in json.loads(text)["error"]
+        assert json.loads(text) == {
+            "error": "seblab: unrecognized arguments: --tol 1e-9"}
+
+    def test_center_of_wrong_length(self, tmp_path):
+        # DimensionMismatch is a package error that is not a
+        # ValidationError: it exits 1 with its message all the same
+        doc = {"dimension": 2, "balls": [{"center": [0, 0, 1], "radius": 1}]}
+        path = write_doc(tmp_path, "long.json", doc)
+        code, text = run_cli(["solve", path])
+        assert code == 1
+        assert json.loads(text) == {
+            "error": "every ball center needs 2 entries"}
 
     def test_overflowing_squares_refused(self, tmp_path):
         # the radii are finite, their squares are not: refused at load,

@@ -1,5 +1,6 @@
 import numpy as np
 
+from conftest import matrix_rank
 from seblab.linalg import arrowhead_psd, numerical_rank
 
 
@@ -17,18 +18,19 @@ def arrowhead_matrix(alpha, b, beta):
 
 class TestNumericalRank:
     def test_examples(self):
-        assert numerical_rank([[-1.0, 0.0], [0.0, -1.0]]) == 2
-        assert numerical_rank([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]) == 1
-        assert numerical_rank([np.zeros(4)]) == 0
+        assert matrix_rank([[-1.0, 0.0], [0.0, -1.0]]) == 2
+        assert matrix_rank([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]) == 1
+        assert matrix_rank([np.zeros(4)]) == 0
+        assert numerical_rank(np.empty(0), (0, 3)) == 0
 
     def test_permutation_and_scaling_invariance(self, rng):
         for _ in range(20):
             m, n = rng.integers(1, 6), rng.integers(1, 6)
             V = rng.standard_normal((m, n))
-            base = numerical_rank(V)
+            base = matrix_rank(V)
             perm = rng.permutation(m)
             scales = rng.choice([-3.0, 0.5, 7.0, -0.01], size=m)
-            assert numerical_rank(V[perm] * scales[:, None]) == base
+            assert matrix_rank(V[perm] * scales[:, None]) == base
 
 
 class TestArrowheadPsd:

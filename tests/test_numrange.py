@@ -4,6 +4,7 @@ import pytest
 from conftest import (
     example_map,
     lens_instance,
+    matrix_rank,
     random_rank_deficient_map,
     random_supported_instance,
     unsupported_instance,
@@ -103,7 +104,7 @@ def test_range_geometry_rank_is_shifted_rank():
                 target=UnitQuadratic(a=rng.standard_normal(n) * scale,
                                      rho=0.0))
             assert qm.rank == min(n, m)
-        assert qm.rank == numerical_rank(qm.centers - qm.target.a)
+        assert qm.rank == matrix_rank(qm.centers - qm.target.a)
         assert qm.pinv.shape == (n, m) and qm.null.shape == (n, n - qm.rank)
 
 

@@ -32,7 +32,7 @@ from seblab.sampling import (
     grid_resolution_bound,
     sample_intersection,
 )
-from seblab import solver
+from seblab import sampling, solver
 from seblab.solver import solve_seb
 
 
@@ -109,6 +109,35 @@ class TestSampleIntersection:
             assert len(cloud) == 500
             assert cloud.points.shape == (500, n)
             assert max_violation(inst, cloud.points) <= tol
+
+    def test_cloud_leaves_the_callers_array_writable(self):
+        a = np.zeros((3, 2))
+        cloud = SampleCloud(a, 0, SampleMethod.REJECTION)
+        assert a.flags.writeable
+        assert not cloud.points.flags.writeable
+        a[0, 0] = 1.0
+        assert cloud.points[0, 0] == 0.0
+
+    @pytest.mark.parametrize("method", list(SampleMethod))
+    def test_cloud_keeps_the_drawn_array(self, method, monkeypatch):
+        # the draws are wrapped as they come, with no second points array
+        if method is SampleMethod.REJECTION:
+            inst, module, name = lens_instance(), sampling, "_ball_rejection"
+        else:
+            inst, module, name = fallback_instance(), kernels, "hit_and_run"
+        drawn = []
+        draw = getattr(module, name)
+
+        def recorded(*args):
+            drawn.append(draw(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(module, name, recorded)
+        cloud = sample_intersection(inst, 50, seed=3)
+        assert cloud.method is method
+        assert cloud.points is drawn[0]
+        assert cloud.points.flags.owndata
+        assert not cloud.points.flags.writeable
 
     def test_moved_lens_slater_point(self):
         # without `start` the chains begin at the solver's center, a
