@@ -70,6 +70,12 @@ def cmd_solve(args, out):
     return EXIT_OK
 
 
+def _margin(verdict):
+    """The verdict's margin, or None (JSON null) on an empty fibre, whose
+    margin is infinite."""
+    return float(verdict.margin) if np.isfinite(verdict.margin) else None
+
+
 def _target_quadratic(instance, target):
     if target is not None:
         return target
@@ -106,14 +112,14 @@ def cmd_jnr(args, out):
         report = {
             "point": [float(v) for v in z],
             "in_range": bool(verdict.member),
-            "range_margin": float(verdict.margin),
+            "range_margin": _margin(verdict),
         }
         if verdict.witness is not None:
             report["witness"] = [float(v) for v in verdict.witness]
         try:
             hull = numrange.in_pair_hull(qmap, z)
             report["in_pair_hull"] = bool(hull.member)
-            report["hull_margin"] = float(hull.margin)
+            report["hull_margin"] = _margin(hull)
         except UnsupportedRegime:
             report["in_pair_hull"] = None
             report["note"] = "pair-hull membership unsupported in this regime"

@@ -138,6 +138,8 @@ def solution_report(solution, regime, certificate=None, diagnostics=None):
 
 
 def emit(obj, compact=False):
+    """The report as strict JSON (RFC 8259): a NaN or an infinity raises
+    ValueError instead of printing as a bare NaN or Infinity."""
     if compact:
-        return json.dumps(obj, separators=(",", ":"))
-    return json.dumps(obj, indent=2)
+        return json.dumps(obj, separators=(",", ":"), allow_nan=False)
+    return json.dumps(obj, indent=2, allow_nan=False)

@@ -4,10 +4,10 @@
 the one simplex-QP solver: the ball solver calls it, and `cloud_meb` calls
 it for the exact minimum enclosing ball of a point cloud, started at a
 diameter pair. It carries the inverse Cholesky factor of its support from
-one major cycle to the next and borders it with each point that joins,
-so only a drop, or a step on an affinely dependent support, refactors
-the support from scratch. Its default stop, `rounding_stop`, is weighted
-by the points that carry weight, not set by the largest one.
+one major cycle to the next and borders it with each point that joins;
+only a drop, or a step on an affinely dependent support, borders the
+support again from its first point. Its one stop, `rounding_stop`, is
+weighted by the points that carry weight, not set by the largest one.
 `grid_min_maxg` is the brute-force grid scan, which adds
 per-axis tables into the grid by broadcasting, one ball at a time, and
 scans its slabs best first, skipping those whose lower bound shows they
@@ -40,7 +40,7 @@ TILE = 1 << 15
 # Wolfe's finite method for min |A^T mu|^2 - c^T mu on the simplex
 # ---------------------------------------------------------------------------
 
-def fw_minimize(A, c, tol_gap, max_iter, support=None):
+def fw_minimize(A, c, max_iter, support=None):
     """Wolfe's finite method (Math. Programming 11, 1976) on the simplex.
 
     Minimizes q(mu) = |A^T mu|^2 - c^T mu over the unit simplex, A holding
@@ -52,22 +52,20 @@ def fw_minimize(A, c, tol_gap, max_iter, support=None):
     the Frank-Wolfe vertex s (smallest gradient) to T, and `_minor_cycles`
     moves to the minimum of q over the convex hull of T + s.
 
-    The factor of the support (`_factor`) is carried from cycle to cycle:
-    `_border` extends it with s in O(kn + k^2), k = |T|, so a cycle that
-    adds s and drops nothing refactors nothing. Only after a drop, or a
-    step on an affinely dependent support, is the factor of the new
-    support built from scratch. Memory is O(mn + k^2).
+    The factor of the support is carried from cycle to cycle: `_border`
+    extends it with s in O(kn + k^2), k = |T|, so a cycle that adds s and
+    drops nothing refactors nothing. Only after a drop, or a step on an
+    affinely dependent support, is the factor of the new support bordered
+    again from its first point (`_factor`). Memory is O(mn + k^2).
 
-    The loop stops at gap <= tol_gap, after max_iter major cycles, when s
-    is already in T (the gap is then at rounding), or when a cycle fails
-    to lower q (rounding). tol_gap None stops at `rounding_stop`, which
-    the points that carry weight set, not the largest one.
+    The loop stops at `rounding_stop`, which the points that carry weight
+    set, not the largest one, after max_iter major cycles, or when a cycle
+    fails to lower q (rounding).
 
     Returns (mu, major cycles, gap), gap being the Frank-Wolfe gap
     grad^T mu - min_i grad_i over all m vertices at the returned mu.
     """
-    if tol_gap is None:
-        unit, sizes = rounding_stop(A, c)
+    unit, sizes = rounding_stop(A, c)
     if support is None:
         T = np.array([int(np.argmin(np.einsum("ij,ij->i", A, A) - c))])
         w, factor = np.ones(1), None
@@ -85,24 +83,20 @@ def fw_minimize(A, c, tol_gap, max_iter, support=None):
         gap = float(grad[T].dot(w)) - grad[s]
         xx = float(x.dot(x))
         value = xx - float(c[T].dot(w))
-        tol = tol_gap if tol_gap is not None else unit * xx + sizes[T].dot(w)
-        if gap <= tol or it == max_iter or value >= last:
+        if (gap <= unit * xx + sizes[T].dot(w) or it == max_iter
+                or value >= last):
             break
         last = value
-        factor = _border(A, c, T, factor, s)
-        # s already in T: the gap is at rounding (tested on a list,
-        # which is faster than the array's == and allocates no array)
-        if factor is None and s in T.tolist():
-            break
         T, w, factor = _minor_cycles(A, c, np.concatenate((T, [s])),
-                                     np.concatenate((w, [0.0])), factor)
+                                     np.concatenate((w, [0.0])),
+                                     _border(A, c, T, factor, s))
     mu = np.zeros(A.shape[0])
     mu[T] = w
     return mu, it, gap
 
 
 def rounding_stop(A, c):
-    """The default stop of `fw_minimize`, (u, s): stop at
+    """The stop of `fw_minimize`, (u, s): stop at
     u |x|^2 + sum_{j in T} w_j s_j, that is at
     16 (n + m) eps (|x|^2 + sum_{j in T} w_j (2|a_j|^2 - c_j)), where
     2|a_j|^2 - c_j = |b_j|^2 + r_j^2 in a ball program. s is computed
@@ -115,30 +109,14 @@ def rounding_stop(A, c):
 
 
 def _factor(A, c, T):
-    """The factor of the support T from scratch, or None when T fails the
-    independence test.
-
-    With a_0 = A[T[0]] and D the rows d_j = a_j - a_0 of T[1:], the factor
-    is (R, u): R the inverse Cholesky factor of D D^T (lower triangular,
-    R D D^T R^T = I) and u = R rhs with rhs_j = (c_j - c_0)/2 - d_j . a_0.
-    T passes when every Cholesky pivot L_jj exceeds 1e-6 |d_j|, its own
-    row's length, so a far point cannot make a near one look dependent.
-    The minimum of q on the affine hull of T is then y = (1 - sum z, z)
-    with z = R^T u, the solution of (D D^T) z = rhs.
-    """
-    if T.size == 1:
-        return np.empty((0, 0)), np.empty(0)
-    a0 = A[T[0]]
-    D = A[T[1:]] - a0
-    rhs = 0.5 * (c[T[1:]] - c[T[0]]) - D @ a0
-    try:
-        L = np.linalg.cholesky(D @ D.T)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(L.diagonal() > 1e-6 * np.sqrt(np.einsum("ij,ij->i", D, D))):
-        return None
-    R = np.linalg.inv(L)
-    return R, R @ rhs
+    """The factor of the support T, bordered point by point from the empty
+    factor of T[:1] (`_border`), or None as soon as a border fails."""
+    factor = np.empty((0, 0)), np.empty(0)
+    for k in range(1, T.size):
+        factor = _border(A, c, T[:k], factor, T[k])
+        if factor is None:
+            return None
+    return factor
 
 
 def _border(A, c, T, factor, s):
@@ -146,10 +124,17 @@ def _border(A, c, T, factor, s):
     `_factor` when None), or None when T + s holds more than n + 1 points
     or fails the independence test.
 
+    With a_0 = A[T[0]] and D the rows d_j = a_j - a_0 of T[1:], the factor
+    is (R, u): R the inverse Cholesky factor of D D^T (lower triangular,
+    R D D^T R^T = I) and u = R rhs with rhs_j = (c_j - c_0)/2 - d_j . a_0.
+    The minimum of q on the affine hull of T is then y = (1 - sum z, z)
+    with z = R^T u, the solution of (D D^T) z = rhs.
+
     With d = a_s - a_0 and l = R D d, the new pivot p = sqrt(|d|^2 - |l|^2)
-    is tested against |d|, the new row of R is [-(l R)/p, 1/p] and the new
-    entry of u is (rhs_s - l . u)/p. The rows D are gathered once, and no
-    copy of A_T is held beside the factors.
+    must exceed 1e-6 |d|, its own row's length, so a far point cannot make
+    a near one look dependent. The new row of R is [-(l R)/p, 1/p] and the
+    new entry of u is (rhs_s - l . u)/p. The rows D are gathered once, and
+    no copy of A_T is held beside the factors.
     """
     if T.size > A.shape[1]:  # more points are dependent by count
         return None
@@ -187,7 +172,8 @@ def _minor_cycles(A, c, T, w, factor=None):
     instead along a null vector v of [A_T^T; 1^T], oriented so that
     c_T . v >= 0: x stays put and q does not rise, and the point whose
     weight reaches zero is dropped (a Caratheodory reduction). After a
-    drop the factor of the smaller support is built from scratch.
+    drop the factor of the smaller support is bordered again from its
+    first point.
     """
     while T.size > 1:
         if factor is None and T.size <= A.shape[1] + 1:
@@ -289,10 +275,11 @@ def cloud_meb(points, iterations):
     1999): the point j farthest from the first and the point k farthest
     from j (the default start when every point is the same, j = k). On the
     `verify-lab` clouds of seeds 1-3 (2,000 points, n <= 3) that takes the
-    mean count of major cycles from 6.91 to 4.87. Its gap tolerance is
-    zero, so it runs until a major cycle no longer lowers q, or for
-    `iterations` major cycles; the radius is the largest distance from the
-    center to a point.
+    mean count of major cycles from 6.91 to 4.87. It stops where the ball
+    program does, at `rounding_stop` (with c_i = |p_i|^2 its sizes are
+    |p_i|^2), when a major cycle no longer lowers q, or after `iterations`
+    major cycles (0 keeps the diameter pair's midpoint); the radius is the
+    largest distance from the center to a point.
     """
     o = points[0]
     P = points - o
@@ -300,7 +287,7 @@ def cloud_meb(points, iterations):
     j = int(np.argmax(c))
     D = P - P[j]
     k = int(np.argmax(np.einsum("ij,ij->i", D, D)))
-    mu, _, _ = fw_minimize(P, c, 0.0, iterations,
+    mu, _, _ = fw_minimize(P, c, iterations,
                            None if j == k else np.array([j, k]))
     center = o + P.T @ mu
     d2 = np.einsum("ij,ij->i", points - center, points - center)

@@ -152,9 +152,13 @@ def _range_members(qmap: QuadraticMap, Z):
 
 
 def _value_vector(qmap: QuadraticMap, z):
+    """z as a float vector of length m + 1 with finite entries: an infinite
+    level would make the level test's slack infinite too."""
     z = np.asarray(z, dtype=float)
     if z.shape != (qmap.m + 1,):
         raise DimensionMismatch("value vector must have length m + 1")
+    if not np.isfinite(z).all():
+        raise ValidationError("value vector entries must be finite")
     return z
 
 

@@ -177,11 +177,15 @@ def cloud_meb(cloud: SampleCloud, iterations: int = 1000):
 
     `iterations` bounds the major cycles of the simplex-QP kernel, which
     ends at the exact ball after about as many cycles as the ball has
-    support points (at most n + 1). The cloud lies inside the intersection,
-    so this radius lower-bounds the optimal enclosing radius up to rounding.
+    support points (at most n + 1); 0 gives the ball about the midpoint of
+    the kernel's diameter-pair start, and a negative count raises
+    ValidationError. The cloud lies inside the intersection, so the exact
+    radius lower-bounds the optimal enclosing radius up to rounding.
     """
     if len(cloud) == 0:
         raise ValidationError("empty cloud")
+    if iterations < 0:
+        raise ValidationError(f"iterations must be >= 0, got {iterations}")
     c, r = kernels.cloud_meb(cloud.points, int(iterations))
     return c, float(r)
 

@@ -84,9 +84,10 @@ def solve(qp: SimplexQP, max_iter=None):
     """Wolfe's finite method (`kernels.fw_minimize`) on the program.
 
     The kernel carries the support's factor between major cycles and
-    refactors it only after a drop or an affinely dependent support. The
-    returned gap upper-bounds value - q* by convexity. The solve stops at
-    `kernels.rounding_stop`, 16 (n + m) eps (|x|^2 + sum_j mu_j s_j) with
+    borders it again from its first ball only after a drop or an affinely
+    dependent support. The returned gap upper-bounds value - q* by
+    convexity. The solve stops at `kernels.rounding_stop`, the kernel's
+    one stop, 16 (n + m) eps (|x|^2 + sum_j mu_j s_j) with
     s_j = 2|b_j|^2 - c_j = |b_j|^2 + r_j^2: a rounding-level stop set by
     the balls that carry weight, which follows a uniform scaling of the
     balls, so a small answer beside a large ball runs until its own gap
@@ -99,7 +100,7 @@ def solve(qp: SimplexQP, max_iter=None):
         max_iter = 200 * qp.m + 10**4
     elif max_iter < 0:
         raise ValidationError(f"max_iter must be >= 0, got {max_iter}")
-    mu, iters, gap = kernels.fw_minimize(qp.centers, qp.linear, None,
+    mu, iters, gap = kernels.fw_minimize(qp.centers, qp.linear,
                                          int(max_iter))
     x = qp.centers.T @ mu
     xx = float(x @ x)

@@ -23,7 +23,7 @@ def test_every_traced_site_exists(bench):
 
 def test_fw_minimize_result_feeds_iteration_counter(bench):
     A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    args = (A, np.zeros(3), 1e-12, 100)
+    args = (A, np.zeros(3), 100)
     result = kernels.fw_minimize(*args)
     assert isinstance(result, tuple) and len(result) == 3
     assert isinstance(result[1], int)

@@ -190,6 +190,33 @@ class TestJnrCommand:
         assert report["in_range"] is True
         assert np.allclose(report["witness"], [1.0, 0.0], atol=1e-8)
 
+    def test_member_reports_are_strict_json(self, tmp_path):
+        # an empty fibre has an infinite margin, written as null: no report
+        # may hold NaN or Infinity, which RFC 8259 JSON does not have
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        # (document, point, in the range, empty fibre)
+        cases = [(LENS, "0,1,5", False, True), (LENS, "0,0,0", True, False),
+                 (EXAMPLE, "1,0,0", False, False),
+                 (EXAMPLE, "1,1,-1", True, False),
+                 (EXAMPLE, "3,5,-7", False, False)]
+        for doc, point, member, empty in cases:
+            path = write_doc(tmp_path, "doc.json", doc)
+            code, text = run_cli(["jnr", path, "member", "--point", point])
+            assert code == 0
+            report = json.loads(text, parse_constant=refuse)
+            assert report["in_range"] is member
+            assert (report["range_margin"] is None) is empty
+            assert (report["hull_margin"] is None) is empty
+
+    @pytest.mark.parametrize("point", ["inf,-inf,1", "nan,1,1", "1,0,inf"])
+    def test_member_non_finite_point(self, tmp_path, point):
+        path = write_doc(tmp_path, "lens.json", LENS)
+        code, text = run_cli(["jnr", path, "member", "--point", point])
+        assert code == 1
+        assert "finite" in json.loads(text)["error"]
+
     def test_member_requires_point(self, tmp_path):
         path = write_doc(tmp_path, "example.json", EXAMPLE)
         code, text = run_cli(["jnr", path, "member"])

@@ -290,11 +290,30 @@ def minor_cycles_factoring_every_support(A, c, T, w, factor=None):
     return T, np.ones(1), None
 
 
+def cholesky_factor(A, c, T):
+    """The factor of the support T by one Cholesky factorization of
+    D D^T and its inverse, with the pivot test L_jj > 1e-6 |d_j|: the
+    reference for `kernels._factor`, which borders it point by point."""
+    if T.size == 1:
+        return np.empty((0, 0)), np.empty(0)
+    a0 = A[T[0]]
+    D = A[T[1:]] - a0
+    rhs = 0.5 * (c[T[1:]] - c[T[0]]) - D @ a0
+    try:
+        L = np.linalg.cholesky(D @ D.T)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(L.diagonal() > 1e-6 * np.sqrt(np.einsum("ij,ij->i", D, D))):
+        return None
+    R = np.linalg.inv(L)
+    return R, R @ rhs
+
+
 def default_start_meb(points, iterations=1000):
     """`kernels.cloud_meb` started from `fw_minimize`'s best vertex."""
     o = points[0]
     P = points - o
-    mu, _, _ = kernels.fw_minimize(P, np.einsum("ij,ij->i", P, P), 0.0,
+    mu, _, _ = kernels.fw_minimize(P, np.einsum("ij,ij->i", P, P),
                                    iterations)
     center = o + P.T @ mu
     return center, float(np.sqrt(np.einsum("ij,ij->i", points - center,
@@ -418,15 +437,60 @@ class TestCarriedFactor:
         assert kernels._border(A, c, np.array([0, 1]), None, 2) is not None
         assert kernels._factor(A[[0, 0]], c[:2], np.array([0, 1])) is None
 
+    def test_bordered_factor_matches_cholesky(self):
+        # supports of 1 to n + 1 points: random ones, and points well apart
+        # with a last point 1e-2 to 1e-9 of the spread off their affine
+        # hull, or on it; moved by up to 1e10, then taken about their
+        # first point, as `cloud_meb` takes its cloud (the spread grows
+        # with the move, so that rounding the moved points stays far below
+        # the 1e-6 pivot test); the near-dependent point is bordered last,
+        # since bordered earlier it can leave a later pivot of either
+        # method on its rounding floor, near the test
+        rng = np.random.default_rng(905)
+        well_posed = 0
+        for trial in range(3000):
+            n = int(rng.choice([2, 3, 5, 8]))
+            k = int(rng.integers(1, n + 2))
+            shift = float(rng.choice([0.0, 1e3, 1e6, 1e10]))
+            spread = max(1.0, 1e-6 * shift) * 10.0 ** rng.uniform(0.0, 2.0)
+            off = rng.choice([None, 1e-2, 1e-4, 1e-9, 0.0])
+            if k > 2 and off is not None:
+                P = np.zeros((k, n))
+                Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+                P[1:-1] = Q[:k - 2] * rng.uniform(0.5, 2.0, (k - 2, 1))
+                P[:-1] = rng.permutation(P[:-1])
+                P[-1] = (rng.dirichlet(np.ones(k - 1)) @ P[:-1]
+                         + off * rng.standard_normal(n))
+                T = np.arange(k)
+            else:
+                P = rng.standard_normal((k, n))
+                T = rng.permutation(k)
+            A = spread * P + shift * rng.standard_normal(n)
+            A -= A[0].copy()
+            c = (np.einsum("ij,ij->i", A, A)
+                 - spread ** 2 * rng.uniform(1.0, 4.0, k))
+            got, want = kernels._factor(A, c, T), cholesky_factor(A, c, T)
+            assert (got is None) == (want is None), trial
+            if want is None:
+                continue
+            D = A[T[1:]] - A[T[0]]
+            pivots = 1.0 / np.diagonal(want[0])
+            if np.all(pivots > 1e-3 * np.linalg.norm(D, axis=1)):
+                well_posed += 1
+                z, z_ref = got[1].dot(got[0]), want[1].dot(want[0])
+                assert (np.linalg.norm(z - z_ref)
+                        <= 1e-9 * np.linalg.norm(z_ref)), trial
+        assert well_posed >= 1500
+
     def test_working_memory_is_support_sized(self):
         # a 48 x 48 program: the factor grows with the support, never to
         # (n + 1) x (n + 1) buffers, and no copy of A_T is kept beside it
         qp = simplex_qp.build_qp(
             random_supported_instance(np.random.default_rng(48), 48))
         A, c = qp.centers, qp.linear
-        mu, _, _ = kernels.fw_minimize(A, c, None, 10**4)
+        mu, _, _ = kernels.fw_minimize(A, c, 10**4)
         assert np.count_nonzero(mu) >= 12
-        peak = traced_peak_mb(kernels.fw_minimize, A, c, None, 10**4)
+        peak = traced_peak_mb(kernels.fw_minimize, A, c, 10**4)
         assert peak * 1e6 <= 2.0 * A.nbytes
 
 
@@ -464,17 +528,20 @@ class TestCloudMeb:
         for n, m in ((2, 5), (3, 40), (6, 30)):
             A = rng.standard_normal((m, n))
             c = np.einsum("ij,ij->i", A, A) - rng.uniform(1.0, 4.0, m)
-            tol = 1e-10
-            mu0, _, _ = kernels.fw_minimize(A, c, tol, 10**4)
+            unit, sizes = kernels.rounding_stop(A, c)
+            mu0, _, _ = kernels.fw_minimize(A, c, 10**4)
             for support in (np.array([0]), np.array([m - 1, 0]),
                             np.arange(min(m, n + 3))):
-                mu, _, gap = kernels.fw_minimize(A, c, tol, 10**4, support)
+                mu, _, gap = kernels.fw_minimize(A, c, 10**4, support)
                 assert mu.min() >= 0.0 and mu.sum() == pytest.approx(1.0)
                 grad = 2.0 * (A @ (A.T @ mu)) - c
                 assert gap == pytest.approx(grad @ mu - grad.min(), abs=1e-12)
-                assert gap <= tol
+                # the rounding stop at the returned mu, tighter than 1e-10
+                x = A.T @ mu
+                stop = unit * float(x @ x) + float(sizes @ mu)
+                assert gap <= stop <= 1e-10
                 assert (simplex_q(A, c, mu)
-                        <= simplex_q(A, c, mu0) + tol)
+                        <= simplex_q(A, c, mu0) + stop)
 
     def test_support_start_is_its_hull_minimum(self):
         # an acute triangle and points inside it: started from the three
@@ -485,8 +552,7 @@ class TestCloudMeb:
         inner = rng.dirichlet(np.ones(3), 200) @ triangle
         P = np.vstack([triangle, inner])
         c = np.einsum("ij,ij->i", P, P)
-        mu, cycles, _ = kernels.fw_minimize(P, c, 1e-12 * c.max(), 100,
-                                            np.arange(3))
+        mu, cycles, _ = kernels.fw_minimize(P, c, 100, np.arange(3))
         center = P.T @ mu
         assert cycles == 0
         assert np.count_nonzero(mu) == 3

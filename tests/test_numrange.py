@@ -186,6 +186,20 @@ class TestRangeMembership:
                 assert not in_range(qm, shifted).member
 
 
+@pytest.mark.parametrize("member", [in_range, in_pair_hull])
+@pytest.mark.parametrize("z", [[np.inf, -np.inf, 1.0], [np.nan, 1.0, 1.0],
+                               [1.0, 0.0, -np.inf]])
+def test_non_finite_value_vector_refused(member, z):
+    # an infinite level once passed the level test, whose slack grew with
+    # it to infinity, with a NaN witness
+    lens = lens_instance()
+    lens_map = QuadraticMap.from_instance(lens,
+                                          solve_seb(lens).target_quadratic())
+    for qm in (example_map(), lens_map):
+        with pytest.raises(ValidationError, match="finite"):
+            member(qm, z)
+
+
 def scaled_example_map(s):
     """The example map with lengths multiplied by s: its values scale by
     s^2 and its range by s^2 too."""

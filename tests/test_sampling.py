@@ -488,6 +488,21 @@ class TestCloudMeb:
         _, r = cloud_meb(cloud)
         assert r <= sol.radius * (1 + 1e-9)
 
+    def test_zero_iterations_give_the_start_ball(self):
+        # the diameter pair from the first point is (1.0, 1.9) and (0, 0):
+        # no major cycle leaves their midpoint, whose ball covers the
+        # cloud but is larger than the exact one
+        pts = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 1.9]])
+        c, r = cloud_meb(as_cloud(pts), 0)
+        assert np.allclose(c, [0.5, 0.95], rtol=0.0, atol=1e-15)
+        assert r == pytest.approx(np.linalg.norm(pts - c, axis=1).max(),
+                                  rel=1e-15)
+        assert r > cloud_meb(as_cloud(pts))[1]
+
+    def test_negative_iterations_raise(self):
+        with pytest.raises(ValidationError, match="iterations"):
+            cloud_meb(as_cloud([[0.0, 0.0], [2.0, 0.0]]), -1)
+
 
 class TestGridMinMaxG:
     def test_lens_value(self):
