@@ -6,8 +6,13 @@ it for the exact minimum enclosing ball of a point cloud, started at a
 diameter pair. It carries the inverse Cholesky factor of its support from
 one major cycle to the next and borders it with each point that joins;
 only a drop, or a step on an affinely dependent support, borders the
-support again from its first point. Its one stop, `rounding_stop`, is
-weighted by the points that carry weight, not set by the largest one.
+support again from its first point. One test decides dependence: the
+norm of the joining point's least-squares residual against the support,
+against 1e-6 of its own length. When it fails, the residual's
+coefficients are the dependency along which the support loses a point,
+so the kernel needs no SVD and no count of the points. Its one stop,
+`rounding_stop`, is weighted by the points that carry weight, not set by
+the largest one.
 `grid_min_maxg` is the brute-force grid scan, which adds
 per-axis tables into the grid by broadcasting, one ball at a time, and
 scans its slabs best first, skipping those whose lower bound shows they
@@ -54,9 +59,12 @@ def fw_minimize(A, c, max_iter, support=None):
 
     The factor of the support is carried from cycle to cycle: `_border`
     extends it with s in O(kn + k^2), k = |T|, so a cycle that adds s and
-    drops nothing refactors nothing. Only after a drop, or a step on an
-    affinely dependent support, is the factor of the new support bordered
-    again from its first point (`_factor`). Memory is O(mn + k^2).
+    drops nothing refactors nothing. When the residual of s against the
+    support is below 1e-6 of its length, `_border` returns instead the
+    dependency of T + s that the residual's coefficients give, and the
+    minor cycles step along it. Only after a drop, or such a step, is the
+    factor of the new support bordered again from its first point
+    (`_factor`). Memory is O(mn + k^2).
 
     The loop stops at `rounding_stop`, which the points that carry weight
     set, not the largest one, after max_iter major cycles, or when a cycle
@@ -110,19 +118,21 @@ def rounding_stop(A, c):
 
 def _factor(A, c, T):
     """The factor of the support T, bordered point by point from the empty
-    factor of T[:1] (`_border`), or None as soon as a border fails."""
+    factor of T[:1] (`_border`), or, as soon as a border fails, the
+    dependency that it returns, padded with zeros to the length of T."""
     factor = np.empty((0, 0)), np.empty(0)
     for k in range(1, T.size):
         factor = _border(A, c, T[:k], factor, T[k])
-        if factor is None:
-            return None
+        if isinstance(factor, np.ndarray):
+            return np.append(factor, np.zeros(T.size - k - 1))
     return factor
 
 
 def _border(A, c, T, factor, s):
     """The factor of T + s, extended from the factor of T (built by
-    `_factor` when None), or None when T + s holds more than n + 1 points
-    or fails the independence test.
+    `_factor` when None), or, when T + s fails the independence test, a
+    dependency v over T + s: sum v = 0, and A_{T+s}^T v is the residual
+    that failed the test.
 
     With a_0 = A[T[0]] and D the rows d_j = a_j - a_0 of T[1:], the factor
     is (R, u): R the inverse Cholesky factor of D D^T (lower triangular,
@@ -130,31 +140,36 @@ def _border(A, c, T, factor, s):
     The minimum of q on the affine hull of T is then y = (1 - sum z, z)
     with z = R^T u, the solution of (D D^T) z = rhs.
 
-    With d = a_s - a_0 and l = R D d, the new pivot p = sqrt(|d|^2 - |l|^2)
-    must exceed 1e-6 |d|, its own row's length, so a far point cannot make
-    a near one look dependent. The new row of R is [-(l R)/p, 1/p] and the
-    new entry of u is (rhs_s - l . u)/p. The rows D are gathered once, and
-    no copy of A_T is held beside the factors.
+    With d = a_s - a_0, l = R D d and z = R^T l, the least-squares
+    coefficients of d on the rows D, the new pivot is the norm of the
+    residual r = d - D^T z. It must exceed 1e-6 |d|, its own row's length,
+    so a far point cannot make a near one look dependent; taken as a norm,
+    not as sqrt(|d|^2 - |l|^2), it has no sqrt(eps) floor of cancellation
+    (Bjorck, Numerical Methods for Least Squares Problems, SIAM 1996).
+    When T holds n + 1 points the rows D span R^n, so r is at rounding
+    level and the test needs no count of the points. When the test fails, d = D^T z
+    gives the dependency v = (sum z - 1, -z, 1). Otherwise the new row of
+    R is [-z/p, 1/p] and the new entry of u is (rhs_s - l . u)/p. The rows
+    D are gathered once, and no copy of A_T is held beside the factors.
     """
-    if T.size > A.shape[1]:  # more points are dependent by count
-        return None
     factor = factor or _factor(A, c, T)
-    if factor is None:
-        return None
+    if isinstance(factor, np.ndarray):  # T itself is dependent
+        return np.append(factor, 0.0)
     R, u = factor
     a0 = A[T[0]]
     d = A[s] - a0
     D = A[T[1:]]
     D -= a0
     l = R.dot(D.dot(d))
-    dd = float(d.dot(d))
-    p = max(dd - float(l.dot(l)), 0.0) ** 0.5
-    if not p > 1e-6 * dd ** 0.5:
-        return None
+    z = l.dot(R)
+    r = d - z.dot(D)
+    p = float(r.dot(r)) ** 0.5
+    if not p > 1e-6 * float(d.dot(d)) ** 0.5:
+        return np.concatenate(([z.sum() - 1.0], -z, [1.0]))
     k = T.size - 1
     grown = np.zeros((k + 1, k + 1))
     grown[:k, :k] = R
-    grown[k, :k] = l.dot(R) / -p
+    grown[k, :k] = -z / p
     grown[k, k] = 1.0 / p
     rhs = 0.5 * (c[s] - c[T[0]]) - d.dot(a0)
     u = np.concatenate((u, [(rhs - l.dot(u)) / p]))
@@ -165,20 +180,22 @@ def _minor_cycles(A, c, T, w, factor=None):
     """Minimum of q over the convex hull of the points T, from the weights
     w: (support, weights, factor of the support or None).
 
-    `factor` is the factor of T, or None to build it. Move from w toward
-    the minimum y of q on the affine hull of T until a weight reaches
-    zero, drop that point, and repeat until y lies inside the hull. When T
-    holds more than n + 1 points, or fails the independence test, move
-    instead along a null vector v of [A_T^T; 1^T], oriented so that
+    `factor` is the factor of T, a dependency of T that `_border` returned,
+    or None to build either. Move from w toward the minimum y of q on the
+    affine hull of T until a weight reaches zero, drop that point, and
+    repeat until y lies inside the hull. When T fails the independence
+    test, move instead along its dependency v, oriented so that
     c_T . v >= 0: x stays put and q does not rise, and the point whose
     weight reaches zero is dropped (a Caratheodory reduction). After a
     drop the factor of the smaller support is bordered again from its
     first point.
     """
     while T.size > 1:
-        if factor is None and T.size <= A.shape[1] + 1:
+        if factor is None:
             factor = _factor(A, c, T)
-        if factor is not None:
+        if isinstance(factor, np.ndarray):  # sum v = 0, A_T^T v ~ 0
+            step = factor if c[T].dot(factor) >= 0.0 else -factor
+        else:
             R, u = factor
             z = u.dot(R)
             y = np.concatenate(([1.0 - z.sum()], z))
@@ -187,11 +204,6 @@ def _minor_cycles(A, c, T, w, factor=None):
             if y.min() == 0.0:  # on a face of the hull
                 return T[y > 0.0], y[y > 0.0], None
             step = y - w
-        else:
-            v = np.linalg.svd((A[T[1:]] - A[T[0]]).T)[2][-1]  # D^T v = 0
-            step = np.append(-v.sum(), v)
-            if c[T] @ step < 0.0:
-                step = -step
         neg = np.flatnonzero(step < 0.0)
         ratios = w[neg] / -step[neg]
         j = int(np.argmin(ratios))

@@ -3,9 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import (critical_instance, disjoint_instance, lens_instance,
-                      random_supported_instance, traced_peak_mb,
-                      unsupported_instance)
+from conftest import lens_instance, random_supported_instance, traced_peak_mb
 from seblab import Instance, kernels, sampling, simplex_qp, solver
 
 
@@ -260,53 +258,79 @@ class TestHitAndRun:
         assert peak < 1.0
 
 
-def minor_cycles_factoring_every_support(A, c, T, w, factor=None):
-    """`kernels._minor_cycles` with a factor attempt on every support,
-    however many points it holds: the reference for the kernel's
-    dimension-count test, which skips the attempt above n + 1 points."""
-    while T.size > 1:
-        if factor is None:
-            factor = kernels._factor(A, c, T)
-        if factor is not None:
-            R, u = factor
-            z = u.dot(R)
-            y = np.concatenate(([1.0 - z.sum()], z))
-            if y.min() > 0.0:
-                return T, y, factor
-            if y.min() == 0.0:
-                return T[y > 0.0], y[y > 0.0], None
-            step = y - w
-        else:
-            v = np.linalg.svd((A[T[1:]] - A[T[0]]).T)[2][-1]
-            step = np.append(-v.sum(), v)
-            if c[T] @ step < 0.0:
-                step = -step
-        neg = np.flatnonzero(step < 0.0)
-        ratios = w[neg] / -step[neg]
-        j = int(np.argmin(ratios))
-        w = np.maximum(w + ratios[j] * step, 0.0)
-        w[neg[j]] = 0.0
-        T, w, factor = T[w > 0.0], w[w > 0.0], None
-    return T, np.ones(1), None
-
-
-def cholesky_factor(A, c, T):
-    """The factor of the support T by one Cholesky factorization of
-    D D^T and its inverse, with the pivot test L_jj > 1e-6 |d_j|: the
-    reference for `kernels._factor`, which borders it point by point."""
-    if T.size == 1:
-        return np.empty((0, 0)), np.empty(0)
+def cholesky_z(A, c, T):
+    """z of the support T by one Cholesky factorization of D D^T: the
+    reference for the z = u R of `kernels._factor`, which borders the
+    factor point by point, on well-posed supports."""
     a0 = A[T[0]]
     D = A[T[1:]] - a0
     rhs = 0.5 * (c[T[1:]] - c[T[0]]) - D @ a0
-    try:
-        L = np.linalg.cholesky(D @ D.T)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(L.diagonal() > 1e-6 * np.sqrt(np.einsum("ij,ij->i", D, D))):
-        return None
-    R = np.linalg.inv(L)
-    return R, R @ rhs
+    L = np.linalg.cholesky(D @ D.T)
+    return np.linalg.solve(L.T, np.linalg.solve(L, rhs))
+
+
+def qr_pivots(A, T):
+    """(|R_jj|, |d_j|) of Householder QR of the differences
+    d_j = a_j - a_0 of the support T, in its order: |R_jj| is the
+    distance of d_j from the span of the earlier ones, computed without
+    the kernel's factor, the reference for its pivot test."""
+    D = A[T[1:]] - A[T[0]]
+    return (np.abs(np.diagonal(np.linalg.qr(D.T, mode="r"))),
+            np.linalg.norm(D, axis=1))
+
+
+def well_apart_support(rng):
+    """(A, c, T): a support of 1 to n + 1 points, random, or points well
+    apart with a last point 1e-2 to 1e-9 of the spread off their affine
+    hull, or on it; moved by up to 1e10, then taken about their first
+    point, as `cloud_meb` takes its cloud (the spread grows with the move,
+    so that rounding the moved points stays far below the 1e-6 pivot
+    test)."""
+    n = int(rng.choice([2, 3, 5, 8]))
+    k = int(rng.integers(1, n + 2))
+    shift = float(rng.choice([0.0, 1e3, 1e6, 1e10]))
+    spread = max(1.0, 1e-6 * shift) * 10.0 ** rng.uniform(0.0, 2.0)
+    off = rng.choice([None, 1e-2, 1e-4, 1e-9, 0.0])
+    if k > 2 and off is not None:
+        P = np.zeros((k, n))
+        Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        P[1:-1] = Q[:k - 2] * rng.uniform(0.5, 2.0, (k - 2, 1))
+        P[:-1] = rng.permutation(P[:-1])
+        P[-1] = (rng.dirichlet(np.ones(k - 1)) @ P[:-1]
+                 + off * rng.standard_normal(n))
+        T = np.arange(k)
+    else:
+        P = rng.standard_normal((k, n))
+        T = rng.permutation(k)
+    return moved_support(rng, P, shift, spread) + (T,)
+
+
+def near_hull_support(rng):
+    """(A, c, T): 2 to n + 1 random points (n 2 to 8), one of them 1e-12
+    to 1e-3 of the spread off the convex hull of the others, at a random
+    place in the order, moved and taken about the first point as in
+    `well_apart_support`. Bordered before the others, the near point
+    leaves the later pivots' earlier ratios small, the case where a pivot
+    taken as sqrt(|d|^2 - |l|^2) has its cancellation floor."""
+    n = int(rng.integers(2, 9))
+    k = int(rng.integers(2, n + 2))
+    shift = float(rng.choice([0.0, 1e3, 1e6, 1e10]))
+    spread = max(1.0, 1e-6 * shift) * 10.0 ** rng.uniform(0.0, 2.0)
+    P = rng.standard_normal((k, n))
+    u = rng.standard_normal(n)
+    P[-1] = (rng.dirichlet(np.ones(k - 1)) @ P[:-1]
+             + 10.0 ** rng.uniform(-12.0, -3.0) * u / np.linalg.norm(u))
+    return moved_support(rng, rng.permutation(P), shift, spread) + (
+        np.arange(k),)
+
+
+def moved_support(rng, P, shift, spread):
+    """(A, c) for the points P scaled by `spread`, moved by `shift` in a
+    random direction and taken about the first point, c ~ |a|^2 - r^2."""
+    A = spread * P + shift * rng.standard_normal(P.shape[1])
+    A -= A[0].copy()
+    return A, (np.einsum("ij,ij->i", A, A)
+               - spread ** 2 * rng.uniform(1.0, 4.0, P.shape[0]))
 
 
 def default_start_meb(points, iterations=1000):
@@ -325,60 +349,32 @@ def simplex_q(A, c, mu):
     return float(x @ x - c @ mu)
 
 
-class TestMinorCycles:
-    def test_dimension_count_keeps_supports_and_weights(self, monkeypatch,
-                                                        verify_clouds):
-        # more than n + 1 points are affinely dependent: skipping their
-        # factor attempt must change no support and no weight
-        rng = np.random.default_rng(700)
-        instances = [lens_instance(), critical_instance(),
-                     disjoint_instance(), unsupported_instance()]
-        for n, m in ((2, 8), (3, 12), (3, 60), (5, 40)):
-            centers = rng.standard_normal((m, n))
-            p = 0.3 * rng.standard_normal(n)
-            radii = (np.linalg.norm(centers - p, axis=1)
-                     + rng.uniform(0.5, 1.0, m))
-            instances.append(Instance.from_data(centers, radii))
-
-        def results():
-            return ([solver.solve_seb(inst).multipliers for inst in instances]
-                    + [np.concatenate(kernels.cloud_meb(P, 1000), axis=None)
-                       for P in verify_clouds])
-
-        shortcut = results()
-        oversized = []
-
-        def reference(A, c, T, w, factor=None):
-            oversized.append(T.size > A.shape[1] + 1)
-            return minor_cycles_factoring_every_support(A, c, T, w, factor)
-
-        monkeypatch.setattr(kernels, "_minor_cycles", reference)
-        factored = results()
-        assert any(oversized)
-        for got, want in zip(shortcut, factored):
-            assert np.array_equal(got, want)
-
-
 def count_rebuilds(monkeypatch):
     """Wrap the kernel's from-scratch work: a factor built for a support of
-    more than one point (after a drop) and the minor cycles on supports of
-    more than n + 1 points (the dependent, SVD, branch). Returns the calls:
-    the supports of each, and of every minor-cycle call."""
+    more than one point (after a drop) and a border that returns a
+    dependency, along which the minor cycles step. Returns the calls: the
+    supports of each (T + s for a border), and of every minor-cycle call."""
     calls = {"factor": [], "dependent": [], "minor": []}
-    factor, minor_cycles = kernels._factor, kernels._minor_cycles
+    factor, border = kernels._factor, kernels._border
+    minor_cycles = kernels._minor_cycles
 
     def counted_factor(A, c, T):
         if T.size > 1:
             calls["factor"].append(T.copy())
         return factor(A, c, T)
 
+    def counted_border(A, c, T, factor, s):
+        out = border(A, c, T, factor, s)
+        if isinstance(out, np.ndarray):
+            calls["dependent"].append(np.append(T, s))
+        return out
+
     def counted_minor_cycles(A, c, T, w, factor=None):
         calls["minor"].append(T.copy())
-        if T.size > A.shape[1] + 1:
-            calls["dependent"].append(T.copy())
         return minor_cycles(A, c, T, w, factor)
 
     monkeypatch.setattr(kernels, "_factor", counted_factor)
+    monkeypatch.setattr(kernels, "_border", counted_border)
     monkeypatch.setattr(kernels, "_minor_cycles", counted_minor_cycles)
     return calls
 
@@ -405,12 +401,18 @@ class TestCarriedFactor:
         assert calls["factor"] == calls["dependent"] == []
         assert calls["minor"]
 
-    def test_drops_and_dependent_supports_match_the_oracle(self,
-                                                           monkeypatch):
+    def test_drops_and_dependent_supports_match_the_oracle(
+            self, monkeypatch, bench, verify_clouds):
         # random radii give drops; equal radii with m > n + 1 give supports
-        # of n + 2 points, which take the dependent (SVD) branch; after
-        # either the factor is rebuilt, and q still matches the oracle
+        # of n + 2 points, whose last border returns a dependency, as the
+        # `verify-lab` clouds of seed 1 do in `cloud_meb`; after either the
+        # factor is rebuilt, q still matches the oracle, and the kernel
+        # steps along the border's dependency, calling no SVD
         calls = count_rebuilds(monkeypatch)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called")
+
         rng = np.random.default_rng(901)
         for n, m in ((2, 6), (3, 8), (4, 10), (6, 6), (8, 8), (2, 30),
                      (3, 12)) * 4:
@@ -422,65 +424,74 @@ class TestCarriedFactor:
                 radii = (np.linalg.norm(centers - p, axis=1)
                          + rng.uniform(0.5, 1.0, m))
             qp = simplex_qp.build_qp(Instance.from_data(centers, radii))
-            res = simplex_qp.solve(qp)
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "svd", no_svd)
+                res = simplex_qp.solve(qp)
             q_exact, _ = simplex_qp.support_oracle(qp)
             assert abs(res.value - q_exact) <= 1e-9 * abs(q_exact)
         assert calls["dependent"] and calls["factor"]
+        calls["dependent"].clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "svd", no_svd)
+            for P in verify_clouds[:len(bench["workloads"].verify_items(1))]:
+                kernels.cloud_meb(P, 1000)
+        assert calls["dependent"]
 
     def test_far_point_leaves_near_points_independent(self):
         # each pivot is tested against its own row's length: a point 1e10
         # away does not make the two near points, 2 apart, look dependent,
-        # whether the support is factored from scratch or bordered
+        # whether the support is factored from scratch or bordered; a
+        # repeated point is dependent, along v = (-1, 1)
         A = np.array([[-1.0, 0.0], [0.0, 1e10], [1.0, 0.0]])
         c = np.zeros(3)
-        assert kernels._factor(A, c, np.array([0, 1, 2])) is not None
-        assert kernels._border(A, c, np.array([0, 1]), None, 2) is not None
-        assert kernels._factor(A[[0, 0]], c[:2], np.array([0, 1])) is None
+        assert isinstance(kernels._factor(A, c, np.array([0, 1, 2])), tuple)
+        assert isinstance(kernels._border(A, c, np.array([0, 1]), None, 2),
+                          tuple)
+        assert np.array_equal(
+            kernels._factor(A[[0, 0]], c[:2], np.array([0, 1])), [-1.0, 1.0])
 
     def test_bordered_factor_matches_cholesky(self):
-        # supports of 1 to n + 1 points: random ones, and points well apart
-        # with a last point 1e-2 to 1e-9 of the spread off their affine
-        # hull, or on it; moved by up to 1e10, then taken about their
-        # first point, as `cloud_meb` takes its cloud (the spread grows
-        # with the move, so that rounding the moved points stays far below
-        # the 1e-6 pivot test); the near-dependent point is bordered last,
-        # since bordered earlier it can leave a later pivot of either
-        # method on its rounding floor, near the test
+        # the verdict of `_factor` is that of Householder QR on the same
+        # differences, every |R_jj| > 1e-6 |d_j|, on supports of 1 to
+        # n + 1 points; supports with a pivot within 10 % of the threshold
+        # are left out, since rounding may decide either verdict there. A
+        # dependent support returns a dependency v: sum v = 0, and
+        # D^T v, the residual of the failing border, is within the test's
+        # 1e-6 of the rows. On the well-apart supports that are well posed
+        # (every pivot above 1e-3 of its row) z = u R matches a Cholesky
+        # solve.
         rng = np.random.default_rng(905)
-        well_posed = 0
-        for trial in range(3000):
-            n = int(rng.choice([2, 3, 5, 8]))
-            k = int(rng.integers(1, n + 2))
-            shift = float(rng.choice([0.0, 1e3, 1e6, 1e10]))
-            spread = max(1.0, 1e-6 * shift) * 10.0 ** rng.uniform(0.0, 2.0)
-            off = rng.choice([None, 1e-2, 1e-4, 1e-9, 0.0])
-            if k > 2 and off is not None:
-                P = np.zeros((k, n))
-                Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
-                P[1:-1] = Q[:k - 2] * rng.uniform(0.5, 2.0, (k - 2, 1))
-                P[:-1] = rng.permutation(P[:-1])
-                P[-1] = (rng.dirichlet(np.ones(k - 1)) @ P[:-1]
-                         + off * rng.standard_normal(n))
-                T = np.arange(k)
-            else:
-                P = rng.standard_normal((k, n))
-                T = rng.permutation(k)
-            A = spread * P + shift * rng.standard_normal(n)
-            A -= A[0].copy()
-            c = (np.einsum("ij,ij->i", A, A)
-                 - spread ** 2 * rng.uniform(1.0, 4.0, k))
-            got, want = kernels._factor(A, c, T), cholesky_factor(A, c, T)
-            assert (got is None) == (want is None), trial
-            if want is None:
+        # 4 points in R^3, the last 2.7e-12 |d| off the plane of the others
+        # by QR: the pivot as sqrt(|d|^2 - |l|^2) read 1.5e-6 |d| there and
+        # called the support independent
+        misread = np.array([
+            [0.0, 0.0, 0.0],
+            [-82.12067511579204, 125.58637600169399, 9.425549000987152],
+            [-78.60745936486703, 119.05827808777482, 10.14871993174014],
+            [-48.07612585836322, 21.271961243215344, 56.45858652720695]])
+        apart = [well_apart_support(rng) for _ in range(3000)]
+        near = ([near_hull_support(rng) for _ in range(3000)]
+                + [(misread, np.zeros(4), np.arange(4))])
+        well_posed = dependent = 0
+        for trial, (A, c, T) in enumerate(apart + near):
+            pivots, rows = qr_pivots(A, T)
+            if np.any(np.abs(pivots - 1e-6 * rows) < 1e-7 * rows):
                 continue
-            D = A[T[1:]] - A[T[0]]
-            pivots = 1.0 / np.diagonal(want[0])
-            if np.all(pivots > 1e-3 * np.linalg.norm(D, axis=1)):
-                well_posed += 1
-                z, z_ref = got[1].dot(got[0]), want[1].dot(want[0])
-                assert (np.linalg.norm(z - z_ref)
-                        <= 1e-9 * np.linalg.norm(z_ref)), trial
-        assert well_posed >= 1500
+            got = kernels._factor(A, c, T)
+            if np.all(pivots > 1e-6 * rows):
+                assert isinstance(got, tuple), trial
+                if trial < len(apart) and np.all(pivots > 1e-3 * rows):
+                    well_posed += 1
+                    z, z_ref = got[1].dot(got[0]), cholesky_z(A, c, T)
+                    assert (np.linalg.norm(z - z_ref)
+                            <= 1e-9 * np.linalg.norm(z_ref)), trial
+            else:
+                assert isinstance(got, np.ndarray), trial
+                dependent += 1
+                assert abs(got.sum()) <= 1e-12 * np.abs(got).sum(), trial
+                assert (np.linalg.norm(got.dot(A[T] - A[T[0]]))
+                        <= 1e-6 * rows.max()), trial
+        assert well_posed >= 1500 and dependent >= 2000
 
     def test_working_memory_is_support_sized(self):
         # a 48 x 48 program: the factor grows with the support, never to
@@ -562,9 +573,9 @@ class TestCloudMeb:
     def test_no_confirming_cycle(self, monkeypatch):
         # the last Frank-Wolfe vertex of a cloud MEB is usually already in
         # the support: the kernel stops there, where it used to run one
-        # more cycle through the dependent (SVD) branch on the repeated
-        # point; the ball is still exact: every support point lies on its
-        # sphere, and the center is their convex combination
+        # more cycle with a dependent step on the repeated point; the ball
+        # is still exact: every support point lies on its sphere, and the
+        # center is their convex combination
         calls = count_rebuilds(monkeypatch)
         results = []
         fw_minimize = kernels.fw_minimize
