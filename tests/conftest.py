@@ -29,6 +29,13 @@ def lens_instance():
     return Instance.from_data([[-1.0, 0.0], [1.0, 0.0]], [SQRT2, SQRT2])
 
 
+def lens_3d_instance():
+    """The lens in R^3: two balls of radius sqrt(2) centered at
+    (+-1, 0, 0); the optimal ball is the unit ball."""
+    return Instance.from_data([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+                              [SQRT2, SQRT2])
+
+
 def critical_instance():
     """Centers (1,0) and (0,1), radii 2: the absolute centers have rank
     n = m = 2, but their affine rank, the solver's gate, is 1 (convex);

@@ -73,6 +73,34 @@ def test_quadratic_values_moved_far(rng, t):
     assert np.abs(got - want).max() <= 1e-12 + 1e3 * np.spacing(t)
 
 
+def quadratic_values_written_out(X, centers, rho):
+    """`quadratic_values` as one expression of temporaries, in (N, m)
+    row-major layout, expanded about the first center."""
+    o = centers[0]
+    Y = X - o
+    B = centers - o
+    return (np.einsum("ij,ij->i", Y, Y)[:, None] - 2.0 * (Y @ B.T)
+            + (np.einsum("ij,ij->i", B, B) - rho))
+
+
+def test_quadratic_values_match_the_written_out_expression(rng):
+    # built in place in (m, N) layout, the values are those of the
+    # expression, bit for bit, at every size and distance from the origin
+    # the package meets: 648 arrays, n up to 8 and m up to 9, moved by up
+    # to 1e8
+    for n in range(1, 9):
+        for m in range(1, 10):
+            for t in (0.0, 1e3, 1e8):
+                for N in (1, 50, 700):
+                    X = rng.uniform(-2.0, 2.0, (N, n)) + t
+                    centers = rng.uniform(-2.0, 2.0, (m, n)) + t
+                    rho = rng.uniform(0.5, 2.0, m)
+                    got = geometry.quadratic_values(X, centers, rho)
+                    assert got.shape == (N, m) and got.T.flags.c_contiguous
+                    assert np.array_equal(
+                        got, quadratic_values_written_out(X, centers, rho))
+
+
 def test_sublevel_set_matches_ball(rng):
     center, radius = rng.standard_normal(3) * 5, rng.uniform(0.5, 3)
     q = target_of(center, radius)

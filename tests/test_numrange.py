@@ -3,10 +3,12 @@ import pytest
 
 from conftest import (
     example_map,
+    lens_3d_instance,
     lens_instance,
     matrix_rank,
     random_rank_deficient_map,
     random_supported_instance,
+    traced_peak_mb,
     unsupported_instance,
 )
 from seblab import numrange
@@ -542,6 +544,40 @@ class TestSeparationProbe:
         qm = QuadraticMap.from_instance(inst, sol.target_quadratic())
         report = separation_probe(qm, 0)
         assert report.range_hits == () and report.hull_hits == ()
+
+    def test_extra_points_are_checked(self, monkeypatch):
+        # rows of the wrong width died in np.vstack with numpy's ValueError,
+        # and rows holding NaN, which no orthant test passes, were counted
+        # as misses; both are refused before anything is drawn
+        def broken(*args, **kwargs):
+            raise AssertionError("the probe drew with unchecked points")
+
+        lens = lens_instance()
+        qm = QuadraticMap.from_instance(lens, solve_seb(lens).target_quadratic())
+        monkeypatch.setattr(numrange, "sample_inputs", broken)
+        for extra in ([[0.0, 0.0, 0.0]], np.zeros((5, 1)), [0.0],
+                      np.zeros((2, 2, 2))):
+            with pytest.raises(DimensionMismatch, match="extra points"):
+                separation_probe(qm, 10, seed=1, extra_points=extra)
+        for bad in (np.nan, np.inf):
+            extra = np.zeros((4, 2))
+            extra[2, 1] = bad
+            with pytest.raises(ValidationError, match="extra points"):
+                separation_probe(qm, 10, seed=1, extra_points=extra)
+
+    def test_working_memory(self):
+        # the inputs are freed once evaluated, the orthant tests read
+        # contiguous columns and no 1 - lams array is stored: with 100,000
+        # samples and 100,000 extra points on the 3-D lens the probe peaks
+        # at 3.3 times its (2N, m + 1) values; holding the inputs, 1 - lams
+        # and row-major gathers took 4.35 times
+        lens = lens_3d_instance()
+        sol = solve_seb(lens)
+        qm = QuadraticMap.from_instance(lens, sol.target_quadratic())
+        cloud = sample_intersection(lens, 100_000, seed=3, solution=sol)
+        separation_probe(qm, 10, 5, cloud.points[:10])
+        peak = traced_peak_mb(separation_probe, qm, 100_000, 5, cloud.points)
+        assert peak <= 3.6 * (2 * 100_000 * (qm.m + 1) * 8) / 1e6
 
 
 def test_one_rank_per_map(monkeypatch, rng):

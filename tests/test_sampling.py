@@ -7,11 +7,13 @@ import pytest
 from conftest import (
     critical_instance,
     disjoint_instance,
+    lens_3d_instance,
     lens_instance,
     random_supported_instance,
     traced_peak_mb,
 )
 from seblab.errors import (
+    DimensionMismatch,
     DimensionTooLarge,
     EmptyInteriorError,
     ValidationError,
@@ -268,8 +270,7 @@ class TestSampleIntersection:
         # moved to the ball's center in place, so beyond it only one batch
         # and its filter are live; stacking a list of kept batches held the
         # rows about twice more (9.95 MB), and so does `out + center`
-        inst = Instance.from_data([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
-                                  [np.sqrt(2.0), np.sqrt(2.0)])
+        inst = lens_3d_instance()
         count = 200_000
         output_mb = count * 3 * 8 / 1e6
         # the first draw of a process imports modules (0.7 MB); not counted
@@ -280,13 +281,14 @@ class TestSampleIntersection:
 
     def test_rejection_working_set_on_lens(self):
         # 2,000 points of the 3-D lens, as the verification workloads draw
-        # them: the output (0.048 MB), one batch and the solve; hit-and-run
-        # from the center peaked at 0.86 MB
-        inst = Instance.from_data([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
-                                  [np.sqrt(2.0), np.sqrt(2.0)])
+        # them: the output (0.048 MB), one batch scaled in place, one
+        # difference array and the solve, 0.28 MB; scaling through
+        # temporaries and gathering every row for the first ball took
+        # 0.34 MB, and hit-and-run from the center 0.86 MB
+        inst = lens_3d_instance()
         sample_intersection(inst, 1, 4)
         peak = traced_peak_mb(sample_intersection, inst, 2000, 4)
-        assert peak < 0.5
+        assert peak < 0.32
 
     def test_hit_and_run_reaches_both_lobes(self):
         # the lens is symmetric about x2 = 0; a mixing chain covers both sides
@@ -377,6 +379,30 @@ class TestSampleIntersection:
         with pytest.raises(EmptyInteriorError, match="start"):
             sample_intersection(disjoint, 10, solution=sol)
 
+    @pytest.mark.parametrize("count", [0, 10])
+    def test_start_is_checked_on_every_path(self, count, monkeypatch):
+        # a start of the wrong shape once broadcast (the 24-D chains ran
+        # from the origin) and a non-finite one was read as outside a
+        # ball; both are refused before the solve or any draw, on the
+        # rejection path (the lens) and the fallback (24 unit vectors)
+        def broken(*args, **kwargs):
+            raise AssertionError("the sampler ran with an unchecked start")
+
+        monkeypatch.setattr(solver, "solve_seb", broken)
+        monkeypatch.setattr(sampling, "_ball_rejection", broken)
+        monkeypatch.setattr(kernels, "hit_and_run", broken)
+        for inst in (lens_3d_instance(),
+                     Instance.from_data(np.eye(24), np.full(24, 1.2))):
+            n = inst.dimension
+            for start in ([0.0], np.zeros((1, n)), np.zeros(n + 1)):
+                with pytest.raises(DimensionMismatch, match="start"):
+                    sample_intersection(inst, count, start=start)
+            for bad in (np.nan, np.inf):
+                start = np.zeros(n)
+                start[-1] = bad
+                with pytest.raises(ValidationError, match="start"):
+                    sample_intersection(inst, count, start=start)
+
     def test_zero_count(self):
         cloud = sample_intersection(lens_instance(), 0)
         assert len(cloud) == 0 and cloud.points.shape == (0, 2)
@@ -411,6 +437,17 @@ class TestFarthestDistance:
         sol = solve_seb(inst)
         cloud = sample_intersection(inst, 5000, seed=2)
         assert farthest_distance(cloud, sol.center) <= sol.radius + 1e-9
+
+    def test_center_is_checked(self):
+        # a center of the wrong shape once broadcast: [0.0] against a 3-D
+        # cloud returned 0.998
+        cloud = sample_intersection(lens_3d_instance(), 100, seed=2)
+        for center in ([0.0], [0.0, 0.0], np.zeros((1, 3)), np.zeros(4)):
+            with pytest.raises(DimensionMismatch, match="center"):
+                farthest_distance(cloud, center)
+        for bad in (np.nan, -np.inf):
+            with pytest.raises(ValidationError, match="center"):
+                farthest_distance(cloud, [0.0, bad, 0.0])
 
 
 def brute_force_circle(points):
@@ -502,6 +539,17 @@ class TestCloudMeb:
     def test_negative_iterations_raise(self):
         with pytest.raises(ValidationError, match="iterations"):
             cloud_meb(as_cloud([[0.0, 0.0], [2.0, 0.0]]), -1)
+
+    def test_working_memory(self):
+        # each O(Nn) difference is formed once: the centred points, the
+        # diameter pair's differences (freed before the kernel) and two
+        # length-N vectors, 2.7 times the cloud's bytes on 100,000 points
+        # of the 3-D lens; keeping the pair's differences through the
+        # kernel and subtracting the center twice took 5.0 times
+        cloud = sample_intersection(lens_3d_instance(), 100_000, seed=3)
+        cloud_meb(as_cloud(cloud.points[:10]))
+        peak = traced_peak_mb(cloud_meb, cloud)
+        assert peak <= 3.5 * cloud.points.nbytes / 1e6
 
 
 class TestGridMinMaxG:

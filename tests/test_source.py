@@ -62,3 +62,50 @@ def test_all_lists_exactly_the_imports():
         (PACKAGE / "__init__.py").read_text())
     assert len(exported) == len(set(exported))
     assert set(exported) == set(imported)
+
+
+def global_rng_reaches(source):
+    """(line, text) of each reach into numpy.random other than
+    numpy.random.default_rng: an import of it or of a name in it, or an
+    attribute of np.random (numpy imported as np or numpy)."""
+    tree = ast.parse(source)
+    parents = {child: node for node in ast.walk(tree)
+               for child in ast.iter_child_nodes(node)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name.startswith("numpy.random")]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = (f"{node.module}.{alias.name}" for alias in node.names)
+            found += [(node.lineno, name) for name in names
+                      if name.startswith("numpy.random")
+                      and name != "numpy.random.default_rng"]
+        elif (isinstance(node, ast.Attribute) and node.attr == "random"
+              and isinstance(node.value, ast.Name)
+              and node.value.id in ("np", "numpy")):
+            outer = parents[node]
+            if not (isinstance(outer, ast.Attribute)
+                    and outer.attr == "default_rng"):
+                reach = outer if isinstance(outer, ast.Attribute) else node
+                found.append((node.lineno, ast.unparse(reach)))
+    return sorted(found)
+
+
+def test_finds_a_global_rng_reach():
+    source = ("import numpy as np\nimport numpy.random\n"
+              "from numpy import random\n"
+              "from numpy.random import default_rng, seed\n"
+              "rng = np.random.default_rng(1)\nx = np.random.rand(3)\n"
+              "g = np.random\nnp.random.seed(0)\n")
+    assert global_rng_reaches(source) == [
+        (2, "numpy.random"), (3, "numpy.random"),
+        (4, "numpy.random.seed"), (6, "np.random.rand"), (7, "np.random"),
+        (8, "np.random.seed")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_draws_only_from_default_rng(path):
+    # every draw comes from a generator that a caller seeds: the global
+    # np.random state is neither read nor changed
+    assert global_rng_reaches(path.read_text()) == []
