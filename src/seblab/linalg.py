@@ -6,16 +6,25 @@ Numerical rank and the closed-form PSD test for arrowhead matrices
 
 import numpy as np
 
-DEFAULT_RANK_TOL = 1e-10
 
-
-def numerical_rank(s, shape):
+def numerical_rank(s, shape, magnitude):
     """Rank of a matrix of the given shape from its singular values s, in
-    descending order as np.linalg.svd returns them: the count above
-    DEFAULT_RANK_TOL*s[0]*max(shape); the one rank rule of the package."""
-    if s.size == 0 or s[0] == 0.0:
+    descending order as np.linalg.svd returns them; the one rank rule of
+    the package.
+
+    The matrix's entries are differences of input coordinates, and
+    `magnitude` bounds those coordinates' absolute values (in the matrix's
+    units), so each entry carries a rounding of about eps * magnitude
+    whatever its own size: a singular value counts when it exceeds
+    64 max(shape) eps max(s[0], magnitude). A uniform scaling moves s and
+    magnitude together and leaves the rank alone; a translation raises
+    magnitude, and a direction below the moved data's own rounding then
+    counts as zero.
+    """
+    if s.size == 0:
         return 0
-    return int(np.count_nonzero(s > DEFAULT_RANK_TOL * s[0] * max(shape)))
+    cutoff = 64 * max(shape) * np.finfo(float).eps * max(s[0], magnitude)
+    return int(np.count_nonzero(s > cutoff))
 
 
 def arrowhead_psd(alpha, b, beta, tol=1e-9):

@@ -10,8 +10,10 @@ against the level -z_0. The range needs a point fibre to hit the level
 exactly (a fibre with free directions reaches every level above its
 minimum). In the critical regime (rank A = n = m) the pair hull of the
 range is the epigraph of g over the point fibres, so it only needs the
-minimum at or below the level. Nothing is computed from an absolute
-coordinate, so the verdicts do not move when the map is translated.
+minimum at or below the level. The rank of A is read against the
+rounding of the coordinates it is differenced from (`numerical_rank`), so
+a translation leaves it alone up to the rounding that the translation
+itself puts into the map.
 
 The probes do only the work their answer needs. By the paper's rank
 theorem the range is convex if and only if rank A < n, which the map reads
@@ -48,8 +50,9 @@ class QuadraticMap:
 
     The graph relation is y = A (x - a) + offsets, a = target.a. The affine
     part A = -2(centers - a), the offsets g_i(a) - g(a), the rank of A, its
-    pseudo-inverse and an orthonormal basis of its null space are computed
-    once, at construction, from differences to a, and so is `scale`, the
+    pseudo-inverse, an orthonormal basis of its null space and `dropped`,
+    the largest singular value the rank leaves out (0 at full rank), are
+    computed once, at construction, and so is `scale`, the
     map's squared length max(spread^2, target.rho), the spread being the
     largest distance of a center (the target's included) from their mean.
     Every tolerance and the probes' sampling width are measured from it,
@@ -75,14 +78,16 @@ class QuadraticMap:
         B = centers - a
         A = _freeze(-2.0 * B)
         U, s, Vt = np.linalg.svd(A)
-        rank = numerical_rank(s, A.shape)
+        # A's entries are twice differences of these coordinates
+        rank = numerical_rank(s, A.shape, 2.0 * max(
+            centers.max(), -centers.min(), a.max(), -a.min()))
         points = np.vstack([centers, a])
         spread = np.linalg.norm(points - points.mean(axis=0), axis=1).max()
         self.__dict__.update(
             centers=centers, rho=rho, A=A,
             offsets=_freeze(np.einsum("ij,ij->i", B, B) - rho
                             + self.target.rho),
-            rank=rank,
+            rank=rank, dropped=float(s[rank]) if rank < s.size else 0.0,
             pinv=_freeze(Vt[:rank].T @ (U[:, :rank] / s[:rank]).T),
             null=_freeze(Vt[rank:].T),
             scale=max(float(spread) ** 2, self.target.rho))
@@ -115,9 +120,13 @@ class QuadraticMap:
         rhs = Z[:, 1:] + Z[:, :1] - self.offsets
         Y = rhs @ self.pinv.T
         resid = np.linalg.norm(rhs - Y @ self.A.T, axis=1)
-        consistent = resid <= MEMBER_TOL * (self.scale
-                                            + np.linalg.norm(rhs, axis=1))
         level = -Z[:, 0]
+        # on the range rhs = A y with |y|^2 = rho + level, and the singular
+        # directions the rank dropped leave at most `dropped` |y| of it
+        consistent = resid <= (
+            MEMBER_TOL * (self.scale + np.linalg.norm(rhs, axis=1))
+            + self.dropped * np.sqrt(np.maximum(self.target.rho + level,
+                                                0.0)))
         g_min = np.einsum("ij,ij->i", Y, Y) - self.target.rho
         margin = np.where(consistent, g_min - level, np.inf)
         return (margin, MEMBER_TOL * (self.scale + np.abs(level)),
@@ -205,11 +214,14 @@ def in_pair_hull(qmap: QuadraticMap, z) -> MembershipVerdict:
 
 def sample_inputs(qmap: QuadraticMap, count: int, rng):
     """`count` normal map inputs about the target center, of standard
-    deviation three times the map's length, drawn from `rng`."""
+    deviation three times the map's length, drawn from `rng` and scaled
+    and moved in place."""
     if count < 0:
         raise ValidationError(f"count must be >= 0, got {count}")
-    return qmap.target.a + (rng.standard_normal((count, qmap.dimension))
-                            * (3.0 * np.sqrt(qmap.scale)))
+    X = rng.standard_normal((count, qmap.dimension))
+    X *= 3.0 * np.sqrt(qmap.scale)
+    X += qmap.target.a
+    return X
 
 
 @dataclass(frozen=True)

@@ -214,6 +214,17 @@ def _default_box(instance: Instance):
     return (centers - radii).min(axis=0), (centers + radii).max(axis=0)
 
 
+def _resolution(resolution):
+    """The grid resolution as an int: an integer >= 1 (numpy integers
+    included), else ValidationError, so the grid and its bound never read
+    one value two ways (a bool or a float is refused, not truncated)."""
+    if (not isinstance(resolution, (int, np.integer))
+            or isinstance(resolution, bool) or resolution < 1):
+        raise ValidationError(
+            f"resolution must be an integer >= 1, got {resolution!r}")
+    return int(resolution)
+
+
 def grid_min_maxg(instance: Instance, resolution: int) -> float:
     """Exhaustive grid minimum of max_i g_i(x) over a box (n <= 3 only).
 
@@ -222,10 +233,9 @@ def grid_min_maxg(instance: Instance, resolution: int) -> float:
     n = instance.dimension
     if n > 3:
         raise DimensionTooLarge("grid oracle supports n <= 3")
-    if resolution < 1:
-        raise ValidationError("resolution must be >= 1")
     return kernels.grid_min_maxg(instance.centers_matrix(), instance.radii(),
-                                 *_default_box(instance), int(resolution))
+                                 *_default_box(instance),
+                                 _resolution(resolution))
 
 
 def grid_resolution_bound(instance: Instance, resolution: int) -> float:
@@ -236,6 +246,7 @@ def grid_resolution_bound(instance: Instance, resolution: int) -> float:
     and the box move together. The grid minimum overshoots the true
     minimum by at most L * h * sqrt(n) / 2.
     """
+    resolution = _resolution(resolution)
     lo, hi = _default_box(instance)
     centers = instance.centers_matrix()
     far = np.maximum(np.abs(lo - centers), np.abs(hi - centers))

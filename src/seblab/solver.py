@@ -47,11 +47,15 @@ def classify(instance: Instance) -> RankRegime:
     center a = sum mu_i a_i is rank{a_i - a_j} for every simplex mu (a lies
     in the centers' affine hull), the affine rank of the centers: the rank
     of the rows b_i = a_i - o that `Instance.from_data` forms about the
-    smallest ball o (`Instance.frame`, the points of build_qp). It moves
-    with no translation and is at most m - 1: the gate never reads
-    CriticalCase (rank = n = m) for the solver."""
-    B = instance.frame[1]
-    rank = numerical_rank(np.linalg.svd(B, compute_uv=False), B.shape)
+    smallest ball o (`Instance.frame`, the points of build_qp). It is at
+    most m - 1: the gate never reads CriticalCase (rank = n = m) for the
+    solver. The rows are differences of the centers' coordinates, whose
+    largest magnitude sets the rank's cutoff (`numerical_rank`): the rank
+    moves with no translation beyond the rounding that the translation
+    puts into the centers."""
+    B, C = instance.frame[1], instance.centers_matrix()
+    rank = numerical_rank(np.linalg.svd(B, compute_uv=False), B.shape,
+                          max(C.max(), -C.min()))
     return RankRegime(rank_shifted=rank,
                       regime=_regime_of(rank, instance.dimension, instance.m))
 

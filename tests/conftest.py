@@ -17,10 +17,13 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 BENCH_MODULES = ("checks", "run", "spans", "workloads")
 
 
-def matrix_rank(vectors):
-    """`numerical_rank` of a list of vectors, from its singular values."""
+def matrix_rank(vectors, magnitude=0.0):
+    """`numerical_rank` of a list of vectors, from its singular values;
+    `magnitude` bounds the coordinates the vectors were differenced from
+    (0 for vectors that are data of their own)."""
     V = np.atleast_2d(np.asarray(vectors, dtype=float))
-    return numerical_rank(np.linalg.svd(V, compute_uv=False), V.shape)
+    return numerical_rank(np.linalg.svd(V, compute_uv=False), V.shape,
+                          magnitude)
 
 
 def lens_instance():

@@ -21,7 +21,7 @@ class TestNumericalRank:
         assert matrix_rank([[-1.0, 0.0], [0.0, -1.0]]) == 2
         assert matrix_rank([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]) == 1
         assert matrix_rank([np.zeros(4)]) == 0
-        assert numerical_rank(np.empty(0), (0, 3)) == 0
+        assert numerical_rank(np.empty(0), (0, 3), 1.0) == 0
 
     def test_permutation_and_scaling_invariance(self, rng):
         for _ in range(20):

@@ -106,7 +106,9 @@ def test_range_geometry_rank_is_shifted_rank():
                 target=UnitQuadratic(a=rng.standard_normal(n) * scale,
                                      rho=0.0))
             assert qm.rank == min(n, m)
-        assert qm.rank == matrix_rank(qm.centers - qm.target.a)
+        assert qm.rank == matrix_rank(
+            qm.centers - qm.target.a,
+            max(np.abs(qm.centers).max(), np.abs(qm.target.a).max()))
         assert qm.pinv.shape == (n, m) and qm.null.shape == (n, n - qm.rank)
 
 
@@ -599,3 +601,36 @@ def test_one_rank_per_map(monkeypatch, rng):
         separation_probe(qm, 50, seed=1)
         assert len(calls) == 1
         calls.clear()
+
+
+class TestSampleInputs:
+    def test_bit_identical_to_the_written_out_draws(self, rng):
+        # scaled and moved in place, the draws are a + d (3 sqrt(scale)) to
+        # the bit, at any magnitude and shift
+        for _ in range(200):
+            n, m = int(rng.integers(1, 9)), int(rng.integers(1, 5))
+            s = 10.0 ** rng.uniform(-16, 16)
+            shift = 10.0 ** rng.uniform(0, 8) * rng.standard_normal(n)
+            qm = QuadraticMap(
+                centers=shift + s * rng.standard_normal((m, n)),
+                rho=s * s * rng.uniform(0.5, 2.0, m),
+                target=UnitQuadratic(a=shift + s * rng.standard_normal(n),
+                                     rho=s * s))
+            count, seed = int(rng.integers(0, 50)), int(rng.integers(2**32))
+            expected = qm.target.a + (
+                np.random.default_rng(seed).standard_normal((count, n))
+                * (3.0 * np.sqrt(qm.scale)))
+            got = sample_inputs(qm, count, np.random.default_rng(seed))
+            assert got.shape == (count, n)
+            assert np.array_equal(got, expected)
+
+    def test_working_memory(self):
+        # the draws are scaled and moved where they lie: 2,000 inputs in
+        # R^3 peak at about twice their bytes (three times through two
+        # full temporaries)
+        qm = QuadraticMap.from_instance(lens_3d_instance(), UnitQuadratic(
+            a=np.array([0.1, 0.2, 0.3]), rho=1.0))
+        sample_inputs(qm, 10, np.random.default_rng(0))
+        peak = traced_peak_mb(sample_inputs, qm, 2_000,
+                              np.random.default_rng(1))
+        assert peak <= 2.2 * (2_000 * 3 * 8) / 1e6

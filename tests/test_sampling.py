@@ -595,8 +595,16 @@ class TestGridMinMaxG:
             grid_min_maxg(inst, 10)
 
     def test_resolution_validation(self):
-        with pytest.raises(ValidationError):
-            grid_min_maxg(lens_instance(), 0)
+        # the grid and its bound take one resolution through one check: a
+        # count >= 1, and no float or bool, which a scan would truncate
+        # (2.5 to 2, True to 1) while the bound divides by it as given
+        lens = lens_instance()
+        for oracle in (grid_min_maxg, grid_resolution_bound):
+            for resolution in (0, -3, 2.5, 2.0, np.float64(3.0), True, False,
+                               "4", None):
+                with pytest.raises(ValidationError):
+                    oracle(lens, resolution)
+            assert oracle(lens, np.int64(7)) == oracle(lens, 7)
 
 
 def test_default_box_covers_all_balls():

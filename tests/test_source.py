@@ -109,3 +109,55 @@ def test_draws_only_from_default_rng(path):
     # every draw comes from a generator that a caller seeds: the global
     # np.random state is neither read nor changed
     assert global_rng_reaches(path.read_text()) == []
+
+
+HIDDEN_CUTOFFS = ("matrix_rank", "pinv", "lstsq")
+
+
+def hidden_rank_cutoffs(source):
+    """(line, text) of each reach of numpy.linalg's matrix_rank, pinv or
+    lstsq, each of which drops singular values below a cutoff of its own:
+    an import of one, or an attribute of np.linalg (numpy imported as np
+    or numpy) or of a name bound to numpy.linalg."""
+    tree = ast.parse(source)
+    linalg = set()
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            linalg |= {alias.asname for alias in node.names
+                       if alias.name == "numpy.linalg" and alias.asname}
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if node.module == "numpy" and alias.name == "linalg":
+                    linalg.add(alias.asname or alias.name)
+                elif (node.module == "numpy.linalg"
+                      and alias.name in HIDDEN_CUTOFFS):
+                    found.append((node.lineno, f"numpy.linalg.{alias.name}"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in HIDDEN_CUTOFFS:
+            owner = node.value
+            if ((isinstance(owner, ast.Attribute) and owner.attr == "linalg"
+                 and isinstance(owner.value, ast.Name)
+                 and owner.value.id in ("np", "numpy"))
+                    or (isinstance(owner, ast.Name) and owner.id in linalg)):
+                found.append((node.lineno, ast.unparse(node)))
+    return sorted(found)
+
+
+def test_finds_a_hidden_rank_cutoff():
+    source = ("import numpy as np\nimport numpy.linalg as la\n"
+              "from numpy import linalg\n"
+              "from numpy.linalg import lstsq, svd\n"
+              "r = np.linalg.matrix_rank(A)\nP = numpy.linalg.pinv(A)\n"
+              "x = la.lstsq(A, b)\ny = linalg.pinv(A)\n"
+              "s = np.linalg.svd(A)\nq = qmap.pinv\n")
+    assert hidden_rank_cutoffs(source) == [
+        (4, "numpy.linalg.lstsq"), (5, "np.linalg.matrix_rank"),
+        (6, "numpy.linalg.pinv"), (7, "la.lstsq"), (8, "linalg.pinv")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_one_rank_rule(path):
+    # every rank the package reads compares singular values with the
+    # cutoff of linalg.numerical_rank, never with a numpy routine's own
+    assert hidden_rank_cutoffs(path.read_text()) == []
