@@ -3,7 +3,8 @@
 All types are immutable after construction (arrays are frozen), so they are
 safe to share between threads. An `Instance` holds its balls as read-only
 arrays (centers, radii, scale and frame), built once. Every quadratic is
-held in vertex form |x - c|^2 - rho and evaluated by `quadratic_values`.
+held in vertex form |x - c|^2 - rho; `numrange` evaluates a map of them
+through its graph relation about the target center.
 """
 
 from dataclasses import dataclass
@@ -68,31 +69,6 @@ class UnitQuadratic:
     @property
     def dimension(self):
         return self.a.size
-
-
-def quadratic_values(X, centers, rho):
-    """|x - c_i|^2 - rho_i for every row x of the (N, n) array X and every
-    row c_i of the (m, n) array centers: an (N, m) array, the transposed
-    view of an (m, N) one, so that the values of one quadratic are
-    contiguous.
-
-    The squares are expanded about the first center, so rounding follows
-    the distances between the points and the centers, not their distance
-    from the origin. The values are built in place, in the order
-    |y|^2 - 2 y . b + (|b|^2 - rho), so they equal those of the expression
-    written out bit for bit, and beside them the call holds only the moved
-    points Y = X - c_0 and |y|^2. On 4,000 points in R^3 and three
-    quadratics it peaks at 0.29 MB, its 0.096 MB of values included; the
-    expression written out peaked at 0.39 MB.
-    """
-    o = centers[0]
-    Y = X - o
-    B = centers - o
-    V = B @ Y.T
-    V *= -2.0
-    V += np.einsum("ij,ij->i", Y, Y)
-    V += (np.einsum("ij,ij->i", B, B) - rho)[:, None]
-    return V.T
 
 
 class Instance:

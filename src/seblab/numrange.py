@@ -15,6 +15,11 @@ rounding of the coordinates it is differenced from (`numerical_rank`), so
 a translation leaves it alone up to the rounding that the translation
 itself puts into the map.
 
+The values have one evaluator, `_values`, which reads the same relation
+at y = x - a: z_0 = rho - |y|^2 and z_i = A_i . y + offsets_i - z_0.
+`eval_map` and the convexity probe call it on x - a, and the separation
+probe on inputs it draws in y, so no draw makes the round trip a + y, - a.
+
 The probes do only the work their answer needs. By the paper's rank
 theorem the range is convex if and only if rank A < n, which the map reads
 once when it is built, so in that regime the convexity probe returns the
@@ -35,7 +40,6 @@ from .geometry import (
     _finite_array,
     _freeze,
     _require_finite,
-    quadratic_values,
 )
 from .linalg import numerical_rank
 from .solver import Regime, _regime_of
@@ -140,25 +144,46 @@ class MembershipVerdict:
     margin: float
 
 
+def _values(qmap: QuadraticMap, Y):
+    """The (m + 1, N) values of the map at the points a + y, y the rows of
+    the (N, n) array Y, read off the graph relation one contiguous row at
+    a time: z_0 = rho - |y|^2 and z_i = A_i . y + offsets_i - z_0.
+
+    The points stay about the target center, as the relation holds them,
+    so rounding follows their distances from a and from the centers, not
+    from the origin: against exact rationals, on maps moved by up to 1e8
+    and scaled from 1e-8 to 1e8, each value is within 8 (n + 4) eps of
+    |y|^2 + |c_i - a|^2 + |rho_i| + rho. Beside the values the call holds
+    no moved copy and no 2-D temporary.
+    """
+    Z = np.empty((qmap.m + 1, Y.shape[0]))
+    z0 = np.einsum("ij,ij->i", Y, Y, out=Z[0])
+    np.subtract(qmap.target.rho, z0, out=z0)
+    for row, offset, z in zip(qmap.A, qmap.offsets, Z[1:]):
+        np.matmul(Y, row, out=z)
+        z += offset
+        z -= z0
+    return Z
+
+
 def eval_map(qmap: QuadraticMap, x):
     """(-g(x), g_1(x), ..., g_m(x)): shape (m + 1,) for a point x, and
-    (N, m + 1) for the rows of an (N, n) array.
+    (N, m + 1) for the rows of an (N, n) array; a point with a non-finite
+    entry raises ValidationError.
 
-    The (N, m + 1) values are the transposed view of the (m + 1, N) array
-    of `quadratic_values`, so each quadratic's values are contiguous, and
-    the target's are negated in place: the call holds no second copy of
-    them. On 4,000 points of a 3-D map with m = 2 it peaks at 0.29 MB, its
-    0.096 MB of values included (0.39 MB with the values built row-major
-    from temporaries).
+    The values are `_values` of x - a, and the (N, m + 1) array is the
+    transposed view of its (m + 1, N) one, so each quadratic's values are
+    contiguous. On 4,000 points of a 3-D map with m = 2 the call peaks at
+    0.19 MB, its 0.096 MB of values included, where expanding the squares
+    about a center through a moved copy and 2-D broadcasts took 0.29 MB.
     """
     x = np.asarray(x, dtype=float)
     X = np.atleast_2d(x)
     if X.shape[1] != qmap.dimension:
         raise DimensionMismatch("sample dimension does not match the map")
-    G = quadratic_values(X, np.vstack([qmap.target.a, qmap.centers]),
-                         np.append(qmap.target.rho, qmap.rho))
-    G[:, 0] *= -1.0
-    return G[0] if x.ndim == 1 else G
+    _require_finite(X, "map input")
+    Z = _values(qmap, X - qmap.target.a).T
+    return Z[0] if x.ndim == 1 else Z
 
 
 def _range_members(qmap: QuadraticMap, Z):
@@ -298,13 +323,16 @@ def separation_probe(qmap: QuadraticMap, samples: int, seed=0,
     rows of length n with finite entries, else DimensionMismatch or
     ValidationError before anything is drawn.
 
-    The N inputs are freed once evaluated, the orthant tests read the
-    contiguous columns of the values, and a pair-hull column is formed only
-    on the rows still standing, so beyond the (N, m + 1) values the probe
-    holds a few length-N vectors. With 100,000 samples and 100,000 extra
-    points on a 3-D map with m = 2 it peaks at 3.3 times its values, where
-    holding the inputs, a 1 - lams array and row-major gathers took 4.35
-    times.
+    The N inputs are drawn into one (N, n) array in y = x - a, the
+    samples scaled in place in the top rows and the extra points moved
+    into the rows below, and freed once evaluated. The orthant tests read
+    the contiguous columns of the values, and a pair-hull column is formed
+    in place in its gathered rows, only on the rows still standing, so
+    beyond the (N, m + 1) values the probe holds a few length-N vectors.
+    With 100,000 samples and 100,000 extra points on a 3-D map with m = 2
+    it peaks at 2.67 times its values, and with 2,000 of each at 0.261 MB,
+    where a stacked, moved copy evaluated through 2-D broadcasts and a
+    1 - lam temporary took 3.33 times and 0.387 MB.
     """
     if qmap.regime() is Regime.UNSUPPORTED:
         raise UnsupportedRegime("separation probe needs a supported regime")
@@ -313,29 +341,37 @@ def separation_probe(qmap: QuadraticMap, samples: int, seed=0,
         extra = np.atleast_2d(extra_points)
         extra = _finite_array(extra, (len(extra), qmap.dimension),
                               "extra points")
-    rng = np.random.default_rng(seed)
-    X = sample_inputs(qmap, samples, rng)
-    if extra is not None:
-        X = np.vstack([X, extra])
-    if X.shape[0] == 0:
+    if samples < 0:
+        raise ValidationError(f"samples must be >= 0, got {samples}")
+    N = samples + (0 if extra is None else len(extra))
+    if N == 0:
         return SeparationReport(samples=0, range_hits=(), hull_hits=())
-    G = eval_map(qmap, X)
-    del X
-    columns = G.T  # (m + 1, N), each row contiguous
+    rng = np.random.default_rng(seed)
+    Y = np.empty((N, qmap.dimension))
+    rng.standard_normal(out=Y[:samples])
+    Y[:samples] *= 3.0 * np.sqrt(qmap.scale)
+    if extra is not None:
+        np.subtract(extra, qmap.target.a, out=Y[samples:])
+    columns = _values(qmap, Y)  # (m + 1, N), each row contiguous
+    del Y
     range_rows = _orthant_rows(qmap.m, lambda j, rows: columns[j, rows])
     # pair hull: random pairs of the sampled range points
-    N = G.shape[0]
     idx_u = rng.integers(0, N, size=N)
     idx_v = rng.integers(0, N, size=N)
     lams = rng.uniform(0.0, 1.0, size=N)
 
     def hull(j, rows):
-        lam = lams[rows]
-        return (lam * columns[j, idx_u[rows]]
-                + (1.0 - lam) * columns[j, idx_v[rows]])
+        # the point v + lam (u - v) of the pair (u, v), formed in place in
+        # the gathered u
+        h = columns[j, idx_u[rows]]
+        v = columns[j, idx_v[rows]]
+        h -= v
+        h *= lams[rows]
+        h += v
+        return h
 
     hull_rows = _orthant_rows(qmap.m, hull)
     # whole hull rows, only for the hits
     return SeparationReport(samples=int(N),
-                            range_hits=tuple(G[range_rows]),
+                            range_hits=tuple(columns[:, range_rows].T),
                             hull_hits=tuple(hull(slice(None), hull_rows).T))

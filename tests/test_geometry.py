@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from seblab import geometry, io
+from seblab import io
 from seblab.errors import DimensionMismatch, ValidationError
 from seblab.geometry import Instance, UnitQuadratic
+from seblab.numrange import QuadraticMap, eval_map
 
 
 def target_of(center, radius):
@@ -20,8 +21,9 @@ def target_of(center, radius):
 
 
 def evaluate(q, x):
-    return float(geometry.quadratic_values(np.asarray(x, dtype=float)[None, :],
-                                           q.a[None, :], q.rho)[0, 0])
+    """q(x), as the one-ball map of target q reads its component."""
+    qm = QuadraticMap(centers=q.a[None, :], rho=[q.rho], target=q)
+    return float(eval_map(qm, x)[1])
 
 
 def test_ball_to_quadratic_examples():
@@ -56,49 +58,6 @@ def test_eval_quadratic_examples():
 
     q3 = UnitQuadratic(a=[0.0, 1.0], rho=1.0)
     assert evaluate(q3, [0.0, 1.0]) == -1.0
-
-
-@pytest.mark.parametrize("t", [0.0, 1e4, 1e8])
-def test_quadratic_values_moved_far(rng, t):
-    # the squares are expanded about a center, not about the origin, so
-    # moving points and centers together changes the values by rounding at
-    # the scale of their distances, not of t^2
-    X = rng.uniform(-2.0, 2.0, (40, 3))
-    centers = rng.uniform(-2.0, 2.0, (5, 3))
-    rho = rng.uniform(0.5, 2.0, 5)
-    got = geometry.quadratic_values(X + t, centers + t, rho)
-    D = X[:, None, :] - centers[None, :, :]
-    want = np.einsum("ijk,ijk->ij", D, D) - rho
-    assert got.shape == (40, 5)
-    assert np.abs(got - want).max() <= 1e-12 + 1e3 * np.spacing(t)
-
-
-def quadratic_values_written_out(X, centers, rho):
-    """`quadratic_values` as one expression of temporaries, in (N, m)
-    row-major layout, expanded about the first center."""
-    o = centers[0]
-    Y = X - o
-    B = centers - o
-    return (np.einsum("ij,ij->i", Y, Y)[:, None] - 2.0 * (Y @ B.T)
-            + (np.einsum("ij,ij->i", B, B) - rho))
-
-
-def test_quadratic_values_match_the_written_out_expression(rng):
-    # built in place in (m, N) layout, the values are those of the
-    # expression, bit for bit, at every size and distance from the origin
-    # the package meets: 648 arrays, n up to 8 and m up to 9, moved by up
-    # to 1e8
-    for n in range(1, 9):
-        for m in range(1, 10):
-            for t in (0.0, 1e3, 1e8):
-                for N in (1, 50, 700):
-                    X = rng.uniform(-2.0, 2.0, (N, n)) + t
-                    centers = rng.uniform(-2.0, 2.0, (m, n)) + t
-                    rho = rng.uniform(0.5, 2.0, m)
-                    got = geometry.quadratic_values(X, centers, rho)
-                    assert got.shape == (N, m) and got.T.flags.c_contiguous
-                    assert np.array_equal(
-                        got, quadratic_values_written_out(X, centers, rho))
 
 
 def test_sublevel_set_matches_ball(rng):

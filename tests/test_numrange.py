@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,82 @@ class TestEvalMap:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             eval_map(example_map(), [1.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_refused(self, bad):
+        # a NaN point gave NaN values without an error, where `in_range`
+        # and `jnr member` refuse non-finite input
+        qm = example_map()
+        with pytest.raises(ValidationError, match="finite"):
+            eval_map(qm, [bad, 0.0])
+        X = np.zeros((5, 2))
+        X[3, 1] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            eval_map(qm, X)
+
+
+def exact_values(qm, x):
+    """The map's values at the point x in exact rational arithmetic, from
+    the vertex forms: (-(|x - a|^2 - rho), |x - c_i|^2 - rho_i, ...)."""
+    x = [Fraction(v) for v in x]
+
+    def g(center, rho):
+        return sum((v - Fraction(c)) ** 2 for v, c in zip(x, center)) - (
+            Fraction(rho))
+
+    return [-g(qm.target.a, qm.target.rho)] + [
+        g(c, r) for c, r in zip(qm.centers, qm.rho)]
+
+
+def test_eval_map_is_accurate_on_moved_and_scaled_maps():
+    # against exact rationals, each value is within 8 (n + 4) eps of the
+    # sizes it is formed from: |y|^2 and |b_i|^2, y = x - a and
+    # b_i = c_i - a (b_0 = 0 for the target), and the constants rho_i and
+    # rho, which the offsets carry into every entry. The sizes are taken
+    # about the target center, so a map moved by up to 1e8 of its own
+    # length keeps that bound; values expanded about the origin miss it
+    # by the square of the move.
+    rng = np.random.default_rng(20261021)
+    eps = np.finfo(float).eps
+    for _ in range(60):
+        n, m = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        shift = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(0, 8)
+        s = 10.0 ** rng.uniform(-8, 8)
+        qm = QuadraticMap(
+            centers=s * (rng.standard_normal((m, n)) + shift),
+            rho=s * s * rng.uniform(0.5, 2.0, m) ** 2,
+            target=UnitQuadratic(a=s * (rng.standard_normal(n) + shift),
+                                 rho=s * s * rng.uniform(0.5, 2.0) ** 2))
+        X = s * (2.0 * rng.standard_normal((10, n)) + shift)
+        got = eval_map(qm, X)
+        B = np.vstack([np.zeros(n), qm.centers - qm.target.a])
+        constants = np.abs(np.append(qm.target.rho, qm.rho)) + qm.target.rho
+        for x, z in zip(X, got):
+            y = x - qm.target.a
+            bound = 8 * (n + 4) * eps * (
+                y @ y + np.einsum("ij,ij->i", B, B) + constants)
+            error = [abs(Fraction(v) - w) for v, w in
+                     zip(z, exact_values(qm, x))]
+            assert all(e <= b for e, b in zip(error, bound))
+
+
+@pytest.mark.parametrize("t", [0.0, 1e4, 1e8])
+def test_eval_map_moved_far(rng, t):
+    # the values are read about the target center, not about the origin,
+    # so moving the points and the map together changes them by rounding
+    # at the scale of their distances, not of t^2
+    X = rng.uniform(-2.0, 2.0, (40, 3))
+    centers = rng.uniform(-2.0, 2.0, (5, 3))
+    rho = rng.uniform(0.5, 2.0, 5)
+    a = rng.uniform(-2.0, 2.0, 3)
+    qm = QuadraticMap(centers=centers + t, rho=rho,
+                      target=UnitQuadratic(a=a + t, rho=1.5))
+    got = eval_map(qm, X + t)
+    D = X[:, None, :] - np.vstack([a, centers])[None, :, :]
+    want = np.einsum("ijk,ijk->ij", D, D) - np.append(1.5, rho)
+    want[:, 0] *= -1.0
+    assert got.shape == (40, 6)
+    assert np.abs(got - want).max() <= 1e-12 + 1e3 * np.spacing(t)
 
 
 class TestGraphForm:
@@ -360,23 +438,27 @@ def convexity_search(qmap, samples, seed=0):
 def separation_on_full_arrays(qmap, samples, seed=0, extra_points=None):
     """The separation probe on whole (N, m + 1) arrays: every hull row
     formed and every orthant test taken over all columns at once
-    (`separation_probe` before it tested one column at a time)."""
+    (`separation_probe` before it tested one column at a time), on the
+    inputs drawn and evaluated as the probe does, about the target center."""
     if qmap.regime() is Regime.UNSUPPORTED:
         raise UnsupportedRegime("separation probe needs a supported regime")
     rng = np.random.default_rng(seed)
-    X = sample_inputs(qmap, samples, rng)
+    # the inputs in y = x - a, as the probe draws and moves them
+    Y = rng.standard_normal((samples, qmap.dimension)) * (
+        3.0 * np.sqrt(qmap.scale))
     if extra_points is not None and len(extra_points) > 0:
-        X = np.vstack([X, np.atleast_2d(np.asarray(extra_points, dtype=float))])
-    if X.shape[0] == 0:
+        Y = np.vstack([Y, np.atleast_2d(np.asarray(extra_points, dtype=float))
+                       - qmap.target.a])
+    if Y.shape[0] == 0:
         return SeparationReport(samples=0, range_hits=(), hull_hits=())
-    G = eval_map(qmap, X)
+    G = numrange._values(qmap, Y).T
     in_orthant = (G[:, 0] < 0.0) & np.all(G[:, 1:] <= 0.0, axis=1)
     range_hits = tuple(G[i] for i in np.flatnonzero(in_orthant))
     N = G.shape[0]
     idx_u = rng.integers(0, N, size=N)
     idx_v = rng.integers(0, N, size=N)
     lams = rng.uniform(0.0, 1.0, size=N)
-    H = lams[:, None] * G[idx_u] + (1.0 - lams[:, None]) * G[idx_v]
+    H = G[idx_v] + lams[:, None] * (G[idx_u] - G[idx_v])
     hull_mask = (H[:, 0] < 0.0) & np.all(H[:, 1:] <= 0.0, axis=1)
     hull_hits = tuple(H[i] for i in np.flatnonzero(hull_mask))
     return SeparationReport(samples=int(N), range_hits=range_hits,
@@ -556,7 +638,7 @@ class TestSeparationProbe:
 
         lens = lens_instance()
         qm = QuadraticMap.from_instance(lens, solve_seb(lens).target_quadratic())
-        monkeypatch.setattr(numrange, "sample_inputs", broken)
+        monkeypatch.setattr(numrange.np.random, "default_rng", broken)
         for extra in ([[0.0, 0.0, 0.0]], np.zeros((5, 1)), [0.0],
                       np.zeros((2, 2, 2))):
             with pytest.raises(DimensionMismatch, match="extra points"):
@@ -567,19 +649,40 @@ class TestSeparationProbe:
             with pytest.raises(ValidationError, match="extra points"):
                 separation_probe(qm, 10, seed=1, extra_points=extra)
 
+    def test_negative_samples_refused(self):
+        lens = lens_instance()
+        qm = QuadraticMap.from_instance(lens, solve_seb(lens).target_quadratic())
+        with pytest.raises(ValidationError):
+            separation_probe(qm, -1)
+
     def test_working_memory(self):
-        # the inputs are freed once evaluated, the orthant tests read
-        # contiguous columns and no 1 - lams array is stored: with 100,000
-        # samples and 100,000 extra points on the 3-D lens the probe peaks
-        # at 3.3 times its (2N, m + 1) values; holding the inputs, 1 - lams
-        # and row-major gathers took 4.35 times
+        # the inputs are drawn into one array about the target center and
+        # freed once evaluated, the values are formed row by row from the
+        # graph relation, the orthant tests read contiguous columns and a
+        # hull column is formed in its gathered rows: with 100,000 samples
+        # and 100,000 extra points on the 3-D lens the probe peaks at 2.67
+        # times its (2N, m + 1) values; evaluating a stacked, moved copy
+        # through 2-D broadcasts and forming the hull through 1 - lam took
+        # 3.33 times
         lens = lens_3d_instance()
         sol = solve_seb(lens)
         qm = QuadraticMap.from_instance(lens, sol.target_quadratic())
         cloud = sample_intersection(lens, 100_000, seed=3, solution=sol)
         separation_probe(qm, 10, 5, cloud.points[:10])
         peak = traced_peak_mb(separation_probe, qm, 100_000, 5, cloud.points)
-        assert peak <= 3.6 * (2 * 100_000 * (qm.m + 1) * 8) / 1e6
+        assert peak <= 2.8 * (2 * 100_000 * (qm.m + 1) * 8) / 1e6
+
+    def test_working_memory_of_a_verify_lab_probe(self):
+        # 2,000 samples and a 2,000-point cloud on the 3-D lens, as one
+        # verify-lab operation probes them: 0.261 MB, where the stacked,
+        # moved copy and the 2-D broadcasts took 0.387 MB
+        lens = lens_3d_instance()
+        sol = solve_seb(lens)
+        qm = QuadraticMap.from_instance(lens, sol.target_quadratic())
+        cloud = sample_intersection(lens, 2_000, seed=3, solution=sol)
+        separation_probe(qm, 10, 5, cloud.points[:10])
+        peak = traced_peak_mb(separation_probe, qm, 2_000, 5, cloud.points)
+        assert peak <= 0.28
 
 
 def test_one_rank_per_map(monkeypatch, rng):
