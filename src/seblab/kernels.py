@@ -39,6 +39,8 @@ CHAINS = 256
 # the direction coordinates of a run of hit-and-run steps, or a rejection
 # batch with its filter's temporaries
 TILE = 1 << 15
+# (R, u) of every one-point support: empty, so one is shared by all
+_EMPTY_FACTOR = np.empty((0, 0)), np.empty(0)
 
 
 # ---------------------------------------------------------------------------
@@ -51,18 +53,20 @@ def fw_minimize(A, c, max_iter, support=None):
     Minimizes q(mu) = |A^T mu|^2 - c^T mu over the unit simplex, A holding
     one point per row (m x n). Only the support T and its weights are
     kept, x = A_T^T w is rebuilt from them, so a gradient 2 A x - c costs
-    O(mn) and no m x m matrix is formed. The start is the best vertex,
-    argmin |a_i|^2 - c_i, or, when `support` (row indices) is given, the
-    minimum of q over the convex hull of those rows. Each major cycle adds
-    the Frank-Wolfe vertex s (smallest gradient) to T, and `_minor_cycles`
-    moves to the minimum of q over the convex hull of T + s.
+    O(mn) and no m x m matrix is formed. The start, by `_minor_cycles`
+    from uniform weights, is the minimum of q over the convex hull of
+    `support` (row indices; by default the best vertex argmin
+    |a_i|^2 - c_i). Each major cycle adds the Frank-Wolfe vertex s
+    (smallest gradient) to T, and `_minor_cycles` moves to the minimum of
+    q over the convex hull of T + s.
 
-    The factor of the support is carried from cycle to cycle: `_border`
-    extends it with s in O(kn + k^2), k = |T|, so a cycle that adds s and
-    drops nothing refactors nothing. When the residual of s against the
-    support is below 1e-6 of its length, `_border` returns instead the
-    dependency of T + s that the residual's coefficients give, and the
-    minor cycles step along it. Only after a drop, or such a step, is the
+    Between major cycles T is affinely independent and carries its factor
+    (R, u), R of order |T| - 1 (empty for one point). `_border` extends it
+    with s in O(kn + k^2), k = |T|, so a cycle that adds s and drops
+    nothing refactors nothing. When the residual of s against the support
+    is below 1e-6 of its length, `_border` returns instead the dependency
+    of T + s that the residual's coefficients give, and the minor cycles
+    step along it. Only after a drop, which such a step ends with, is the
     factor of the new support bordered again from its first point
     (`_factor`). Memory is O(mn + k^2).
 
@@ -74,12 +78,10 @@ def fw_minimize(A, c, max_iter, support=None):
     grad^T mu - min_i grad_i over all m vertices at the returned mu.
     """
     unit, sizes = rounding_stop(A, c)
-    if support is None:
-        T = np.array([int(np.argmin(np.einsum("ij,ij->i", A, A) - c))])
-        w, factor = np.ones(1), None
-    else:
-        T, w, factor = _minor_cycles(
-            A, c, support, np.full(support.size, 1.0 / support.size))
+    T = (np.array([int(np.argmin(np.einsum("ij,ij->i", A, A) - c))])
+         if support is None else support)
+    T, w, factor = _minor_cycles(A, c, T, np.full(T.size, 1.0 / T.size),
+                                 _factor(A, c, T))
     last = np.inf
     for it in range(max_iter + 1):
         # ndarray.dot, not @, in the cycle: on operands this small the
@@ -120,7 +122,7 @@ def _factor(A, c, T):
     """The factor of the support T, bordered point by point from the empty
     factor of T[:1] (`_border`), or, as soon as a border fails, the
     dependency that it returns, padded with zeros to the length of T."""
-    factor = np.empty((0, 0)), np.empty(0)
+    factor = _EMPTY_FACTOR
     for k in range(1, T.size):
         factor = _border(A, c, T[:k], factor, T[k])
         if isinstance(factor, np.ndarray):
@@ -129,10 +131,10 @@ def _factor(A, c, T):
 
 
 def _border(A, c, T, factor, s):
-    """The factor of T + s, extended from the factor of T (built by
-    `_factor` when None), or, when T + s fails the independence test, a
-    dependency v over T + s: sum v = 0, and A_{T+s}^T v is the residual
-    that failed the test.
+    """The factor of T + s, extended from `factor`, the factor (R, u) of
+    the affinely independent support T (R empty for one point), or, when
+    T + s fails the independence test, a dependency v over T + s:
+    sum v = 0, and A_{T+s}^T v is the residual that failed the test.
 
     With a_0 = A[T[0]] and D the rows d_j = a_j - a_0 of T[1:], the factor
     is (R, u): R the inverse Cholesky factor of D D^T (lower triangular,
@@ -152,9 +154,6 @@ def _border(A, c, T, factor, s):
     R is [-z/p, 1/p] and the new entry of u is (rhs_s - l . u)/p. The rows
     D are gathered once, and no copy of A_T is held beside the factors.
     """
-    factor = factor or _factor(A, c, T)
-    if isinstance(factor, np.ndarray):  # T itself is dependent
-        return np.append(factor, 0.0)
     R, u = factor
     a0 = A[T[0]]
     d = A[s] - a0
@@ -176,23 +175,24 @@ def _border(A, c, T, factor, s):
     return grown, u
 
 
-def _minor_cycles(A, c, T, w, factor=None):
+def _minor_cycles(A, c, T, w, factor):
     """Minimum of q over the convex hull of the points T, from the weights
-    w: (support, weights, factor of the support or None).
+    w: (support, weights, factor of the support), the support affinely
+    independent and its factor (R, u), empty for one point.
 
-    `factor` is the factor of T, a dependency of T that `_border` returned,
-    or None to build either. Move from w toward the minimum y of q on the
+    `factor` is the factor of T or a dependency of T that `_border` or
+    `_factor` returned. Move from w toward the minimum y of q on the
     affine hull of T until a weight reaches zero, drop that point, and
-    repeat until y lies inside the hull. When T fails the independence
-    test, move instead along its dependency v, oriented so that
-    c_T . v >= 0: x stays put and q does not rise, and the point whose
-    weight reaches zero is dropped (a Caratheodory reduction). After a
-    drop the factor of the smaller support is bordered again from its
-    first point.
+    repeat until y lies inside the hull. A y on a face of the hull, with
+    exact zeros and no negative weight, needs no exit of its own: every
+    point at zero has ratio 1, the least, so the step to y drops them
+    all. When T fails the independence test, move instead along its
+    dependency v, oriented so that c_T . v >= 0: x stays put and q does
+    not rise, and the point whose weight reaches zero is dropped (a
+    Caratheodory reduction). After a drop the factor of the smaller
+    support is bordered again from its first point.
     """
     while T.size > 1:
-        if factor is None:
-            factor = _factor(A, c, T)
         if isinstance(factor, np.ndarray):  # sum v = 0, A_T^T v ~ 0
             step = factor if c[T].dot(factor) >= 0.0 else -factor
         else:
@@ -201,16 +201,15 @@ def _minor_cycles(A, c, T, w, factor=None):
             y = np.concatenate(([1.0 - z.sum()], z))
             if y.min() > 0.0:
                 return T, y, factor
-            if y.min() == 0.0:  # on a face of the hull
-                return T[y > 0.0], y[y > 0.0], None
             step = y - w
         neg = np.flatnonzero(step < 0.0)
         ratios = w[neg] / -step[neg]
         j = int(np.argmin(ratios))
         w = np.maximum(w + ratios[j] * step, 0.0)
         w[neg[j]] = 0.0
-        T, w, factor = T[w > 0.0], w[w > 0.0], None
-    return T, np.ones(1), None
+        T, w = T[w > 0.0], w[w > 0.0]
+        factor = _factor(A, c, T)
+    return T, np.ones(1), factor
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import CombinatorialBlowup, ValidationError
+from .errors import CombinatorialBlowup, DimensionMismatch, ValidationError
 from .geometry import Instance, _freeze
 
 SUPPORT_GUARD = 10**4
@@ -37,7 +37,7 @@ class SimplexQP:
     def __post_init__(self):
         A, c = _freeze(self.centers), _freeze(self.linear)
         if A.ndim != 2 or A.shape[0] != c.size:
-            raise ValueError("centers/linear shape mismatch")
+            raise DimensionMismatch("centers/linear shape mismatch")
         origin = np.zeros(A.shape[1]) if self.origin is None else self.origin
         object.__setattr__(self, "centers", A)
         object.__setattr__(self, "linear", c)

@@ -56,6 +56,57 @@ def unsupported_instance():
                               [2.0, 2.0, 2.0])
 
 
+CORPUS_FAMILIES = ("nested", "lens", "tangent", "disjoint", "random")
+# checked by its known q*, not by support_oracle (see
+# test_solver.py::TestFarBall)
+FAR_BALL = "far ball"
+
+
+def corpus_case(rng, family, n):
+    """Centers and radii of one case of the family, before it is moved."""
+    e1 = np.eye(n)[0]
+    if family == "nested":
+        t = 10.0 ** rng.uniform(-7, -1)
+        return np.array([np.zeros(n), 0.5 * e1]), np.array([t, 1.0])
+    if family == "lens":
+        t = 10.0 ** rng.uniform(-7, -1)
+        return (np.array([-t * e1, t * e1, 0.5 * e1]),
+                np.array([t * SQRT2, t * SQRT2, 1.0]))
+    r = rng.uniform(0.5, 2.0, 2)
+    if family == "tangent":
+        return np.array([np.zeros(n), (r[0] + r[1]) * e1]), r
+    if family == "disjoint":
+        d = (r[0] + r[1]) * (1.0 + 10.0 ** rng.uniform(-6, 0))
+        return np.array([np.zeros(n), d * e1]), r
+    if family == FAR_BALL:
+        D = 10.0 ** rng.uniform(8, 12)
+        return (np.array([-e1, e1, D * np.eye(n)[1]]),
+                np.array([SQRT2, SQRT2, D - 0.5]))
+    m = int(rng.integers(n, n + 3))
+    C = rng.standard_normal((m, n))
+    p = 0.3 * rng.standard_normal(n)
+    return C, np.linalg.norm(C - p, axis=1) + rng.uniform(0.01, 1.0, m)
+
+
+def corpus(family, count=120):
+    """Seeded cases of a family in R^2 and R^3: a small ball inside a large
+    one and a tiny lens beside it (sizes 1e-7 to 1e-1 of the large ball),
+    tangent pairs, pairs apart by 1e-6 to 1 of their radii, random
+    supported balls, and a unit lens cut by a ball 1e8 to 1e12 away; each
+    rotated, moved by up to 1e6 and scaled by 1e-6 to 1e6, with its balls
+    permuted."""
+    rng = np.random.default_rng(
+        [2029, (CORPUS_FAMILIES + (FAR_BALL,)).index(family)])
+    for _ in range(count):
+        n = int(rng.integers(2, 4))
+        C, r = corpus_case(rng, family, n)
+        Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        shift = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(0, 6)
+        s = 10.0 ** rng.uniform(-6, 6)
+        perm = rng.permutation(r.size)
+        yield Instance.from_data((s * (C @ Q.T + shift))[perm], s * r[perm])
+
+
 def example_map():
     """The 2-D non-convex range: target center (1,1), components centered at
     (0,1) and (1,0), every quadratic vanishing at the origin."""

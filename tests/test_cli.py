@@ -267,6 +267,19 @@ class TestJnrCommand:
         assert code == 3
         assert "error" in json.loads(text)
 
+    def test_member_unsupported_regime(self, tmp_path):
+        # range membership holds in every regime; the pair hull is only
+        # defined where the paper's theorem applies, so its verdict is null
+        path = write_doc(tmp_path, "unsupported.json", UNSUPPORTED)
+        code, text = run_cli(["jnr", path, "member", "--point", "0,0,0,0"])
+        assert code == 0
+        report = json.loads(text)
+        assert report["in_range"] is False
+        assert report["in_pair_hull"] is None
+        assert "hull_margin" not in report
+        assert report["note"] == ("pair-hull membership unsupported in this "
+                                  "regime")
+
     def test_negative_count(self, tmp_path):
         path = write_doc(tmp_path, "lens.json", LENS)
         for action in ("sample", "probe"):

@@ -3,7 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import lens_instance, random_supported_instance, traced_peak_mb
+from conftest import (
+    CORPUS_FAMILIES,
+    FAR_BALL,
+    corpus,
+    lens_instance,
+    random_supported_instance,
+    traced_peak_mb,
+)
 from seblab import Instance, kernels, sampling, simplex_qp, solver
 
 
@@ -369,7 +376,7 @@ def count_rebuilds(monkeypatch):
             calls["dependent"].append(np.append(T, s))
         return out
 
-    def counted_minor_cycles(A, c, T, w, factor=None):
+    def counted_minor_cycles(A, c, T, w, factor):
         calls["minor"].append(T.copy())
         return minor_cycles(A, c, T, w, factor)
 
@@ -445,10 +452,59 @@ class TestCarriedFactor:
         A = np.array([[-1.0, 0.0], [0.0, 1e10], [1.0, 0.0]])
         c = np.zeros(3)
         assert isinstance(kernels._factor(A, c, np.array([0, 1, 2])), tuple)
-        assert isinstance(kernels._border(A, c, np.array([0, 1]), None, 2),
-                          tuple)
+        assert isinstance(kernels._border(
+            A, c, np.array([0, 1]), kernels._factor(A, c, np.array([0, 1])),
+            2), tuple)
         assert np.array_equal(
             kernels._factor(A[[0, 0]], c[:2], np.array([0, 1])), [-1.0, 1.0])
+
+    def test_every_border_reads_its_supports_factor(self, monkeypatch, bench,
+                                                     verify_clouds):
+        # between major cycles the support is affinely independent and
+        # carries its factor (R, u), R of order |T| - 1: the one-point
+        # start and every support a drop leaves included, on the seed-1
+        # items of every workload, the stress corpus and the `verify-lab`
+        # clouds
+        calls, missing = [], []
+        border = kernels._border
+
+        def checked(A, c, T, factor, s):
+            calls.append(T.size)
+            if not (isinstance(factor, tuple)
+                    and factor[0].shape == (T.size - 1,) * 2):
+                missing.append(T.copy())
+            return border(A, c, T, factor, s)
+
+        monkeypatch.setattr(kernels, "_border", checked)
+        workloads = bench["workloads"]
+        for item in (workloads.square_items(1) + workloads.tall_items(1)
+                     + workloads.verify_items(1)):
+            solver.solve_seb(item.instance)
+        for family in CORPUS_FAMILIES + (FAR_BALL,):
+            for inst in corpus(family):
+                solver.solve_seb(inst)
+        for points in verify_clouds:
+            kernels.cloud_meb(points, 1000)
+        assert 1 in calls and missing == []
+
+    def test_face_minimum_drops_its_zero_weights(self):
+        # the minimum of q on the plane of the three points, the
+        # circumcenter of (-1, 0), (1, 0), (0, -1), is the midpoint of the
+        # first two: the third weight is exactly zero, and the step to it
+        # drops that point and returns the factor of the other two
+        P = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 0.5]])
+        P -= P[0].copy()
+        c = np.einsum("ij,ij->i", P, P)
+        T = np.arange(3)
+        R, u = kernels._factor(P, c, T)
+        assert u.dot(R)[1] == 0.0
+        T, w, factor = kernels._minor_cycles(P, c, T, np.full(3, 1.0 / 3.0),
+                                             (R, u))
+        assert np.array_equal(T, [0, 1]) and np.array_equal(w, [0.5, 0.5])
+        expected = kernels._factor(P, c, T)
+        assert all(np.array_equal(f, g) for f, g in zip(factor, expected))
+        mu, cycles, _ = kernels.fw_minimize(P, c, 100, np.arange(3))
+        assert np.array_equal(mu, [0.5, 0.5, 0.0, 0.0]) and cycles == 0
 
     def test_bordered_factor_matches_cholesky(self):
         # the verdict of `_factor` is that of Householder QR on the same

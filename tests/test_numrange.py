@@ -60,6 +60,21 @@ class TestEvalMap:
         with pytest.raises(DimensionMismatch):
             eval_map(example_map(), [1.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("centers", [[1.0, 2.0], np.empty((0, 2))],
+                             ids=["1-D", "empty"])
+    def test_map_needs_a_matrix_of_centers(self, centers):
+        with pytest.raises(ValidationError, match="centers"):
+            QuadraticMap(centers=centers, rho=[1.0, 1.0],
+                         target=UnitQuadratic(a=np.zeros(2), rho=1.0))
+
+    @pytest.mark.parametrize("rho, target", [
+        ([1.0], np.zeros(2)), ([1.0, 1.0, 1.0], np.zeros(2)),
+        ([1.0, 1.0], np.zeros(3))], ids=["short rho", "long rho", "target"])
+    def test_map_dimensions_must_agree(self, rho, target):
+        with pytest.raises(DimensionMismatch):
+            QuadraticMap(centers=np.eye(2), rho=rho,
+                         target=UnitQuadratic(a=target, rho=1.0))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_point_refused(self, bad):
         # a NaN point gave NaN values without an error, where `in_range`
@@ -726,6 +741,10 @@ class TestSampleInputs:
             got = sample_inputs(qm, count, np.random.default_rng(seed))
             assert got.shape == (count, n)
             assert np.array_equal(got, expected)
+
+    def test_negative_count_refused(self):
+        with pytest.raises(ValidationError, match="count"):
+            sample_inputs(example_map(), -1, np.random.default_rng(0))
 
     def test_working_memory(self):
         # the draws are scaled and moved where they lie: 2,000 inputs in

@@ -541,6 +541,10 @@ class TestCloudMeb:
         with pytest.raises(ValidationError, match="iterations"):
             cloud_meb(as_cloud([[0.0, 0.0], [2.0, 0.0]]), -1)
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValidationError, match="empty cloud"):
+            cloud_meb(as_cloud(np.empty((0, 2))))
+
     def test_working_memory(self):
         # each O(Nn) difference is formed once: the centred points, the
         # diameter pair's differences (freed before the kernel) and two

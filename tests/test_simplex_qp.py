@@ -10,7 +10,11 @@ from conftest import (
     random_supported_instance,
 )
 from seblab import kernels, simplex_qp
-from seblab.errors import CombinatorialBlowup, ValidationError
+from seblab.errors import (
+    CombinatorialBlowup,
+    DimensionMismatch,
+    ValidationError,
+)
 from seblab.geometry import Instance
 from seblab.simplex_qp import (
     SimplexQP,
@@ -86,6 +90,15 @@ class TestBuildQP:
         view = build_qp(lens_instance()).centers[:1]
         assert not np.shares_memory(SimplexQP(centers=view,
                                               linear=[0.0]).centers, view)
+
+    @pytest.mark.parametrize("centers, linear", [
+        (np.eye(2), [1.0, 2.0, 3.0]),
+        (np.eye(2), [1.0]),
+        ([1.0, 2.0], [1.0, 2.0]),
+    ], ids=["long linear", "short linear", "1-D centers"])
+    def test_shape_mismatch_refused(self, centers, linear):
+        with pytest.raises(DimensionMismatch):
+            SimplexQP(centers=centers, linear=linear)
 
 
 class TestSolve:

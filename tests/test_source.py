@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import seblab
+from seblab import errors
 
 PACKAGE = Path(seblab.__file__).resolve().parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -161,3 +162,58 @@ def test_one_rank_rule(path):
     # every rank the package reads compares singular values with the
     # cutoff of linalg.numerical_rank, never with a numpy routine's own
     assert hidden_rank_cutoffs(path.read_text()) == []
+
+
+PACKAGE_ERRORS = frozenset(
+    name for name, value in vars(errors).items()
+    if isinstance(value, type) and issubclass(value, Exception))
+# the two raises a protocol asks for: writing to an immutable Instance, and
+# an argparse type function refusing its text (argparse reports it as a
+# usage error, which the parser raises as ValidationError)
+PROTOCOL_RAISES = {("Instance.__setattr__", "AttributeError"),
+                   ("_nonnegative", "argparse.ArgumentTypeError")}
+
+
+def foreign_raises(source):
+    """(line, enclosing def or class, class raised) of each raise whose
+    class is not one of `seblab.errors`; a bare re-raise names none."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc
+                name = ast.unparse(exc.func if isinstance(exc, ast.Call)
+                                   else exc)
+                if name not in PACKAGE_ERRORS:
+                    found.append((child.lineno, ".".join(scope), name))
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return sorted(found)
+
+
+def test_finds_a_foreign_raise():
+    source = ("import argparse\nfrom .errors import ValidationError\n"
+              "def f(x):\n    if x:\n        raise ValidationError('x')\n"
+              "    raise ValueError('y')\n"
+              "class C:\n    def g(self):\n        raise TypeError\n"
+              "    def h(self):\n        try:\n            pass\n"
+              "        except KeyError:\n            raise\n"
+              "def k():\n    raise argparse.ArgumentTypeError('z') from None\n"
+              "raise RuntimeError\n")
+    assert foreign_raises(source) == [
+        (6, "f", "ValueError"), (9, "C.g", "TypeError"),
+        (16, "k", "argparse.ArgumentTypeError"), (17, "", "RuntimeError")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_raises_only_package_errors(path):
+    # a caller catches every refusal of the package as SebLabError
+    assert [(line, where, name)
+            for line, where, name in foreign_raises(path.read_text())
+            if (where, name) not in PROTOCOL_RAISES] == []
