@@ -44,8 +44,6 @@ from .geometry import (
 from .linalg import numerical_rank
 from .solver import Regime, _regime_of
 
-MEMBER_TOL = 1e-8
-
 
 @dataclass(frozen=True)
 class QuadraticMap:
@@ -54,13 +52,15 @@ class QuadraticMap:
 
     The graph relation is y = A (x - a) + offsets, a = target.a. The affine
     part A = -2(centers - a), the offsets g_i(a) - g(a), the rank of A, its
-    pseudo-inverse, an orthonormal basis of its null space and `dropped`,
-    the largest singular value the rank leaves out (0 at full rank), are
-    computed once, at construction, and so is `scale`, the
-    map's squared length max(spread^2, target.rho), the spread being the
-    largest distance of a center (the target's included) from their mean.
-    Every tolerance and the probes' sampling width are measured from it,
-    with no absolute floor, so they follow a uniform scaling of the map.
+    pseudo-inverse, an orthonormal basis of its null space, `dropped`, the
+    largest singular value the rank leaves out (0 at full rank), and
+    `kept`, the smallest it keeps (inf at rank 0), are computed once, at
+    construction, from one SVD, thin when m >= n so that no m x m factor
+    is formed. So is `scale`, the map's squared length
+    max(spread^2, target.rho), the spread being the largest distance of a
+    center (the target's included) from their mean; it sets the probes'
+    sampling width, and the fibre query's slacks come from the rounding
+    of the map and the query instead (`fibre`).
     """
 
     centers: np.ndarray
@@ -81,7 +81,8 @@ class QuadraticMap:
         a = self.target.a
         B = centers - a
         A = _freeze(-2.0 * B)
-        U, s, Vt = np.linalg.svd(A)
+        # thin when m >= n: Vt is then already n x n, and U holds no m x m
+        U, s, Vt = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
         # A's entries are twice differences of these coordinates
         rank = numerical_rank(s, A.shape, 2.0 * max(
             centers.max(), -centers.min(), a.max(), -a.min()))
@@ -92,6 +93,7 @@ class QuadraticMap:
             offsets=_freeze(np.einsum("ij,ij->i", B, B) - rho
                             + self.target.rho),
             rank=rank, dropped=float(s[rank]) if rank < s.size else 0.0,
+            kept=float(s[rank - 1]) if rank else np.inf,
             pinv=_freeze(Vt[:rank].T @ (U[:, :rank] / s[:rank]).T),
             null=_freeze(Vt[rank:].T),
             scale=max(float(spread) ** 2, self.target.rho))
@@ -117,24 +119,48 @@ class QuadraticMap:
 
         margin is the minimum of the target over the fibre less the level
         -z_0 (inf on an empty fibre), X_min the minimiser and slack the
-        tolerance of a level test. The fibre is solved in y = x - a, where
-        the least-norm solution is the minimiser of g = |y|^2 - rho.
+        rounding a level test allows. The fibre is solved in y = x - a,
+        where the least-norm solution Y = pinv rhs of A y = rhs,
+        rhs_i = z_i + z_0 - offsets_i, is the minimiser of g = |y|^2 - rho.
+
+        Both slacks are the perturbation bounds of least squares (Higham,
+        ch. 20) applied to what an image's values carry. Each value is
+        within 8 (n + 4) eps of its sizes (`_values`), |y|^2 of the
+        preimage among them, which is rho + level on the range and at
+        least |Y|^2; so rhs is off A y by at most d_rhs, and Y off the
+        fibre's minimiser by dY = (d_rhs + 8 (max(m, n) + 4) eps |A| |Y|)
+        / s_r, the second term the solve's own rounding (|A| is taken as
+        the Frobenius norm, s_r = `kept`). The residual |rhs - A Y| may be
+        d_rhs + |A| dY plus the product's rounding, plus `dropped`
+        sqrt(rho + level) from the singular directions the rank left out;
+        the level test's slack is 2 |Y| dY + dY^2 plus the rounding of
+        |Y|^2 and of the level.
         """
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
+        (m, n), rho = self.A.shape, self.target.rho
+        eps = np.finfo(float).eps
+        value, solve = 8 * (n + 4) * eps, 8 * (max(m, n) + 4) * eps
         rhs = Z[:, 1:] + Z[:, :1] - self.offsets
         Y = rhs @ self.pinv.T
         resid = np.linalg.norm(rhs - Y @ self.A.T, axis=1)
         level = -Z[:, 0]
-        # on the range rhs = A y with |y|^2 = rho + level, and the singular
-        # directions the rank dropped leave at most `dropped` |y| of it
+        YY = np.einsum("ij,ij->i", Y, Y)
+        norm_Y, norm_rhs = np.sqrt(YY), np.linalg.norm(rhs, axis=1)
+        size = np.maximum(YY, rho + level)
+        # |A_i|^2 / 4 = |c_i - a|^2; z_i's and z_0's bounds and the two
+        # sums that form rhs, the norm over i taken term by term
+        rows = np.einsum("ij,ij->i", self.A, self.A)
+        d_rhs = value * (2.0 * np.sqrt(m) * size + norm_rhs + np.linalg.norm(
+            rows / 4.0 + np.abs(self.rho) + 3.0 * abs(rho)))
+        norm_A = np.sqrt(rows.sum())
+        dY = (d_rhs + solve * norm_A * norm_Y) / self.kept
         consistent = resid <= (
-            MEMBER_TOL * (self.scale + np.linalg.norm(rhs, axis=1))
-            + self.dropped * np.sqrt(np.maximum(self.target.rho + level,
-                                                0.0)))
-        g_min = np.einsum("ij,ij->i", Y, Y) - self.target.rho
-        margin = np.where(consistent, g_min - level, np.inf)
-        return (margin, MEMBER_TOL * (self.scale + np.abs(level)),
-                Y + self.target.a)
+            d_rhs + norm_A * dY + value * (norm_A * norm_Y + norm_rhs)
+            + self.dropped * np.sqrt(np.maximum(rho + level, 0.0)))
+        margin = np.where(consistent, YY - rho - level, np.inf)
+        slack = dY * (2.0 * norm_Y + dY) + value * (
+            2.0 * size + np.abs(level) + 2.0 * abs(rho))
+        return margin, slack, Y + self.target.a
 
 
 @dataclass(frozen=True)
@@ -187,7 +213,9 @@ def eval_map(qmap: QuadraticMap, x):
 
 
 def _range_members(qmap: QuadraticMap, Z):
-    """(member, margin, X_min) of the rows of Z against the range."""
+    """(member, margin, X_min) of the rows of Z against the range: a
+    nonempty fibre whose minimum is at the level (below it, when the fibre
+    has free directions) up to the level test's slack."""
     margin, slack, Xmin = qmap.fibre(Z)
     # a point fibre cannot climb: it must sit at the level
     off = np.abs(margin) if qmap.null.shape[1] == 0 else margin
@@ -201,7 +229,11 @@ def _value_vector(qmap: QuadraticMap, z):
 
 
 def in_range(qmap: QuadraticMap, z) -> MembershipVerdict:
-    """Exact membership of z in the image of the map.
+    """Exact membership of z in the image of the map, up to rounding: z
+    reads member when it lies within what rounding can put between an
+    image's computed values and its exact ones (the slacks of
+    `QuadraticMap.fibre`), so every `eval_map` image is a member, and a
+    vector further off the range is not.
 
     On a positive verdict the witness x reproduces z: the minimizer of the
     target over the fibre is walked along a kernel direction (the target
@@ -222,8 +254,10 @@ def in_pair_hull(qmap: QuadraticMap, z) -> MembershipVerdict:
     """Membership in the pairwise-segment hull of the range.
 
     Convex regime: the hull equals the range, so delegate. Critical regime:
-    the hull is the epigraph of the target over the point fibres. Other
-    regimes are refused (no exact test exists).
+    the hull is the epigraph of the target over the point fibres, so z is
+    a member when its fibre's minimum is at or below the level up to the
+    level test's slack (`QuadraticMap.fibre`). Other regimes are refused
+    (no exact test exists).
     """
     regime = qmap.regime()
     if regime is Regime.CONVEX:
@@ -266,9 +300,11 @@ def convexity_probe(qmap: QuadraticMap, samples: int,
     When rank A < n (the convex regime) the range is convex by the paper's
     rank theorem: the report is that verdict, with samples=0, and nothing
     is drawn. When rank A = n, `samples` random segments are drawn and
-    their points tested by the exact membership query, so each recorded
-    counterexample proves non-convexity; an empty report is (only)
-    evidence of convexity.
+    their points tested by the exact membership query (`in_range`: exact
+    up to the rounding of the values and of the fibre's solve), so each
+    recorded counterexample lies off the range by more than rounding and
+    proves non-convexity; an empty report is (only) evidence of
+    convexity.
     """
     if samples < 0:
         raise ValidationError(f"samples must be >= 0, got {samples}")

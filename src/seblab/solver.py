@@ -81,8 +81,13 @@ def solve_seb(instance: Instance, max_iter=None):
       passes the gate and ub - lb <= BASE_TOL ub, else UpperBoundOnly;
     - ub < -e_q: max_i g_i(y) >= -q(mu) > 0 at every y, EmptyInterior;
     - ub <= e_q with x in every ball up to e_i: DegeneratePoint;
-    - otherwise UpperBoundOnly with radius sqrt(max(ub, 0)), which
-      encloses the intersection for any simplex mu.
+    - otherwise UpperBoundOnly with radius sqrt(max(ub, 0)).
+
+    An UpperBoundOnly radius encloses the intersection only up to the
+    rounding e_q of ub: the exact q(mu) >= q* for any simplex mu, but the
+    computed ub can fall below q*. On the two-ball cases of the test
+    corpus's tangent family, 9 of the 16 UpperBoundOnly ones with q* > 0
+    (all with lb > 0) return a radius short of r*.
 
     The bounds follow the balls that hold x or carry weight, not the
     largest ball. `converged` says whether the solve met its rounding stop

@@ -131,6 +131,12 @@ def test_eval_map_is_accurate_on_moved_and_scaled_maps():
             error = [abs(Fraction(v) - w) for v, w in
                      zip(z, exact_values(qm, x))]
             assert all(e <= b for e, b in zip(error, bound))
+            # the fibre query's slacks are derived from that bound, so
+            # every image reads member, and in the pair hull of a critical
+            # map too
+            assert in_range(qm, z).member
+            if qm.regime() is Regime.CRITICAL:
+                assert in_pair_hull(qm, z).member
 
 
 @pytest.mark.parametrize("t", [0.0, 1e4, 1e8])
@@ -283,6 +289,37 @@ class TestRangeMembership:
                 assert not in_range(qm, shifted).member
 
 
+@pytest.mark.parametrize("delta", [1e-9, 1e-10, 1e-12])
+def test_vectors_moved_off_the_range_are_refused(delta):
+    # the slacks follow the rounding of the values, not a set tolerance:
+    # a move of delta (scale + |level|) off the range shows, where a slack
+    # of 1e-8 of it admitted every such move
+    rng = np.random.default_rng(41)
+    qm = example_map()
+    # every fibre is a point: move the level of G(x) by d and hold the
+    # graph coordinates y_i = z_i + z_0
+    for x in rng.uniform(-2.0, 2.0, (200, 2)):
+        z = eval_map(qm, x)
+        d = rng.choice([-1.0, 1.0]) * delta * (qm.scale + abs(z[0]))
+        moved = z.copy()
+        moved[0] -= d
+        moved[1:] += d
+        assert not in_range(qm, moved).member
+        if d < 0.0:
+            # below the level of its point fibre, so outside the epigraph
+            assert not in_pair_hull(qm, moved).member
+    lens = lens_instance()
+    qm = QuadraticMap.from_instance(lens, solve_seb(lens).target_quadratic())
+    # A is rank 1 with 2 rows: move y_i along the unit normal of its columns,
+    # which empties the fibre (the convex pair hull is the range)
+    normal = np.linalg.svd(qm.A)[0][:, -1]
+    for x in rng.uniform(-2.0, 2.0, (200, 2)):
+        z = eval_map(qm, x)
+        z[1:] += delta * (qm.scale + abs(z[0])) * normal
+        assert not in_range(qm, z).member
+        assert not in_pair_hull(qm, z).member
+
+
 @pytest.mark.parametrize("member", [in_range, in_pair_hull])
 @pytest.mark.parametrize("z", [[np.inf, -np.inf, 1.0], [np.nan, 1.0, 1.0],
                                [1.0, 0.0, -np.inf]])
@@ -309,8 +346,8 @@ def scaled_example_map(s):
 
 @pytest.mark.parametrize("s", [1e-8, 1e-5, 1e-3, 1.0, 1e4, 1e8])
 def test_range_lab_scale_invariant(s):
-    # every tolerance and the sampling width follow the map's squared
-    # length; an absolute floor accepted the gap point at s = 1e-5
+    # the slacks and the sampling width follow a uniform scaling of the
+    # map; an absolute floor accepted the gap point at s = 1e-5
     qm = scaled_example_map(s)
     assert qm.scale == pytest.approx(example_map().scale * s * s,
                                      rel=1e-12)
@@ -719,6 +756,16 @@ def test_one_rank_per_map(monkeypatch, rng):
         separation_probe(qm, 50, seed=1)
         assert len(calls) == 1
         calls.clear()
+
+
+def test_build_memory_is_linear_in_m():
+    # the SVD is thin when m >= n, so a tall map forms no m x m U: at
+    # (n, m) = (3, 2,000) the build peaks at 0.39 MB, the map's own arrays
+    # included, where the full U took 32.4 MB
+    rng = np.random.default_rng(8)
+    centers, rho = rng.standard_normal((2_000, 3)), rng.uniform(0.5, 2.0, 2_000)
+    target = UnitQuadratic(a=np.zeros(3), rho=1.0)
+    assert traced_peak_mb(QuadraticMap, centers, rho, target) < 0.5
 
 
 class TestSampleInputs:
