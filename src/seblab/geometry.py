@@ -150,8 +150,9 @@ class Solution:
     recovering it, qp_value the simplex-QP optimum (= radius^2 for nonempty
     interior); fw_gap bounds qp_value - q*, and converged says whether it
     met the rounding stop. rank_shifted is rank{a_i - center}, the
-    affine rank of the centers, which solve_seb reads before the solve and
-    keeps for every status (a hand-built Solution may leave it None).
+    affine rank of the centers, which solve_seb reads once, after the
+    solve, and keeps for every status (a hand-built Solution may leave it
+    None).
     """
 
     center: np.ndarray

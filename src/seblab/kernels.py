@@ -68,7 +68,12 @@ def fw_minimize(A, c, max_iter, support=None):
     of T + s that the residual's coefficients give, and the minor cycles
     step along it. Only after a drop, which such a step ends with, is the
     factor of the new support bordered again from its first point
-    (`_factor`). Memory is O(mn + k^2).
+    (`_factor`). Beside A the kernel holds two length-m vectors,
+    `rounding_stop`'s sizes and one gradient buffer that every major cycle
+    overwrites (A.dot(x, out=grad), then *= 2 and -= c: the operations of
+    2 A x - c in their order) and that becomes the returned mu, read-only,
+    so that `simplex_qp.QPResult` and the solution share it uncopied;
+    the factor is O(k^2).
 
     The loop stops at `rounding_stop`, which the points that carry weight
     set, not the largest one, after max_iter major cycles, or when a cycle
@@ -78,17 +83,25 @@ def fw_minimize(A, c, max_iter, support=None):
     grad^T mu - min_i grad_i over all m vertices at the returned mu.
     """
     unit, sizes = rounding_stop(A, c)
-    T = (np.array([int(np.argmin(np.einsum("ij,ij->i", A, A) - c))])
-         if support is None else support)
-    T, w, factor = _minor_cycles(A, c, T, np.full(T.size, 1.0 / T.size),
-                                 _factor(A, c, T))
+    # the one length-m buffer of the loop: the best vertex's values, then
+    # the gradient of every major cycle, then the returned mu
+    grad = np.empty(A.shape[0])
+    if support is None:
+        np.einsum("ij,ij->i", A, A, out=grad)
+        grad -= c
+        support = np.array([int(grad.argmin())])
+    T, w, factor = _minor_cycles(A, c, support,
+                                 np.full(support.size, 1.0 / support.size),
+                                 _factor(A, c, support))
     last = np.inf
     for it in range(max_iter + 1):
         # ndarray.dot, not @, in the cycle: on operands this small the
         # dispatch of @ costs about as much as the product, and the
         # results are the same
         x = A[T].T.dot(w)
-        grad = 2.0 * A.dot(x) - c
+        A.dot(x, out=grad)
+        grad *= 2.0
+        grad -= c
         s = int(grad.argmin())
         gap = float(grad[T].dot(w)) - grad[s]
         xx = float(x.dot(x))
@@ -100,8 +113,10 @@ def fw_minimize(A, c, max_iter, support=None):
         T, w, factor = _minor_cycles(A, c, np.concatenate((T, [s])),
                                      np.concatenate((w, [0.0])),
                                      _border(A, c, T, factor, s))
-    mu = np.zeros(A.shape[0])
+    mu = grad
+    mu.fill(0.0)
     mu[T] = w
+    mu.setflags(write=False)
     return mu, it, gap
 
 
@@ -110,12 +125,16 @@ def rounding_stop(A, c):
     u |x|^2 + sum_{j in T} w_j s_j, that is at
     16 (n + m) eps (|x|^2 + sum_{j in T} w_j (2|a_j|^2 - c_j)), where
     2|a_j|^2 - c_j = |b_j|^2 + r_j^2 in a ball program. s is computed
-    once, so the stop costs O(k) a cycle, and it follows the points that
-    carry weight: a small answer beside a large ball runs until its own
-    gap nears its own rounding."""
+    once, in place in one length-m vector, so the stop costs O(k) a
+    cycle, and it follows the points that carry weight: a small answer
+    beside a large ball runs until its own gap nears its own rounding."""
     m, n = A.shape
     unit = 16 * (n + m) * np.finfo(float).eps
-    return unit, unit * (2.0 * np.einsum("ij,ij->i", A, A) - c)
+    sizes = np.einsum("ij,ij->i", A, A)
+    sizes *= 2.0
+    sizes -= c
+    sizes *= unit
+    return unit, sizes
 
 
 def _factor(A, c, T):

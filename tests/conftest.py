@@ -127,6 +127,17 @@ def random_supported_instance(rng, n, slack=0.5):
     return Instance.from_data(centers, radii)
 
 
+def tall_instance(n, m):
+    """m balls in R^n with normal centers, seeded by (n, m), whose radii
+    leave a common interior point near the origin."""
+    rng = np.random.default_rng([n, m])
+    centers = rng.standard_normal((m, n))
+    p = 0.3 * rng.standard_normal(n)
+    radii = (np.linalg.norm(centers - p, axis=1) + 0.5
+             + rng.uniform(0.0, 0.5, m))
+    return Instance.from_data(centers, radii)
+
+
 def random_rank_deficient_map(rng, n=3, m=3):
     """Quadratic map with rank{a_i - a} < n (convex range)."""
     a = rng.standard_normal(n)

@@ -9,6 +9,7 @@ from conftest import (
     corpus,
     lens_instance,
     random_supported_instance,
+    tall_instance,
     traced_peak_mb,
 )
 from seblab import Instance, kernels, sampling, simplex_qp, solver
@@ -559,6 +560,16 @@ class TestCarriedFactor:
         assert np.count_nonzero(mu) >= 12
         peak = traced_peak_mb(kernels.fw_minimize, A, c, 10**4)
         assert peak * 1e6 <= 2.0 * A.nbytes
+
+    def test_working_set_is_two_vectors(self):
+        # at m >> n: the stop's sizes and one gradient buffer, overwritten
+        # by every major cycle and returned, read-only, as mu
+        qp = simplex_qp.build_qp(tall_instance(6, 20_000))
+        A, c = qp.centers, qp.linear
+        mu, _, _ = kernels.fw_minimize(A, c, 10**4)
+        assert not mu.flags.writeable
+        peak = traced_peak_mb(kernels.fw_minimize, A, c, 10**4)
+        assert peak * 1e6 <= 2.5 * 8 * A.shape[0]
 
 
 class TestCloudMeb:

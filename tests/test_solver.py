@@ -13,11 +13,14 @@ from conftest import (
     lens_instance,
     matrix_rank,
     random_supported_instance,
+    tall_instance,
     traced_peak_mb,
     unsupported_instance,
 )
-from seblab.errors import EmptyInteriorError
+from seblab import kernels
+from seblab.errors import EmptyInteriorError, ValidationError
 from seblab.geometry import (
+    BASE_TOL,
     Instance,
     Solution,
     SolveStatus,
@@ -196,11 +199,20 @@ class TestSolveSeb:
         for n in (2, 3):
             inst = random_supported_instance(rng, n)
             sol = solve_seb(inst)
-            # the rank read before the solve is the post-solve rank
+            # the affine rank that classify reads is the rank about the
+            # returned center
             rank = matrix_rank(inst.centers_matrix() - sol.center)
             assert sol.rank_shifted == rank
             if sol.status is SolveStatus.CERTIFIED_OPTIMAL:
                 assert rank < n or (rank == n and inst.m == n)
+
+    def test_negative_max_iter_refused_before_the_svd(self, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("the rank's SVD ran before max_iter's check")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        with pytest.raises(ValidationError):
+            solve_seb(lens_instance(), max_iter=-1)
 
 
 def moved(inst, shift=0.0, rotation=None):
@@ -363,6 +375,50 @@ def test_center_is_the_solves_point():
             assert np.array_equal(res.point, qp.centers.T @ res.minimizer)
             assert np.array_equal(solve_seb(inst).center,
                                   qp.origin + res.point)
+
+
+def whole_array_bracket(inst):
+    """(status, radius) of `solve_seb`'s duality bracket, every length-m
+    quantity formed whole through temporaries, from the solve's result and
+    classify's gate."""
+    qp = build_qp(inst)
+    res = solve(qp)
+    gate = classify(inst)
+    mu, x, ub = res.minimizer, res.point, res.value
+    xx = float(x @ x)
+    size = xx + qp.linear + 2.0 * inst.radii() ** 2
+    eps = np.finfo(float).eps
+    n, m = qp.centers.shape[1], mu.size
+    g = xx - 2.0 * (qp.centers @ x) + qp.linear
+    e = 8 * (n + 4) * eps * size
+    e_q = 8 * (n + m + 4) * eps * float(mu @ size)
+    lb = -float((g + e).max())
+    radius = float(np.sqrt(max(ub, 0.0)))
+    if lb > 0.0:
+        if gate.regime is not Regime.UNSUPPORTED and ub - lb <= BASE_TOL * ub:
+            return SolveStatus.CERTIFIED_OPTIMAL, radius
+        return SolveStatus.UPPER_BOUND_ONLY, radius
+    if ub < -e_q:
+        return SolveStatus.EMPTY_INTERIOR, 0.0
+    if ub <= e_q and float((g - e).max()) <= 0.0:
+        return SolveStatus.DEGENERATE_POINT, 0.0
+    return SolveStatus.UPPER_BOUND_ONLY, radius
+
+
+def test_bracket_matches_its_whole_array_form():
+    # the bracket formed in place reads every status and radius of the
+    # stress corpus as the whole arrays do, the tangent family's
+    # DegeneratePoint cases (the g - e test) included
+    statuses = set()
+    count = 0
+    for family in CORPUS_FAMILIES + (FAR_BALL,):
+        for inst in corpus(family):
+            sol = solve_seb(inst)
+            assert (sol.status, sol.radius) == whole_array_bracket(inst)
+            statuses.add(sol.status)
+            count += 1
+    assert count == 720
+    assert statuses == set(SolveStatus)
 
 
 class TestFarBall:
@@ -624,7 +680,7 @@ class TestRegimeReport:
             return numerical_rank(*args)
 
         monkeypatch.setattr(solver, "numerical_rank", counting)
-        # one rank, read by classify before the solve, for every status
+        # one rank, read by classify after the solve, for every status
         for inst in (critical_instance(), disjoint_instance()):
             calls.clear()
             sol = solve_seb(inst)
@@ -689,15 +745,38 @@ class TestConvergence:
     def test_solve_keeps_no_copy_of_the_program(self, n, m):
         # the program is the instance's frame: beside it a solve holds
         # m-vectors and the support's factor, no (m, n) copy
-        rng = np.random.default_rng([n, m])
-        centers = rng.standard_normal((m, n))
-        p = 0.3 * rng.standard_normal(n)
-        radii = (np.linalg.norm(centers - p, axis=1) + 0.5
-                 + rng.uniform(0.0, 0.5, m))
-        inst = Instance.from_data(centers, radii)
+        inst = tall_instance(n, m)
         solve_seb(inst)
         peak = traced_peak_mb(solve_seb, inst)
-        assert peak * 1e6 <= 1.5 * centers.nbytes
+        assert peak * 1e6 <= 1.5 * inst.centers_matrix().nbytes
+
+    def test_working_set_is_three_vectors(self):
+        # beside the program a solve holds mu, g and e: the kernel's
+        # gradient becomes mu, and its stop's sizes go with it
+        inst = tall_instance(6, 20_000)
+        solve_seb(inst)
+        peak = traced_peak_mb(solve_seb, inst)
+        assert peak * 1e6 <= 3.5 * 8 * inst.m
+
+    def test_multipliers_are_the_kernels_array(self, monkeypatch):
+        # the kernel's read-only mu reaches the result and the solution
+        # uncopied
+        returned = []
+        fw_minimize = kernels.fw_minimize
+
+        def kept(*args):
+            result = fw_minimize(*args)
+            returned.append(result[0])
+            return result
+
+        monkeypatch.setattr(kernels, "fw_minimize", kept)
+        inst = tall_instance(6, 300)
+        res = solve(build_qp(inst))
+        sol = solve_seb(inst)
+        assert len(returned) == 2
+        assert not any(mu.flags.writeable for mu in returned)
+        assert np.shares_memory(returned[0], res.minimizer)
+        assert np.shares_memory(returned[1], sol.multipliers)
 
     def test_tall_support_at_most_n_plus_one(self):
         rng = np.random.default_rng(1)
