@@ -102,8 +102,7 @@ def solve_seb(instance: Instance, max_iter=None):
     so every value is bit for bit the formula's. The DegeneratePoint test
     reads g - e only when ub <= e_q, before e += g gives lb. At
     (n, m) = (6, 300) a solve with its certificate peaks at 0.0095 MB, at
-    (50, 100,000) a solve at 2.4 MB (4.0 MB with the bracket and the
-    gradient formed through temporaries).
+    (50, 100,000) a solve at 2.4 MB.
     """
     qp = build_qp(instance)
     res = solve(qp, max_iter=max_iter)
