@@ -7,7 +7,7 @@ Subcommands:
                                  enumeration, min max_i g_i on a grid (n <= 3),
                                  the ball of N sampled points (--cloud N)
     rank <file>                  the centers' affine rank and its regime,
-                                 the gate `solve` reads before solving
+                                 the gate `solve` reads after solving
 
 Exit codes: 0 success, 1 bad arguments or input, 2 empty interior,
 3 unsupported regime (jnr operations that need the gating condition).

@@ -314,9 +314,7 @@ def cloud_meb(points, iterations):
     Each O(Nn) difference is formed once: the diameter pair's is freed
     before the kernel runs, and the radius pass writes points - center over
     the centred points, which it no longer needs. On a 100,000-point cloud
-    in R^3 the call peaks at 2.7 times the cloud's bytes, where keeping the
-    pair's differences through the kernel and subtracting the center twice
-    took 5.0 times.
+    in R^3 the call peaks at 2.7 times the cloud's bytes.
     """
     o = points[0]
     P = points - o

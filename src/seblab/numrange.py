@@ -17,16 +17,17 @@ itself puts into the map.
 
 The values have one evaluator, `_values`, which reads the same relation
 at y = x - a: z_0 = rho - |y|^2 and z_i = A_i . y + offsets_i - z_0.
-`eval_map` and the convexity probe call it on x - a, and the separation
-probe on inputs it draws in y, so no draw makes the round trip a + y, - a.
+`eval_map` calls it on x - a, and the probes on points they draw in y,
+so no draw makes the round trip a + y, - a.
 
 The probes do only the work their answer needs. By the paper's rank
 theorem the range is convex if and only if rank A < n, which the map reads
-once when it is built, so in that regime the convexity probe returns the
-theorem's verdict with samples=0 and draws nothing; only when rank A = n
-does it draw segments and test their points with the exact membership
-query. The separation probe draws range and pair-hull points and tests
-the negative orthant one column at a time, on the rows still standing.
+once when it is built, so the convexity probe returns the theorem's
+verdict and searches nothing: at rank A < n an empty report with
+samples=0, at rank A = n one certified counterexample, the midpoint of
+G(a + v) and G(a - v), which misses the range by |v|^2. The separation
+probe draws range and pair-hull points and tests the negative orthant one
+column at a time, on the rows still standing.
 """
 
 from dataclasses import dataclass
@@ -59,8 +60,8 @@ class QuadraticMap:
     is formed. So is `scale`, the map's squared length
     max(spread^2, target.rho), the spread being the largest distance of a
     center (the target's included) from their mean; it sets the probes'
-    sampling width, and the fibre query's slacks come from the rounding
-    of the map and the query instead (`fibre`).
+    sampling width and witness length, and the fibre query's slacks come
+    from the rounding of the map and the query instead (`fibre`).
     """
 
     centers: np.ndarray
@@ -200,8 +201,7 @@ def eval_map(qmap: QuadraticMap, x):
     The values are `_values` of x - a, and the (N, m + 1) array is the
     transposed view of its (m + 1, N) one, so each quadratic's values are
     contiguous. On 4,000 points of a 3-D map with m = 2 the call peaks at
-    0.19 MB, its 0.096 MB of values included, where expanding the squares
-    about a center through a moved copy and 2-D broadcasts took 0.29 MB.
+    0.19 MB, its 0.096 MB of values included.
     """
     x = np.asarray(x, dtype=float)
     X = np.atleast_2d(x)
@@ -295,32 +295,29 @@ class ConvexityReport:
 
 def convexity_probe(qmap: QuadraticMap, samples: int,
                     seed=0) -> ConvexityReport:
-    """Segment points of the range that leave it.
+    """The paper's rank theorem as a report: the range is convex if and
+    only if rank A < n.
 
-    When rank A < n (the convex regime) the range is convex by the paper's
-    rank theorem: the report is that verdict, with samples=0, and nothing
-    is drawn. When rank A = n, `samples` random segments are drawn and
-    their points tested by the exact membership query (`in_range`: exact
-    up to the rounding of the values and of the fibre's solve), so each
-    recorded counterexample lies off the range by more than rounding and
-    proves non-convexity; an empty report is (only) evidence of
-    convexity.
+    When rank A < n (the convex regime) the report is that verdict, with
+    samples=0, and nothing is drawn. When rank A = n every fibre is a
+    point, so for any v != 0 the midpoint z of G(a + v) and G(a - v) has
+    the fibre {a}, where the target sits |v|^2 below the level -z_0: z
+    misses the range by |v|^2. The report is that one counterexample
+    (a + v, a - v, 0.5, z), v a random direction (from `seed`) of length
+    sqrt(scale), with samples=1; its values are read at y = +-v, so
+    neither point makes the round trip a + y, - a. samples=0 gives the
+    empty report in both regimes.
     """
     if samples < 0:
         raise ValidationError(f"samples must be >= 0, got {samples}")
-    if qmap.null.shape[1] > 0:
+    if samples == 0 or qmap.null.shape[1] > 0:
         return ConvexityReport(samples=0, counterexamples=())
-    rng = np.random.default_rng(seed)
-    X = sample_inputs(qmap, samples, rng)
-    Y = sample_inputs(qmap, samples, rng)
-    lams = rng.uniform(0.0, 1.0, size=samples)
-    Z = (lams[:, None] * eval_map(qmap, X)
-         + (1.0 - lams[:, None]) * eval_map(qmap, Y))
-    member, _, _ = _range_members(qmap, Z)
-    return ConvexityReport(
-        samples=samples,
-        counterexamples=tuple((X[i], Y[i], float(lams[i]), Z[i])
-                              for i in np.flatnonzero(~member)))
+    v = np.random.default_rng(seed).standard_normal(qmap.dimension)
+    v *= np.sqrt(qmap.scale) / np.linalg.norm(v)
+    z = _values(qmap, np.stack([v, -v])).mean(axis=1)
+    a = qmap.target.a
+    return ConvexityReport(samples=1,
+                           counterexamples=((a + v, a - v, 0.5, z),))
 
 
 def _orthant_rows(m, column):
@@ -366,9 +363,7 @@ def separation_probe(qmap: QuadraticMap, samples: int, seed=0,
     in place in its gathered rows, only on the rows still standing, so
     beyond the (N, m + 1) values the probe holds a few length-N vectors.
     With 100,000 samples and 100,000 extra points on a 3-D map with m = 2
-    it peaks at 2.67 times its values, and with 2,000 of each at 0.261 MB,
-    where a stacked, moved copy evaluated through 2-D broadcasts and a
-    1 - lam temporary took 3.33 times and 0.387 MB.
+    it peaks at 2.67 times its values, and with 2,000 of each at 0.261 MB.
     """
     if qmap.regime() is Regime.UNSUPPORTED:
         raise UnsupportedRegime("separation probe needs a supported regime")

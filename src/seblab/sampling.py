@@ -114,9 +114,7 @@ def _ball_rejection(instance: Instance, count, rng, center, radius):
     sums its squared distances one coordinate at a time, so beside the
     output the call holds one batch and a few per-row vectors: for 2,000
     points of the 3-D lens it peaks at 0.22 MB, the 0.048 MB output
-    included, where a (rows, n) difference per ball took 0.28 MB and
-    scaling through temporaries and gathering every row for the first ball
-    0.34 MB.
+    included.
     """
     n = instance.dimension
     batch = max(1, kernels.TILE // (4 * n))

@@ -30,6 +30,11 @@ DISJOINT = {"dimension": 2,
 HIGH_DIM = {"dimension": 16,
             "balls": [{"center": list(row), "radius": 1.2}
                       for row in np.eye(16)]}
+# rank{a_i - a} = n = m: the range is not convex
+CRITICAL = {"dimension": 2,
+            "balls": [{"center": [0.0, 0.0], "radius": 1.0},
+                      {"center": [1.0, 0.0], "radius": 1.0}],
+            "target": {"center": [0.5, 1.0], "radius": 1.5}}
 UNSUPPORTED = {"dimension": 2,
                "balls": [{"center": [1.0, 0.0], "radius": 2.0},
                          {"center": [0.0, 1.0], "radius": 2.0},
@@ -260,6 +265,19 @@ class TestJnrCommand:
             blocks.append(json.loads(text)["convexity"])
         assert blocks[0] == blocks[1] == {"counterexamples": 0,
                                           "convex_evidence": True}
+
+    def test_probe_critical_map_reports_one_witness(self, tmp_path):
+        # rank A = n: the convexity block is the rank theorem's one
+        # certified counterexample, whatever the seed and the count
+        path = write_doc(tmp_path, "critical.json", CRITICAL)
+        for seed in ("1", "2"):
+            code, text = run_cli(["jnr", path, "probe", "--seed", seed,
+                                  "--count", "500"])
+            assert code == 0
+            report = json.loads(text)
+            assert report["regime"] == "CriticalCase"
+            assert report["convexity"] == {"counterexamples": 1,
+                                           "convex_evidence": False}
 
     def test_probe_unsupported_regime(self, tmp_path):
         path = write_doc(tmp_path, "unsupported.json", UNSUPPORTED)
